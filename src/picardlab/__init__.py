@@ -69,7 +69,6 @@ from .randomization import (
 )
 from .trees import (
     BinaryTree,
-    TreeConstant,
     b_index_set,
     c_star,
     c_star_upper,
@@ -93,7 +92,7 @@ __all__ = [
     "TimeGrid", "FieldSeries", "IterateRecord", "BlowUpError", "free_evolution",
     "duhamel", "picard_iterate", "picard_chain", "iterate_from_previous",
     "space_time_norm", "energy_inequality_check",
-    "BinaryTree", "TreeConstant", "enumerate_trees", "c_tau", "i_tau_oracle",
+    "BinaryTree", "enumerate_trees", "c_tau", "i_tau_oracle",
     "c_star", "c_star_upper", "b_index_set", "evaluate_tree_term",
     "reconstruct_iterate",
     "CoefficientVector", "PartitionClass", "exact_moment", "khinchine_ratio",

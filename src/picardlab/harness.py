@@ -257,9 +257,21 @@ def _worker(payload):
     return idx, _run_one(config, idx)
 
 
+def _worker_count() -> int:
+    """PICARDLAB_WORKERS as an integer >= 1 (unset means 1)."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def _sample_rows(config: ExperimentConfig) -> tuple[SampleRow, ...]:
     """All per-sample rows, sorted by (sample_index, n); schedule-independent."""
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = _worker_count()
     payloads = [(config, idx) for idx in range(config.samples)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,9 +8,15 @@ are defined by
 
 where d is a fixed first-order derivative (d/dx1 by default, d/dx2 or d/dt by
 configuration).  All propagators are exact Fourier multipliers; the time
-integral is composite trapezoid on the uniform time grid, evaluated for every
-output node at once through an FFT causal convolution along the time axis
-(the kernel tables depend only on t - t').
+integral is composite trapezoid on the uniform time grid.  Angle addition
+splits each kernel into a factor of t times a factor of t',
+
+    sinc(t-t') = sinc(t) cos(t') - cos(t) sinc(t'),
+    cos(t-t')  = cos(t) cos(t') + |xi| sin(t) sinc(t'),
+
+with sinc(t) = sin(t|xi|)/|xi|, exact at xi = 0 too (sinc = t there), so u
+and dt u at every node come from two cumulative sums per Fourier mode.  d u
+is i xi_d u, or dt u for d = d/dt.
 
 The quadratic nonlinearity is Galerkin-truncated with the 2/3 rule: factors
 and product are projected onto |m_i| <= N/3 before and after the pointwise
@@ -33,6 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, Grid, PHYSICAL, SPECTRAL
+from .multipliers import D_CHOICES, spatial_derivative, symbol_array
 from .randomization import RandomizedData
 
 __all__ = [
@@ -53,8 +60,6 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e12
-
-D_KERNELS = {"x1": "m01_x1", "x2": "m01_x2", "t": "cos"}
 
 
 @dataclass(frozen=True)
@@ -144,15 +149,15 @@ class BlowUpError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Kernel tables and the causal time convolution
+# Propagator tables and the separable Duhamel integral
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
 def _wave_tables(grid: Grid, tg: TimeGrid) -> dict[str, np.ndarray]:
     """cos(t_m |xi|), sin(t_m |xi|), and sin(t_m |xi|)/|xi| for all nodes.
 
-    The same tables serve as free propagators (argument t_m) and as Duhamel
-    kernels (argument t_m - t' on the uniform grid).
+    The same tables serve as free propagators and, split by angle addition,
+    as the factors of every Duhamel kernel.
     """
     a = grid.abs_xi
     targ = tg.times[:, None, None] * a[None, :, :]
@@ -167,63 +172,58 @@ def _wave_tables(grid: Grid, tg: TimeGrid) -> dict[str, np.ndarray]:
     return {"cos": cos_t, "sin": sin_t, "sinc": sinc_t}
 
 
-@lru_cache(maxsize=4)
-def _m01_fraction(grid: Grid, axis: int) -> np.ndarray:
-    """xi_axis / |xi| with 0 at the origin and at the unpaired Nyquist line."""
-    n = grid.n_points
-    xi = (grid.xi1 if axis == 1 else grid.xi2).copy()
-    if axis == 1:
-        xi[n // 2, :] = 0.0
-    else:
-        xi[:, n // 2] = 0.0
-    frac = np.zeros_like(xi)
-    nz = grid.abs_xi > 0.0
-    frac[nz] = xi[nz] / grid.abs_xi[nz]
-    frac.flags.writeable = False
-    return frac
+def _cumtrap(f: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid sums dt * sum''_{l<=m} f[l] for every node m, in place.
 
-
-def _kernel_table(grid: Grid, tg: TimeGrid, kernel: str) -> np.ndarray:
-    """Duhamel kernel values K[d] = symbol(d dt, xi), d = 0..n_steps."""
-    tables = _wave_tables(grid, tg)
-    if kernel == "cos":
-        return tables["cos"]
-    if kernel == "sinc":
-        return tables["sinc"]
-    if kernel in ("m01_x1", "m01_x2"):
-        axis = 1 if kernel == "m01_x1" else 2
-        return 1j * _m01_fraction(grid, axis)[None, :, :] * tables["sin"]
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def _causal_convolve(kernel: np.ndarray, source: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid sums dt * sum''_{l<=m} K[m-l] S[l] for every m, via FFT.
-
-    Zero-padding past 2m-1 makes the circular convolution linear; the two
-    half-weight endpoint corrections turn the plain convolution into the
-    composite trapezoid rule.  Mode columns are processed in chunks to cap the
-    padded work arrays at ~32 MB.
+    A running sum minus the half-weight endpoint terms f[0]/2 and f[m]/2,
+    one time row at a time: np.cumsum along the leading axis gives the same
+    bits several times slower and needs a second full-size array.
     """
-    m = kernel.shape[0]
-    nfft = 1 << (2 * m - 1).bit_length()
-    out = np.empty(source.shape, dtype=np.complex128)
-    n_cols = kernel.shape[1]
-    chunk = max(1, (32 << 20) // (nfft * kernel.shape[2] * 16))
-    for j0 in range(0, n_cols, chunk):
-        sl = slice(j0, min(j0 + chunk, n_cols))
-        kf = np.fft.fft(kernel[:, sl, :], n=nfft, axis=0)
-        sf = np.fft.fft(source[:, sl, :], n=nfft, axis=0)
-        out[:, sl, :] = np.fft.ifft(kf * sf, axis=0)[:m]
-    out -= 0.5 * kernel * source[0]
-    out -= 0.5 * kernel[0] * source
-    out *= dt
-    return out
+    run = f[0].copy()
+    half_first = 0.5 * f[0]
+    f[0] = 0.0
+    for m in range(1, f.shape[0]):
+        run += f[m]
+        f[m] = run - half_first - 0.5 * f[m]
+    f *= dt
+    return f
 
 
-def _duhamel_hat(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, kernel: str) -> np.ndarray:
-    if tg.n_nodes < 2:
-        raise ValueError("duhamel needs at least 2 time nodes")
-    return _causal_convolve(_kernel_table(grid, tg, kernel), source_hat, tg.dt)
+def _duhamel_hats(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, *,
+                  want_u: bool = True, want_dt: bool = True
+                  ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt'.
+
+    With A = cumtrap(cos S) and B = cumtrap(sinc S) (see the module
+    docstring), u = sinc A - cos B and dt u = cos A + |xi| sin B.  A part
+    not asked for is returned as None.
+    """
+    tables = _wave_tables(grid, tg)
+    cos_t, sinc_t = tables["cos"], tables["sinc"]
+    a = _cumtrap(cos_t * source_hat, tg.dt)
+    b = _cumtrap(sinc_t * source_hat, tg.dt)
+    u = dt_u = None
+    if want_u:
+        u = sinc_t * a
+        u -= cos_t * b
+    if want_dt:
+        b *= grid.abs_xi
+        dt_u = cos_t * a
+        dt_u += tables["sin"] * b
+    return u, dt_u
+
+
+def _d_duhamel_hat(source_hat: np.ndarray, grid: Grid, tg: TimeGrid,
+                   d_choice: str) -> np.ndarray:
+    """d of the Duhamel integral, from the one part of (u, dt u) it needs."""
+    pair = _duhamel_hats(source_hat, grid, tg, want_u=d_choice != "t",
+                         want_dt=d_choice == "t")
+    return _derivative_hat(*pair, grid, d_choice)
+
+
+def _check_d_choice(d_choice: str) -> None:
+    if d_choice not in D_CHOICES:
+        raise ValueError(f"d_choice must be one of {D_CHOICES}, got {d_choice!r}")
 
 
 def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSeries:
@@ -232,12 +232,11 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
     M is the m01 multiplier for the configured derivative (cos symbol for
     d_choice="t").  Output is spectral.
     """
-    if d_choice not in D_KERNELS:
-        raise ValueError(f"d_choice must be one of {tuple(D_KERNELS)}, got {d_choice!r}")
+    _check_d_choice(d_choice)
     if source.timegrid != tg:
         raise ValueError("source series lives on a different time grid")
     src = series_to_spectral(source)
-    out = _duhamel_hat(src.values, src.grid, tg, D_KERNELS[d_choice])
+    out = _d_duhamel_hat(src.values, src.grid, tg, d_choice)
     return FieldSeries(src.grid, tg, out, SPECTRAL, tag=f"duhamel_{d_choice}")
 
 
@@ -260,11 +259,13 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     """Galerkin product: truncate both factors, multiply pointwise, truncate.
 
     Exactly bilinear in (a, b) and alias-free on the retained modes; the
-    pointwise values stay complex (randomized data need not be real).
+    pointwise values stay complex (randomized data need not be real).  A
+    square (``b_hat is a_hat``) transforms its factor once; the result is the
+    same bits as transforming it twice.
     """
     mask = _dealias_mask(grid)
     fa = np.fft.ifft2(a_hat * mask, norm="ortho", axes=(-2, -1))
-    fb = np.fft.ifft2(b_hat * mask, norm="ortho", axes=(-2, -1))
+    fb = fa if b_hat is a_hat else np.fft.ifft2(b_hat * mask, norm="ortho", axes=(-2, -1))
     prod = np.fft.fft2(fa * fb, norm="ortho", axes=(-2, -1))
     return prod * mask
 
@@ -284,12 +285,21 @@ def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
     tables = _wave_tables(grid, tg)
     if d_choice == "t":
         return -(grid.abs_xi[None, :, :] * tables["sin"]) * phi0_hat
-    axis = 1 if d_choice == "x1" else 2
-    mult = 1j * _m01_fraction(grid, axis) * grid.abs_xi
-    return mult * (tables["cos"] * phi0_hat)
+    return _derivative_hat(tables["cos"] * phi0_hat, None, grid, d_choice)
 
 
-def _free_hats(data: RandomizedData, tg: TimeGrid, d_choice: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
+                    grid: Grid, d_choice: str) -> np.ndarray:
+    """d u from the pair (u, dt u): dt u itself, or i xi_d u (the multiplier
+    is 0 on the unpaired Nyquist line, as in :mod:`.multipliers`)."""
+    if d_choice == "t":
+        return dudt_hat
+    return symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid) * u_hat
+
+
+def _free_hats(data: RandomizedData, tg: TimeGrid, d_choice: str) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, dt u0) of the free evolution; rejects an unknown d_choice."""
+    _check_d_choice(d_choice)
     grid = data.grid
     tables = _wave_tables(grid, tg)
     phi0 = data.phi0_rand.values
@@ -299,12 +309,7 @@ def _free_hats(data: RandomizedData, tg: TimeGrid, d_choice: str) -> tuple[np.nd
         phi1 = data.phi1_rand.values
         u0 = u0 + tables["sinc"] * phi1
         dudt0 = dudt0 + tables["cos"] * phi1
-    if d_choice == "t":
-        du0 = dudt0
-    else:
-        axis = 1 if d_choice == "x1" else 2
-        du0 = (1j * _m01_fraction(grid, axis) * grid.abs_xi) * u0
-    return u0, dudt0, du0
+    return u0, dudt0
 
 
 def free_evolution(data: RandomizedData, tg: TimeGrid,
@@ -318,14 +323,12 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     all derivatives taken by exact multipliers.  The free energy
     ||grad u0||_2^2 + ||dt u0||_2^2 is conserved node-to-node to rounding.
     """
-    if d_choice not in D_KERNELS:
-        raise ValueError(f"d_choice must be one of {tuple(D_KERNELS)}, got {d_choice!r}")
-    u0, dudt0, du0 = _free_hats(data, tg, d_choice)
+    u0, dudt0 = _free_hats(data, tg, d_choice)
     grid = data.grid
     return (
         FieldSeries(grid, tg, u0, SPECTRAL, tag="u"),
         FieldSeries(grid, tg, dudt0, SPECTRAL, tag="du_dt"),
-        FieldSeries(grid, tg, du0, SPECTRAL, tag="du"),
+        FieldSeries(grid, tg, _derivative_hat(u0, dudt0, grid, d_choice), SPECTRAL, tag="du"),
     )
 
 
@@ -401,27 +404,31 @@ def _record(n: int, grid: Grid, tg: TimeGrid, u_hat, dudt_hat, du_hat,
     )
 
 
+def _step(n: int, prev_du: np.ndarray, free: tuple[np.ndarray, np.ndarray],
+          grid: Grid, tg: TimeGrid, d_choice: str,
+          provenance: tuple[int, int, str]) -> IterateRecord:
+    """Iterate n from du^(n-1): free part plus the Duhamel integral of its square."""
+    u0, dudt0 = free
+    src = product_dealias(prev_du, prev_du, grid)
+    u_hat, dudt_hat = _duhamel_hats(src, grid, tg)
+    u_hat += u0
+    dudt_hat += dudt0
+    du_hat = _derivative_hat(u_hat, dudt_hat, grid, d_choice)
+    return _record(n, grid, tg, u_hat, dudt_hat, du_hat, *provenance)
+
+
 def picard_chain(n_max: int, data: RandomizedData, tg: TimeGrid,
                  d_choice: str = "x1", config_hash: str = "") -> list[IterateRecord]:
     """Iterates 0..n_max by the recursion, sharing the free-evolution work."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if d_choice not in D_KERNELS:
-        raise ValueError(f"d_choice must be one of {tuple(D_KERNELS)}, got {d_choice!r}")
     grid = data.grid
-    seed, sample = data.draw.seed, data.draw.sample_index
-    u0, dudt0, du0 = _free_hats(data, tg, d_choice)
-    records = [_record(0, grid, tg, u0, dudt0, du0, seed, sample, config_hash)]
+    provenance = (data.draw.seed, data.draw.sample_index, config_hash)
+    free = _free_hats(data, tg, d_choice)
+    du0 = _derivative_hat(*free, grid, d_choice)
+    records = [_record(0, grid, tg, *free, du0, *provenance)]
     for n in range(1, n_max + 1):
-        prev_du = records[-1].du.values
-        src = product_dealias(prev_du, prev_du, grid)
-        u_hat = u0 + _duhamel_hat(src, grid, tg, "sinc")
-        dudt_hat = dudt0 + _duhamel_hat(src, grid, tg, "cos")
-        if d_choice == "t":
-            du_hat = dudt_hat
-        else:
-            du_hat = du0 + _duhamel_hat(src, grid, tg, D_KERNELS[d_choice])
-        records.append(_record(n, grid, tg, u_hat, dudt_hat, du_hat, seed, sample, config_hash))
+        records.append(_step(n, records[-1].du.values, free, grid, tg, d_choice, provenance))
     return records
 
 
@@ -438,18 +445,9 @@ def iterate_from_previous(prev: IterateRecord, data: RandomizedData, tg: TimeGri
     Bit-identical to the corresponding entry of :func:`picard_chain`: the
     computation is the same code path on the same inputs.
     """
-    grid = data.grid
-    u0, dudt0, du0 = _free_hats(data, tg, d_choice)
-    prev_du = prev.du.values
-    src = product_dealias(prev_du, prev_du, grid)
-    u_hat = u0 + _duhamel_hat(src, grid, tg, "sinc")
-    dudt_hat = dudt0 + _duhamel_hat(src, grid, tg, "cos")
-    if d_choice == "t":
-        du_hat = dudt_hat
-    else:
-        du_hat = du0 + _duhamel_hat(src, grid, tg, D_KERNELS[d_choice])
-    return _record(prev.n + 1, grid, tg, u_hat, dudt_hat, du_hat,
-                   prev.seed, prev.sample_index, prev.config_hash)
+    free = _free_hats(data, tg, d_choice)
+    return _step(prev.n + 1, prev.du.values, free, data.grid, tg, d_choice,
+                 (prev.seed, prev.sample_index, prev.config_hash))
 
 
 def space_time_norm(series: FieldSeries, q: float, r: float) -> float:

@@ -15,8 +15,8 @@ free derivative series of one unit-block projection, a node applies the
 Duhamel operator to the dealiased product of its children.  Summing all trees
 realizable at iterate level n over all block tuples (weighted by the product
 of Rademacher signs) reconstructs the n-th Picard iterate -- the central
-cross-check against the direct recursion, sharing the product and Duhamel
-kernels but never squaring a running iterate.
+cross-check against the direct recursion, sharing the product and the Duhamel
+implementation but never squaring a running iterate.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import numpy as np
 
 from .grid import SPECTRAL
 from .picard import (
-    D_KERNELS,
     FieldSeries,
     TimeGrid,
-    _duhamel_hat,
+    _d_duhamel_hat,
     free_derivative_hat,
     product_dealias,
 )
@@ -42,7 +41,6 @@ from .randomization import RandomizedData
 __all__ = [
     "BinaryTree",
     "LEAF",
-    "TreeConstant",
     "enumerate_trees",
     "c_tau",
     "i_tau_oracle",
@@ -108,14 +106,6 @@ def _height(tree: BinaryTree) -> int:
     if tree.is_leaf:
         return 0
     return 1 + max(_height(tree.left), _height(tree.right))
-
-
-@dataclass(frozen=True)
-class TreeConstant:
-    """A tree together with its exact integral constant."""
-
-    tree: BinaryTree
-    c_tau: int
 
 
 @lru_cache(maxsize=32)
@@ -310,7 +300,7 @@ def _tree_term_hat(
         left = _tree_term_hat(tree.left, blocks[:split], data, tg, d_choice, memo)
         right = _tree_term_hat(tree.right, blocks[split:], data, tg, d_choice, memo)
         src = product_dealias(left, right, grid)
-        out = _duhamel_hat(src, grid, tg, D_KERNELS[d_choice])
+        out = _d_duhamel_hat(src, grid, tg, d_choice)
     memo[key] = out
     return out
 

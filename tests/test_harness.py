@@ -219,3 +219,14 @@ def test_cli_simulate_report_and_errors(tmp_path, capsys):
     assert main(["simulate", "--grid", "12", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "[ERROR]" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-3"])
+def test_cli_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("PICARDLAB_WORKERS", value)
+    code = main(["simulate", "--grid", "64", "--samples", "2", "--steps", "8",
+                 "--n-max", "0", "--out", str(tmp_path / "w")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[ERROR] PICARDLAB_WORKERS must be an integer >= 1" in err
+    assert repr(value) in err

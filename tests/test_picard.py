@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picardlab import (
     BlowUpError,
@@ -16,13 +17,14 @@ from picardlab import (
     energy_inequality_check,
     free_evolution,
     iterate_from_previous,
+    make_grid,
     picard_chain,
     picard_iterate,
     sobolev_norm,
     space_time_norm,
 )
 from picardlab.grid import as_spectral
-from picardlab.picard import series_to_physical
+from picardlab.picard import _duhamel_hats, product_dealias, series_to_physical
 from picardlab.randomization import (
     RademacherDraw,
     active_blocks,
@@ -154,6 +156,109 @@ def test_duhamel_timegrid_mismatch(grid64):
     src = FieldSeries(grid64, tg, np.zeros((tg.n_nodes, 64, 64)), "physical")
     with pytest.raises(ValueError):
         duhamel(src, other)
+
+
+# ---------------------------------------------------------------------------
+# Third reference for the Duhamel scheme shared by the recursion and the trees:
+# the trapezoid sum dt * sum''_{l<=m} K(t_m - t_l) S[l] evaluated term by term,
+# O(m^2), with every kernel value taken from sin/cos of (t_m - t_l)|xi|.
+# ---------------------------------------------------------------------------
+
+def _direct_trapezoid(kernel, src, tg):
+    """dt * sum''_{l<=m} kernel(t_m - t_l) * src[l] for every node m."""
+    times = tg.times
+    out = np.zeros_like(src, dtype=np.complex128)
+    for m in range(1, tg.n_nodes):
+        weights = np.ones(m + 1)
+        weights[0] = weights[m] = 0.5
+        tau = times[m] - times[: m + 1]
+        k_vals = np.stack([kernel(t) for t in tau])
+        out[m] = tg.dt * np.einsum("l,lij,lij->ij", weights, k_vals, src[: m + 1])
+    return out
+
+
+def _direct_kernels(grid):
+    a = grid.abs_xi
+    safe = np.where(a > 0.0, a, 1.0)
+    n = grid.n_points
+
+    def frac(axis):
+        xi = (grid.xi1 if axis == 1 else grid.xi2).copy()
+        if axis == 1:
+            xi[n // 2, :] = 0.0
+        else:
+            xi[:, n // 2] = 0.0
+        return np.where(a > 0.0, xi / safe, 0.0)
+
+    frac1, frac2 = frac(1), frac(2)
+    return {
+        "u": lambda t: np.where(a > 0.0, np.sin(t * a) / safe, t),
+        "dt": lambda t: np.cos(t * a),
+        "x1": lambda t: 1j * frac1 * np.sin(t * a),
+        "x2": lambda t: 1j * frac2 * np.sin(t * a),
+        "t": lambda t: np.cos(t * a),
+    }
+
+
+def _random_source(grid, tg, seed):
+    rng = np.random.default_rng(seed)
+    shape = (tg.n_nodes, grid.n_points, grid.n_points)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("t_xi_max, n_steps", [(1.0, 1), (1.0, 16), (10.0, 64),
+                                                (100.0, 64), (100.0, 256)])
+def test_duhamel_matches_direct_trapezoid_sum(t_xi_max, n_steps):
+    grid = make_grid(16, 2.0 * math.pi)
+    tg = TimeGrid(t_final=t_xi_max / grid.xi_max, n_steps=n_steps)
+    src = _random_source(grid, tg, seed=n_steps)
+    kernels = _direct_kernels(grid)
+    u, dt_u = _duhamel_hats(src, grid, tg)
+    assert _rel(u, _direct_trapezoid(kernels["u"], src, tg)) <= 1e-12
+    assert _rel(dt_u, _direct_trapezoid(kernels["dt"], src, tg)) <= 1e-12
+    series = FieldSeries(grid, tg, src, "spectral")
+    for d in ("x1", "x2", "t"):
+        got = duhamel(series, tg, d_choice=d).values
+        assert _rel(got, _direct_trapezoid(kernels[d], src, tg)) <= 1e-12, d
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_steps=st.integers(1, 24), node=st.integers(0, 24), seed=st.integers(0, 2**31),
+       d_choice=st.sampled_from(["x1", "x2", "t"]),
+       coeffs=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+def test_duhamel_is_causal_and_linear(n_steps, node, seed, d_choice, coeffs):
+    grid = make_grid(8, 4.0 * math.pi)
+    tg = TimeGrid(t_final=1.3, n_steps=n_steps)
+    node = min(node, n_steps)
+    s1 = _random_source(grid, tg, seed)
+    s2 = _random_source(grid, tg, seed + 1)
+
+    def apply(src):
+        return duhamel(FieldSeries(grid, tg, src, "spectral"), tg, d_choice).values
+
+    out1 = apply(s1)
+    scale = max(float(np.max(np.abs(out1))), 1e-300)
+    perturbed = s1.copy()
+    perturbed[node + 1:] += 10.0 * s2[node + 1:]
+    causal = apply(perturbed)
+    assert np.max(np.abs(causal[: node + 1] - out1[: node + 1])) <= 1e-14 * scale
+
+    a, b = coeffs
+    combo = apply(a * s1 + b * s2)
+    expect = a * out1 + b * apply(s2)
+    assert np.max(np.abs(combo - expect)) <= 1e-12 * max(float(np.max(np.abs(expect))), scale)
+
+
+def test_self_square_is_bit_identical_to_two_transforms(grid64):
+    rng = np.random.default_rng(5)
+    shape = (9, 64, 64)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(product_dealias(a, a, grid64),
+                          product_dealias(a, a.copy(), grid64))
 
 
 def test_chain_matches_stepwise_bit_for_bit(grid64):

@@ -54,7 +54,6 @@ from .picard import (
     duhamel,
     energy_inequality_check,
     free_evolution,
-    iterate_from_previous,
     picard_chain,
     picard_iterate,
     space_time_norm,
@@ -90,7 +89,7 @@ __all__ = [
     "RademacherDraw", "RandomizedData", "draw_rademacher", "randomize",
     "gaussian_bump", "band_limited_field",
     "TimeGrid", "FieldSeries", "IterateRecord", "BlowUpError", "free_evolution",
-    "duhamel", "picard_iterate", "picard_chain", "iterate_from_previous",
+    "duhamel", "picard_iterate", "picard_chain",
     "space_time_norm", "energy_inequality_check",
     "BinaryTree", "enumerate_trees", "c_tau", "i_tau_oracle",
     "c_star", "c_star_upper", "b_index_set", "evaluate_tree_term",

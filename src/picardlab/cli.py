@@ -149,7 +149,7 @@ def _dump_fields(config: ExperimentConfig, out: Path) -> None:
     """Save the fixed datum and the sample-0 iterate snapshot at t = T."""
     from .grid import Field, save_field
     from .harness import _prepared
-    from .picard import picard_chain
+    from .picard import picard_iterate
     from .randomization import draw_rademacher, randomize
 
     grid, phi0, tg, phi0_h1, blocks = _prepared(config)
@@ -158,8 +158,8 @@ def _dump_fields(config: ExperimentConfig, out: Path) -> None:
         return
     draw = draw_rademacher(config.base_seed, blocks, sample_index=0)
     data = randomize(phi0, None, draw)
-    rec = picard_chain(config.n_max, data, tg, d_choice=config.d_choice,
-                       config_hash=config.config_hash)[-1]
+    rec = picard_iterate(config.n_max, data, tg, d_choice=config.d_choice,
+                         config_hash=config.config_hash)
     for tag, series in (("u", rec.u), ("du", rec.du)):
         snap = Field(grid=grid, values=series.values[-1], representation="spectral")
         save_field(snap, out / f"{tag}_n{config.n_max}.field",

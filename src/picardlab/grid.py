@@ -179,6 +179,24 @@ def as_physical(f: Field) -> Field:
     return f if f.is_physical else transform(f, "inverse")
 
 
+def lp_nodes(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """Continuum L^p norm over the trailing two axes, one per leading index:
+    (sum |f|^p dx^2)^(1/p), or max |f| for p = inf."""
+    a = np.abs(values)
+    if p == np.inf:
+        return a.max(axis=(-2, -1))
+    return (np.sum(a**p, axis=(-2, -1)) * grid.dx**2) ** (1.0 / p)
+
+
+def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """Homogeneous H^s norm of spectral values over the trailing two axes,
+    dx (sum |xi|^(2s) |fhat|^2)^(1/2); xi = 0 is dropped for s != 0."""
+    w = grid.abs_xi ** (2.0 * s)
+    if s != 0.0:
+        w[0, 0] = 0.0
+    return grid.dx * np.sqrt(np.einsum("...ij,ij->...", np.abs(hat) ** 2, w))
+
+
 def lp_norm(f: Field, p: float) -> float:
     """Continuum L^p norm on the box: (sum |f|^p dx^2)^(1/p); max for p=inf.
 
@@ -188,11 +206,7 @@ def lp_norm(f: Field, p: float) -> float:
         raise ValueError("lp_norm expects a physical field; use transform() first")
     if p != np.inf and p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(f.values)
-    if p == np.inf:
-        return float(a.max())
-    dx2 = f.grid.dx**2
-    return float((np.sum(a**p) * dx2) ** (1.0 / p))
+    return float(lp_nodes(f.values, f.grid, p))
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -202,15 +216,7 @@ def sobolev_norm(f: Field, s: float) -> float:
     s < 0).  s = 0 reproduces the L^2 norm exactly (Parseval).
     """
     g = as_spectral(f)
-    a2 = np.abs(g.values) ** 2
-    if s == 0.0:
-        total = np.sum(a2)
-    else:
-        w = g.grid.abs_xi ** (2.0 * s)
-        w = w.copy()
-        w[0, 0] = 0.0
-        total = np.sum(w * a2)
-    return float(g.grid.dx * np.sqrt(total))
+    return float(sobolev_nodes(g.values, g.grid, s))
 
 
 def save_field(f: Field, path: str, name: str = "") -> None:

@@ -1,10 +1,11 @@
 """Monte Carlo experiment runner for randomized Picard iterates.
 
 Pipeline per sample: derive the sign draw from (base_seed, sample_index),
-randomize the fixed datum, run the iterate chain to n_max, record the three
-tracked norms.  Samples are independent and merged by sample index, so the
-report is a pure function of (config, base_seed) regardless of worker count
-(set PICARDLAB_WORKERS to parallelize; default serial).
+randomize the fixed datum, draw the records of levels 0..n_max one at a time
+from the iterate generator and keep their three tracked norms.  Samples are
+independent and merged by sample index, so the report is a pure function of
+(config, base_seed) regardless of worker count (set PICARDLAB_WORKERS to
+parallelize; default serial).
 
 The moment verdicts compare the empirical L^p_omega norm of
 ||du^(n)||_{L^2_t L^4_x} (plug-in estimator, bootstrap upper confidence bound
@@ -39,7 +40,8 @@ import numpy as np
 
 from .grid import Field, load_field, make_grid, sobolev_norm
 from .moments import MomentBound, tail_from_moments
-from .picard import BlowUpError, TimeGrid, iterate_from_previous, picard_chain
+from .multipliers import D_CHOICES
+from .picard import BlowUpError, TimeGrid, _iterates
 from .randomization import (
     active_blocks,
     band_limited_field,
@@ -105,6 +107,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.family not in DATA_FAMILIES:
             raise ConfigError(f"unknown data family {self.family!r}")
+        if self.family == "file" and not self.data_path:
+            raise ConfigError("family 'file' needs data_path")
+        if self.d_choice not in D_CHOICES:
+            raise ConfigError(f"d_choice must be one of {D_CHOICES}, got {self.d_choice!r}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1; empty experiments are rejected")
         if self.n_max < 0:
@@ -116,8 +122,22 @@ class ExperimentConfig:
                            tuple(float(t) for t in self.interval_list))
 
     @property
+    def data_sha256(self) -> str:
+        """sha256 of the data file's bytes for family 'file'; '' otherwise."""
+        if self.family != "file":
+            return ""
+        try:
+            return hashlib.sha256(Path(self.data_path).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"cannot read data file {self.data_path!r}: {exc}") from exc
+
+    @property
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True)
+        """Hash of every field, and of the data file's bytes for family 'file'."""
+        fields = asdict(self)
+        if self.family == "file":
+            fields["data_sha256"] = self.data_sha256
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -192,15 +212,26 @@ def _build_phi0(config: ExperimentConfig, grid) -> Field:
     if config.family == "gaussian":
         return gaussian_bump(grid, sigma=config.sigma, amplitude=config.amplitude)
     if config.family == "file":
-        if not config.data_path:
-            raise ConfigError("family 'file' needs data_path")
-        return load_field(config.data_path)
+        try:
+            phi0 = load_field(config.data_path)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed data file {config.data_path!r}: {exc!r}") from exc
+        if phi0.grid != grid:
+            raise ConfigError(f"data file {config.data_path!r} holds {phi0.grid}, "
+                              f"the config asks for {grid}")
+        return phi0
     return Field(grid=grid, values=np.zeros((grid.n_points, grid.n_points)),
                  representation="physical")
 
 
-@lru_cache(maxsize=4)
 def _prepared(config: ExperimentConfig):
+    """Grid, datum, time grid, ||phi0||_H1 and active blocks; cached per process
+    and per data-file content, so a rewritten file is read again."""
+    return _prepared_for(config, config.data_sha256)
+
+
+@lru_cache(maxsize=4)
+def _prepared_for(config: ExperimentConfig, data_sha256: str):
     try:
         grid = make_grid(config.n_points, config.box_length)
         phi0 = _build_phi0(config, grid)
@@ -222,39 +253,25 @@ def _prepared(config: ExperimentConfig):
     return grid, phi0, tg, phi0_h1, blocks
 
 
-def _zero_rows(config: ExperimentConfig, idx: int) -> list[SampleRow]:
-    return [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for n in range(config.n_max + 1)]
-
-
-def _run_one(config: ExperimentConfig, idx: int) -> list[SampleRow]:
-    _, phi0, tg, phi0_h1, blocks = _prepared(config)
+def _run_one(payload: tuple[ExperimentConfig, int]) -> tuple[int, list[SampleRow]]:
+    """Sample index and rows (levels 0..n_max) of one sample."""
+    config, idx = payload
+    _, phi0, tg, _, blocks = _prepared(config)
     if not blocks:
-        return _zero_rows(config, idx)
+        return idx, [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for n in range(config.n_max + 1)]
     draw = draw_rademacher(config.base_seed, blocks, sample_index=idx)
     data = randomize(phi0, None, draw)
     rows: list[SampleRow] = []
-    rec = None
-    for n in range(config.n_max + 1):
-        try:
-            if rec is None:
-                rec = picard_chain(0, data, tg, d_choice=config.d_choice,
-                                   config_hash=config.config_hash)[-1]
-            else:
-                rec = iterate_from_previous(rec, data, tg, d_choice=config.d_choice)
-        except BlowUpError:
-            rows.extend(SampleRow(idx, m, False, math.inf, math.inf, math.inf)
-                        for m in range(n, config.n_max + 1))
-            break
-        rows.append(SampleRow(idx, n, True,
-                              rec.norms["linf_h1_u"],
-                              rec.norms["linf_l2_dudt"],
-                              rec.norms["l2t_l4_du"]))
-    return rows
-
-
-def _worker(payload):
-    config, idx = payload
-    return idx, _run_one(config, idx)
+    try:
+        for rec in _iterates(config.n_max, data, tg, config.d_choice, config.config_hash):
+            rows.append(SampleRow(idx, rec.n, True,
+                                  rec.norms["linf_h1_u"],
+                                  rec.norms["linf_l2_dudt"],
+                                  rec.norms["l2t_l4_du"]))
+    except BlowUpError as exc:
+        rows.extend(SampleRow(idx, m, False, math.inf, math.inf, math.inf)
+                    for m in range(exc.n, config.n_max + 1))
+    return idx, rows
 
 
 def _worker_count() -> int:
@@ -275,9 +292,9 @@ def _sample_rows(config: ExperimentConfig) -> tuple[SampleRow, ...]:
     payloads = [(config, idx) for idx in range(config.samples)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_worker, payloads))
+            results = dict(pool.map(_run_one, payloads))
     else:
-        results = dict(map(_worker, payloads))
+        results = dict(map(_run_one, payloads))
     rows: list[SampleRow] = []
     for idx in range(config.samples):
         rows.extend(results[idx])
@@ -508,6 +525,8 @@ def _summary_payload(report: ExperimentReport, scaling, tail) -> dict:
         "verdicts": dict(report.verdicts),
         "all_pass": report.all_pass,
     }
+    if report.config.family == "file":
+        payload["data_sha256"] = report.config.data_sha256
     if scaling is not None:
         payload["scaling"] = {
             "t_values": list(scaling.t_values),

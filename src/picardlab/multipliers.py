@@ -1,5 +1,9 @@
 """Fourier multipliers of the half-wave calculus and unit-scale projections.
 
+The module owns the half-wave tables: :func:`halfwave_tables` is the one
+evaluation of cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi|, for the symbols
+below and for the Picard engine's per-node propagators.
+
 Symbols implemented, as functions of the lattice frequency xi:
 
 * ``cos_halfwave(t)``      -- cos(t|xi|)
@@ -109,44 +113,41 @@ def _nyquist_safe_xi(grid: Grid, axis: int) -> np.ndarray:
     return xi
 
 
-def _sinc_abs_xi(grid: Grid, t: float) -> np.ndarray:
-    """sin(t|xi|)/|xi| with the analytic limit t at the origin."""
+def halfwave_tables(grid: Grid, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi| (limit t at xi = 0), each of
+    shape (len(times), N, N)."""
+    times = np.asarray(times, dtype=float)
     a = grid.abs_xi
-    out = np.empty_like(a)
+    targ = times[:, None, None] * a[None, :, :]
+    cos_t = np.cos(targ)
+    sin_t = np.sin(targ)
+    sinc_t = np.empty_like(sin_t)
     nz = a > 0.0
-    out[nz] = np.sin(t * a[nz]) / a[nz]
-    out[~nz] = t
-    return out
-
-
-def symbol_array(kind: MultiplierKind, grid: Grid) -> np.ndarray:
-    """Evaluate the symbol on the grid's frequency lattice (read-only array)."""
-    return _symbol_array_cached(kind, grid)
+    sinc_t[:, nz] = sin_t[:, nz] / a[nz]
+    sinc_t[:, ~nz] = times[:, None]
+    return cos_t, sin_t, sinc_t
 
 
 @lru_cache(maxsize=256)
-def _symbol_array_cached(kind: MultiplierKind, grid: Grid) -> np.ndarray:
-    if kind.tag == "cos_halfwave":
-        sym = np.cos(kind.t * grid.abs_xi)
-    elif kind.tag == "sinc_halfwave":
-        sym = _sinc_abs_xi(grid, kind.t)
-    elif kind.tag == "gradient_magnitude":
+def symbol_array(kind: MultiplierKind, grid: Grid) -> np.ndarray:
+    """Evaluate the symbol on the grid's frequency lattice (read-only array)."""
+    if kind.tag == "gradient_magnitude":
         sym = grid.abs_xi.copy()
     elif kind.tag == "spatial_derivative":
         sym = 1j * _nyquist_safe_xi(grid, kind.axis)
-    elif kind.tag == "m01":
-        if kind.d_choice == "t":
-            sym = np.cos(kind.t * grid.abs_xi)
+    else:
+        cos_t, sin_t, sinc_t = (table[0] for table in halfwave_tables(grid, [kind.t]))
+        if kind.tag == "sinc_halfwave":
+            sym = sinc_t
+        elif kind.tag == "cos_halfwave" or kind.d_choice == "t":
+            sym = cos_t
         else:
-            axis = 1 if kind.d_choice == "x1" else 2
-            xi = _nyquist_safe_xi(grid, axis)
+            xi = _nyquist_safe_xi(grid, 1 if kind.d_choice == "x1" else 2)
             a = grid.abs_xi
             frac = np.zeros_like(a)
             nz = a > 0.0
             frac[nz] = xi[nz] / a[nz]
-            sym = 1j * frac * np.sin(kind.t * a)
-    else:  # pragma: no cover - rejected in MultiplierKind
-        raise ValueError(kind.tag)
+            sym = 1j * frac * sin_t
     sym = np.ascontiguousarray(sym)
     sym.flags.writeable = False
     return sym

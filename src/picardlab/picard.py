@@ -35,11 +35,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .grid import Field, Grid, PHYSICAL, SPECTRAL
-from .multipliers import D_CHOICES, spatial_derivative, symbol_array
+from .grid import Grid, PHYSICAL, SPECTRAL, lp_nodes, sobolev_nodes
+from .multipliers import D_CHOICES, halfwave_tables, spatial_derivative, symbol_array
 from .randomization import RandomizedData
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "product_dealias",
     "picard_iterate",
     "picard_chain",
-    "iterate_from_previous",
     "space_time_norm",
     "energy_inequality_check",
     "EnergyCheckResult",
@@ -94,7 +94,8 @@ class FieldSeries:
 
     Physical values may be complex: the signed block resummation of real data
     is only conjugate-symmetric for symmetric sign draws, so iterate series
-    carry complex samples in general (all norms use the modulus).
+    carry complex samples in general (all norms use the modulus).  Read-only
+    values of the right dtype are wrapped, not copied; writeable ones are.
     """
 
     grid: Grid
@@ -105,11 +106,8 @@ class FieldSeries:
 
     def __post_init__(self) -> None:
         n, m = self.grid.n_points, self.timegrid.n_nodes
-        vals = np.asarray(self.values)
-        if self.representation == PHYSICAL and vals.dtype.kind != "c":
-            vals = vals.astype(np.float64)
-        else:
-            vals = vals.astype(np.complex128)
+        real = self.representation == PHYSICAL and not np.iscomplexobj(self.values)
+        vals = np.asarray(self.values, dtype=np.float64 if real else np.complex128)
         if vals.shape != (m, n, n):
             raise ValueError(f"series shape {vals.shape}, expected {(m, n, n)}")
         if vals.flags.writeable:
@@ -117,8 +115,11 @@ class FieldSeries:
             vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def field_at(self, m: int) -> Field:
-        return Field(self.grid, self.values[m], self.representation)
+
+def _frozen_series(grid: Grid, tg: TimeGrid, hat: np.ndarray, tag: str) -> FieldSeries:
+    """Wrap a spectral array the engine has just computed, freezing it in place."""
+    hat.flags.writeable = False
+    return FieldSeries(grid, tg, hat, SPECTRAL, tag)
 
 
 def series_to_physical(series: FieldSeries) -> FieldSeries:
@@ -129,13 +130,6 @@ def series_to_physical(series: FieldSeries) -> FieldSeries:
     if float(np.max(np.abs(phys.imag))) <= 1e-12 * max(scale, 1e-300):
         phys = phys.real
     return FieldSeries(series.grid, series.timegrid, phys, PHYSICAL, series.tag)
-
-
-def series_to_spectral(series: FieldSeries) -> FieldSeries:
-    if series.representation == SPECTRAL:
-        return series
-    spec = np.fft.fft2(series.values, norm="ortho", axes=(1, 2))
-    return FieldSeries(series.grid, series.timegrid, spec, SPECTRAL, series.tag)
 
 
 class BlowUpError(RuntimeError):
@@ -153,23 +147,13 @@ class BlowUpError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _wave_tables(grid: Grid, tg: TimeGrid) -> dict[str, np.ndarray]:
-    """cos(t_m |xi|), sin(t_m |xi|), and sin(t_m |xi|)/|xi| for all nodes.
-
-    The same tables serve as free propagators and, split by angle addition,
-    as the factors of every Duhamel kernel.
-    """
-    a = grid.abs_xi
-    targ = tg.times[:, None, None] * a[None, :, :]
-    cos_t = np.cos(targ)
-    sin_t = np.sin(targ)
-    sinc_t = np.empty_like(sin_t)
-    nz = a > 0.0
-    sinc_t[:, nz] = sin_t[:, nz] / a[nz]
-    sinc_t[:, ~nz] = tg.times[:, None]
-    for arr in (cos_t, sin_t, sinc_t):
+def _wave_tables(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (cos, sin, sinc) tables at the nodes of ``tg``: the free
+    propagators and, split by angle addition, every Duhamel kernel's factors."""
+    tables = halfwave_tables(grid, tg.times)
+    for arr in tables:
         arr.flags.writeable = False
-    return {"cos": cos_t, "sin": sin_t, "sinc": sinc_t}
+    return tables
 
 
 def _cumtrap(f: np.ndarray, dt: float) -> np.ndarray:
@@ -198,8 +182,7 @@ def _duhamel_hats(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, *,
     docstring), u = sinc A - cos B and dt u = cos A + |xi| sin B.  A part
     not asked for is returned as None.
     """
-    tables = _wave_tables(grid, tg)
-    cos_t, sinc_t = tables["cos"], tables["sinc"]
+    cos_t, sin_t, sinc_t = _wave_tables(grid, tg)
     a = _cumtrap(cos_t * source_hat, tg.dt)
     b = _cumtrap(sinc_t * source_hat, tg.dt)
     u = dt_u = None
@@ -209,7 +192,7 @@ def _duhamel_hats(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, *,
     if want_dt:
         b *= grid.abs_xi
         dt_u = cos_t * a
-        dt_u += tables["sin"] * b
+        dt_u += sin_t * b
     return u, dt_u
 
 
@@ -235,9 +218,11 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
     _check_d_choice(d_choice)
     if source.timegrid != tg:
         raise ValueError("source series lives on a different time grid")
-    src = series_to_spectral(source)
-    out = _d_duhamel_hat(src.values, src.grid, tg, d_choice)
-    return FieldSeries(src.grid, tg, out, SPECTRAL, tag=f"duhamel_{d_choice}")
+    src = source.values
+    if source.representation != SPECTRAL:
+        src = np.fft.fft2(src, norm="ortho", axes=(-2, -1))
+    out = _d_duhamel_hat(src, source.grid, tg, d_choice)
+    return _frozen_series(source.grid, tg, out, f"duhamel_{d_choice}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +246,16 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     Exactly bilinear in (a, b) and alias-free on the retained modes; the
     pointwise values stay complex (randomized data need not be real).  A
     square (``b_hat is a_hat``) transforms its factor once; the result is the
-    same bits as transforming it twice.
+    same bits as transforming it twice.  Distinct factors are multiplied in
+    both orders and averaged: numpy's complex multiply may round fa*fb and
+    fb*fa differently (fused multiply-add), and the tree memo relies on
+    P(a, b) equalling P(b, a) bit for bit.
     """
     mask = _dealias_mask(grid)
     fa = np.fft.ifft2(a_hat * mask, norm="ortho", axes=(-2, -1))
     fb = fa if b_hat is a_hat else np.fft.ifft2(b_hat * mask, norm="ortho", axes=(-2, -1))
-    prod = np.fft.fft2(fa * fb, norm="ortho", axes=(-2, -1))
+    pointwise = fa * fa if fb is fa else 0.5 * (fa * fb + fb * fa)
+    prod = np.fft.fft2(pointwise, norm="ortho", axes=(-2, -1))
     return prod * mask
 
 
@@ -274,18 +263,21 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
 # Free evolution and the iterate recursion
 # ---------------------------------------------------------------------------
 
-def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
-                        d_choice: str) -> np.ndarray:
-    """Spectral series of d W(t) phi0 for a zero-velocity datum.
+def _free_hats(phi0_hat: np.ndarray, phi1_hat: np.ndarray | None, grid: Grid,
+               tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(u, dt u) of the free wave from (phi0, phi1); phi1 None is zero velocity."""
+    cos_t, sin_t, sinc_t = _wave_tables(grid, tg)
+    u = cos_t * phi0_hat
+    dudt = -(grid.abs_xi[None, :, :] * sin_t) * phi0_hat
+    if phi1_hat is not None:
+        u += sinc_t * phi1_hat
+        dudt += cos_t * phi1_hat
+    return u, dudt
 
-    Spatial choices apply i xi_i to cos(t|grad|) phi0; the time choice is
-    -|grad| sin(t|grad|) phi0.  This is the per-block building brick of the
-    tree expansion and matches the free part of the iterate recursion.
-    """
-    tables = _wave_tables(grid, tg)
-    if d_choice == "t":
-        return -(grid.abs_xi[None, :, :] * tables["sin"]) * phi0_hat
-    return _derivative_hat(tables["cos"] * phi0_hat, None, grid, d_choice)
+
+def _data_hats(data: RandomizedData, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    phi1 = None if data.phi1_is_zero else data.phi1_rand.values
+    return _free_hats(data.phi0_rand.values, phi1, data.grid, tg)
 
 
 def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
@@ -297,19 +289,12 @@ def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
     return symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid) * u_hat
 
 
-def _free_hats(data: RandomizedData, tg: TimeGrid, d_choice: str) -> tuple[np.ndarray, np.ndarray]:
-    """(u0, dt u0) of the free evolution; rejects an unknown d_choice."""
+def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
+                        d_choice: str) -> np.ndarray:
+    """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
+    expansion's per-block brick, from the free pair the recursion starts at."""
     _check_d_choice(d_choice)
-    grid = data.grid
-    tables = _wave_tables(grid, tg)
-    phi0 = data.phi0_rand.values
-    u0 = tables["cos"] * phi0
-    dudt0 = -(grid.abs_xi[None, :, :] * tables["sin"]) * phi0
-    if not data.phi1_is_zero:
-        phi1 = data.phi1_rand.values
-        u0 = u0 + tables["sinc"] * phi1
-        dudt0 = dudt0 + tables["cos"] * phi1
-    return u0, dudt0
+    return _derivative_hat(*_free_hats(phi0_hat, None, grid, tg), grid, d_choice)
 
 
 def free_evolution(data: RandomizedData, tg: TimeGrid,
@@ -323,12 +308,14 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     all derivatives taken by exact multipliers.  The free energy
     ||grad u0||_2^2 + ||dt u0||_2^2 is conserved node-to-node to rounding.
     """
-    u0, dudt0 = _free_hats(data, tg, d_choice)
+    _check_d_choice(d_choice)
+    u0, dudt0 = _data_hats(data, tg)
     grid = data.grid
+    du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
-        FieldSeries(grid, tg, u0, SPECTRAL, tag="u"),
-        FieldSeries(grid, tg, dudt0, SPECTRAL, tag="du_dt"),
-        FieldSeries(grid, tg, _derivative_hat(u0, dudt0, grid, d_choice), SPECTRAL, tag="du"),
+        _frozen_series(grid, tg, u0, "u"),
+        _frozen_series(grid, tg, dudt0, "du_dt"),
+        _frozen_series(grid, tg, du0, "du"),
     )
 
 
@@ -361,42 +348,31 @@ class IterateRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-def _norm_linf_hs(hat: np.ndarray, grid: Grid, s: float) -> float:
-    if s == 0.0:
-        w = np.ones_like(grid.abs_xi)
-    else:
-        w = grid.abs_xi ** (2.0 * s)
-        w = w.copy()
-        w[0, 0] = 0.0
-    vals = np.sqrt(np.einsum("mij,ij->m", np.abs(hat) ** 2, w))
-    return float(grid.dx * vals.max())
-
-
-def _norm_l2t_l4(hat: np.ndarray, grid: Grid, tg: TimeGrid) -> float:
-    phys = np.fft.ifft2(hat, norm="ortho", axes=(1, 2))
-    l4sq = (np.sum(np.abs(phys) ** 4, axis=(1, 2)) * grid.dx**2) ** 0.5
-    return float(np.sqrt(_trapezoid(l4sq, tg.dt)))
-
-
-def _trapezoid(vals: np.ndarray, dt: float) -> float:
-    return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
+def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
+    """L^q (trapezoid) over the time nodes of per-node spatial norms; sup for q = inf."""
+    if q == np.inf:
+        return float(space.max())
+    vals = space**q
+    return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1]))) ** (1.0 / q)
 
 
 def _record(n: int, grid: Grid, tg: TimeGrid, u_hat, dudt_hat, du_hat,
             seed: int, sample_index: int, config_hash: str) -> IterateRecord:
     norms = {
-        "linf_h1_u": _norm_linf_hs(u_hat, grid, 1.0),
-        "linf_l2_dudt": _norm_linf_hs(dudt_hat, grid, 0.0),
-        "l2t_l4_du": _norm_l2t_l4(du_hat, grid, tg),
+        "linf_h1_u": float(sobolev_nodes(u_hat, grid, 1.0).max()),
+        "linf_l2_dudt": float(sobolev_nodes(dudt_hat, grid, 0.0).max()),
+        "l2t_l4_du": _time_norm(
+            lp_nodes(np.fft.ifft2(du_hat, norm="ortho", axes=(-2, -1)), grid, 4.0),
+            2.0, tg.dt),
     }
     for name, value in norms.items():
         if not math.isfinite(value) or value > BLOWUP_GUARD:
             raise BlowUpError(n, name, value)
     return IterateRecord(
         n=n,
-        u=FieldSeries(grid, tg, u_hat, SPECTRAL, tag="u"),
-        du_dt=FieldSeries(grid, tg, dudt_hat, SPECTRAL, tag="du_dt"),
-        du=FieldSeries(grid, tg, du_hat, SPECTRAL, tag="du"),
+        u=_frozen_series(grid, tg, u_hat, "u"),
+        du_dt=_frozen_series(grid, tg, dudt_hat, "du_dt"),
+        du=_frozen_series(grid, tg, du_hat, "du"),
         norms=norms,
         seed=seed,
         sample_index=sample_index,
@@ -417,37 +393,35 @@ def _step(n: int, prev_du: np.ndarray, free: tuple[np.ndarray, np.ndarray],
     return _record(n, grid, tg, u_hat, dudt_hat, du_hat, *provenance)
 
 
-def picard_chain(n_max: int, data: RandomizedData, tg: TimeGrid,
-                 d_choice: str = "x1", config_hash: str = "") -> list[IterateRecord]:
-    """Iterates 0..n_max by the recursion, sharing the free-evolution work."""
+def _iterates(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
+              config_hash: str) -> Iterator[IterateRecord]:
+    """Records of iterates 0..n_max in order, sharing one free evolution: the
+    single path through the recursion for the chain, one iterate and the harness."""
+    _check_d_choice(d_choice)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     grid = data.grid
     provenance = (data.draw.seed, data.draw.sample_index, config_hash)
-    free = _free_hats(data, tg, d_choice)
-    du0 = _derivative_hat(*free, grid, d_choice)
-    records = [_record(0, grid, tg, *free, du0, *provenance)]
+    free = _data_hats(data, tg)
+    rec = _record(0, grid, tg, *free, _derivative_hat(*free, grid, d_choice), *provenance)
+    yield rec
     for n in range(1, n_max + 1):
-        records.append(_step(n, records[-1].du.values, free, grid, tg, d_choice, provenance))
-    return records
+        rec = _step(n, rec.du.values, free, grid, tg, d_choice, provenance)
+        yield rec
+
+
+def picard_chain(n_max: int, data: RandomizedData, tg: TimeGrid,
+                 d_choice: str = "x1", config_hash: str = "") -> list[IterateRecord]:
+    """Iterates 0..n_max by the recursion, sharing the free-evolution work."""
+    return list(_iterates(n_max, data, tg, d_choice, config_hash))
 
 
 def picard_iterate(n: int, data: RandomizedData, tg: TimeGrid,
                    d_choice: str = "x1", config_hash: str = "") -> IterateRecord:
-    """The n-th Picard iterate (computes the chain 0..n internally)."""
-    return picard_chain(n, data, tg, d_choice, config_hash)[-1]
-
-
-def iterate_from_previous(prev: IterateRecord, data: RandomizedData, tg: TimeGrid,
-                          d_choice: str = "x1") -> IterateRecord:
-    """One recursion step from a stored iterate.
-
-    Bit-identical to the corresponding entry of :func:`picard_chain`: the
-    computation is the same code path on the same inputs.
-    """
-    free = _free_hats(data, tg, d_choice)
-    return _step(prev.n + 1, prev.du.values, free, data.grid, tg, d_choice,
-                 (prev.seed, prev.sample_index, prev.config_hash))
+    """The n-th Picard iterate; lower levels are computed and dropped in turn."""
+    for rec in _iterates(n, data, tg, d_choice, config_hash):
+        pass
+    return rec
 
 
 def space_time_norm(series: FieldSeries, q: float, r: float) -> float:
@@ -460,15 +434,7 @@ def space_time_norm(series: FieldSeries, q: float, r: float) -> float:
     if r != np.inf and r < 1.0:
         raise ValueError(f"r must be >= 1 or inf, got {r}")
     phys = series_to_physical(series)
-    a = np.abs(phys.values)
-    dx2 = phys.grid.dx**2
-    if r == np.inf:
-        space = a.max(axis=(1, 2))
-    else:
-        space = (np.sum(a**r, axis=(1, 2)) * dx2) ** (1.0 / r)
-    if q == np.inf:
-        return float(space.max())
-    return float(_trapezoid(space**q, series.timegrid.dt) ** (1.0 / q))
+    return _time_norm(lp_nodes(phys.values, phys.grid, r), q, series.timegrid.dt)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SPECTRAL
 from .picard import (
     FieldSeries,
     TimeGrid,
+    _check_d_choice,
     _d_duhamel_hat,
+    _frozen_series,
     free_derivative_hat,
     product_dealias,
 )
@@ -326,6 +327,7 @@ def evaluate_tree_term(
     direct engine uses.  Rademacher signs are not applied here.
     """
     _require_tree_data(data)
+    _check_d_choice(d_choice)
     if len(blocks) != _leaves(tree):
         raise ValueError(f"tree has {_leaves(tree)} leaves but got {len(blocks)} blocks")
     missing = [k for k in blocks if k not in data.phi0_blocks]
@@ -335,7 +337,7 @@ def evaluate_tree_term(
         memo = {}
     norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
     hat = _tree_term_hat(tree, norm_blocks, data, tg, d_choice, memo)
-    return FieldSeries(data.grid, tg, hat, SPECTRAL, tag="tree_term")
+    return _frozen_series(data.grid, tg, hat, "tree_term")
 
 
 def reconstruct_iterate(
@@ -357,6 +359,7 @@ def reconstruct_iterate(
     if n > 2:
         raise ValueError("reconstruction is budgeted for n <= 2")
     _require_tree_data(data)
+    _check_d_choice(d_choice)
     active = tuple(sorted(data.phi0_blocks))
     if len(active) > max_blocks:
         raise ValueError(f"{len(active)} active blocks exceed the cap {max_blocks}")
@@ -376,4 +379,4 @@ def reconstruct_iterate(
             for tree in trees:
                 term += _tree_term_hat(tree, tup, data, tg, d_choice, memo)
             total += sign * term
-    return FieldSeries(grid, tg, total, SPECTRAL, tag="du_reconstructed")
+    return _frozen_series(grid, tg, total, "du_reconstructed")

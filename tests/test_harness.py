@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, verdicts, config files, CLI exit codes."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,7 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from picardlab import ExperimentConfig, run_experiment
+from picardlab import (
+    ExperimentConfig,
+    Field,
+    band_limited_field,
+    make_grid,
+    run_experiment,
+    save_field,
+)
 from picardlab.cli import main
 from picardlab.harness import (
     ConfigError,
@@ -46,6 +54,10 @@ def test_config_validation():
         ExperimentConfig(n_max=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(p_list=(3,))
+    with pytest.raises(ConfigError, match="d_choice"):
+        ExperimentConfig(d_choice="bogus")
+    with pytest.raises(ConfigError, match="data_path"):
+        ExperimentConfig(family="file")
 
 
 def test_bad_grid_and_band_surface_as_config_errors():
@@ -106,6 +118,75 @@ def test_small_regime_gate():
         run_experiment(loud)
     report = run_experiment(replace(loud, require_small_regime=False))
     assert not report.verdicts["small_regime"]
+
+
+def test_blowup_fills_inf_rows_from_the_failing_level(tmp_path):
+    config = replace(SMALL, h1_norm=1e6, n_max=3, samples=2, require_small_regime=False)
+    report = run_experiment(config)
+    assert [(r.sample_index, r.n) for r in report.rows] == [
+        (i, n) for i in range(2) for n in range(4)]
+    for row in report.rows:
+        norms = (row.linf_h1_u, row.linf_l2_dudt, row.l2t_l4_du)
+        if row.n <= 1:
+            assert row.finite and all(math.isfinite(v) for v in norms)
+        else:
+            assert not row.finite and all(v == math.inf for v in norms)
+    assert report.finite_fraction == 0.5
+    assert not report.verdicts["all_samples_finite"]
+    emit_report(report, tmp_path)
+    lines = (tmp_path / "rows.csv").read_text().splitlines()[2:]
+    assert [line.split(",")[2:] for line in lines if line.split(",")[1] in ("2", "3")] == \
+        [["0", "inf", "inf", "inf"]] * 4
+
+
+def _write_datum(path, scale=1.0):
+    grid = make_grid(SMALL.n_points, SMALL.box_length)
+    phi0 = band_limited_field(grid, band=1.0, seed=3)
+    save_field(Field(grid, scale * phi0.values, phi0.representation), str(path))
+
+
+def test_data_file_bytes_enter_hash_summary_and_cache(tmp_path):
+    path = tmp_path / "phi0.field"
+    _write_datum(path)
+    config = replace(SMALL, family="file", data_path=str(path), samples=2, n_max=0)
+    first_hash = config.config_hash
+    first = run_experiment(config)
+    _write_datum(path, scale=2.0)
+    assert config.config_hash != first_hash
+    second = run_experiment(config)
+    assert second.phi0_h1 == pytest.approx(2.0 * first.phi0_h1, rel=1e-12)
+    emit_report(second, tmp_path / "out")
+    payload = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert payload["data_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert payload["config_hash"] == config.config_hash
+    emit_report(run_experiment(SMALL), tmp_path / "plain")
+    assert "data_sha256" not in json.loads((tmp_path / "plain" / "summary.json").read_text())
+
+
+_HEADER = (b'{"n_points": 32, "box_length": 50.26548245743669, '
+           b'"representation": "physical"}\n')
+
+
+@pytest.mark.parametrize("content", [None, "dir", b"", b"not json\n", b'{"n_points": 32}\n',
+                                     _HEADER + b"\0" * 8, "grid"],
+                         ids=["missing", "directory", "empty", "not-json", "no-box-length",
+                              "short-payload", "grid-mismatch"])
+def test_cli_bad_data_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "phi0.field"
+    if content == "dir":
+        path.mkdir()
+    elif content == "grid":
+        _write_datum(path)
+    elif content is not None:
+        path.write_bytes(content)
+    ini = tmp_path / "exp.ini"
+    grid = "[grid]\nn_points = 64\n" if content == "grid" else ""
+    ini.write_text(f"{grid}[data]\nfamily = file\ndata_path = {path}\n")
+    code = main(["simulate", "--config", str(ini), "--samples", "2", "--steps", "8",
+                 "--n-max", "0", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and repr(str(path)) in err
 
 
 def test_emit_report_roundtrip_and_empty_rejected(tmp_path):

@@ -16,7 +16,6 @@ from picardlab import (
     duhamel,
     energy_inequality_check,
     free_evolution,
-    iterate_from_previous,
     make_grid,
     picard_chain,
     picard_iterate,
@@ -261,17 +260,58 @@ def test_self_square_is_bit_identical_to_two_transforms(grid64):
                           product_dealias(a, a.copy(), grid64))
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31), n_nodes=st.integers(1, 5),
+       coeffs=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+def test_product_is_bilinear_and_exactly_symmetric(seed, n_nodes, coeffs):
+    """Bilinearity is what the tree expansion sums over; exact symmetry is
+    what lets trees._canonical_blocks merge swapped block halves."""
+    grid = make_grid(16, 4.0 * math.pi)
+    rng = np.random.default_rng(seed)
+    shape = (n_nodes, 16, 16)
+    a, b, c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+               for _ in range(3))
+    ab, cb = product_dealias(a, b, grid), product_dealias(c, b, grid)
+    assert np.array_equal(ab, product_dealias(b, a, grid))
+    x, y = coeffs
+    got = product_dealias(x * a + y * c, b, grid)
+    scale = max(float(np.max(np.abs(x * ab))), float(np.max(np.abs(y * cb))), 1e-300)
+    assert np.max(np.abs(got - (x * ab + y * cb))) <= 1e-12 * scale
+
+
 def test_chain_matches_stepwise_bit_for_bit(grid64):
     data = _random_data(grid64)
     tg = TimeGrid(t_final=0.4, n_steps=32)
     chain = picard_chain(3, data, tg)
     assert [r.n for r in chain] == [0, 1, 2, 3]
-    stepped = iterate_from_previous(chain[1], data, tg)
-    assert np.array_equal(stepped.u.values, chain[2].u.values)
-    assert np.array_equal(stepped.du.values, chain[2].du.values)
-    assert stepped.norms == chain[2].norms
     top = picard_iterate(3, data, tg)
     assert np.array_equal(top.u.values, chain[3].u.values)
+    assert np.array_equal(top.du.values, chain[3].du.values)
+    assert top.norms == chain[3].norms
+
+
+def test_records_wrap_engine_arrays_read_only(grid64):
+    data = _random_data(grid64)
+    tg = TimeGrid(t_final=0.4, n_steps=8)
+    for d_choice in ("x1", "t"):
+        for rec in picard_chain(1, data, tg, d_choice=d_choice):
+            for series in (rec.u, rec.du_dt, rec.du):
+                assert not series.values.flags.writeable
+        if d_choice == "t":
+            assert rec.du.values is rec.du_dt.values
+    frozen = rec.u.values
+    assert FieldSeries(grid64, tg, frozen, "spectral").values is frozen
+
+
+def test_field_series_copies_a_writeable_input(grid64):
+    tg = TimeGrid(t_final=0.4, n_steps=8)
+    for rep, dtype in (("spectral", np.complex128), ("physical", np.float64)):
+        raw = np.ones((tg.n_nodes, 64, 64), dtype=dtype)
+        series = FieldSeries(grid64, tg, raw, rep)
+        raw[3, 4, 5] = 7.0
+        assert series.values[3, 4, 5] == 1.0
+        assert series.values.dtype == dtype and not series.values.flags.writeable
+        assert raw.flags.writeable
 
 
 def test_du_is_exact_spatial_derivative_of_u(grid64):
@@ -322,6 +362,8 @@ def test_chain_validation(grid64):
         picard_chain(-1, data, tg)
     with pytest.raises(ValueError):
         picard_chain(1, data, tg, d_choice="bogus")
+    with pytest.raises(ValueError):
+        picard_iterate(-1, data, tg)
 
 
 def test_zero_data_gives_zero_iterates(grid64):

@@ -161,6 +161,18 @@ def test_tree_term_validation(oracle_data, oracle_timegrid):
         evaluate_tree_term(NODE2, ((1, 0), (7, 7)), oracle_data, oracle_timegrid)
 
 
+@pytest.mark.parametrize("d_choice", ["bogus", "x3", ""])
+def test_tree_entry_points_reject_unknown_d_choice(oracle_data, oracle_timegrid, d_choice):
+    with pytest.raises(ValueError, match="d_choice"):
+        evaluate_tree_term(NODE2, ((1, 0), (0, 1)), oracle_data, oracle_timegrid,
+                           d_choice=d_choice)
+    with pytest.raises(ValueError, match="d_choice"):
+        reconstruct_iterate(1, oracle_data, oracle_timegrid, d_choice=d_choice)
+    with pytest.raises(ValueError, match="d_choice"):
+        free_derivative_hat(oracle_data.phi0_blocks[(1, 0)].values, oracle_data.grid,
+                            oracle_timegrid, d_choice)
+
+
 def test_two_leaf_term_is_duhamel_of_leaf_product(oracle_data, oracle_timegrid):
     """Definitional check: the 2-leaf tree term equals A0 applied to the
     dealiased product of the two free leaf series."""

@@ -21,6 +21,7 @@ import numpy as np
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
     emit_report,
     emit_scaling,
     emit_tail,
@@ -145,23 +146,20 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
-def _dump_fields(config: ExperimentConfig, out: Path) -> None:
-    """Save the fixed datum and the sample-0 iterate snapshot at t = T."""
+def _dump_fields(report: ExperimentReport, out: Path) -> None:
+    """Save the run's fixed datum and its sample-0 iterate snapshot at t = T."""
     from .grid import Field, save_field
-    from .harness import _prepared
+    from .harness import _sample_data
     from .picard import picard_iterate
-    from .randomization import draw_rademacher, randomize
 
-    grid, phi0, tg, phi0_h1, blocks = _prepared(config)
-    save_field(phi0, out / "phi0.field")
-    if not blocks:
+    run, config = report.run, report.config
+    save_field(run.phi0, out / "phi0.field")
+    if not run.blocks:
         return
-    draw = draw_rademacher(config.base_seed, blocks, sample_index=0)
-    data = randomize(phi0, None, draw)
-    rec = picard_iterate(config.n_max, data, tg, d_choice=config.d_choice,
-                         config_hash=config.config_hash)
+    rec = picard_iterate(config.n_max, _sample_data(run, 0), run.tg,
+                         d_choice=config.d_choice)
     for tag, series in (("u", rec.u), ("du", rec.du)):
-        snap = Field(grid=grid, values=series.values[-1], representation="spectral")
+        snap = Field(grid=run.phi0.grid, values=series.values[-1], representation="spectral")
         save_field(snap, out / f"{tag}_n{config.n_max}.field",
                    name=f"{tag}_n{config.n_max}_sample0_tfinal")
 
@@ -169,7 +167,7 @@ def _dump_fields(config: ExperimentConfig, out: Path) -> None:
 def _run_simulate(args) -> int:
     config = _config_from_args(args)
     report = run_experiment(config)
-    print(f"config {config.config_hash}: M={config.samples}, n_max={config.n_max}, "
+    print(f"config {report.run.config_hash}: M={config.samples}, n_max={config.n_max}, "
           f"grid {config.n_points}^2, T={config.t_final}")
     print(f"calibrated C = {report.c_cal:.6g}, ||phi0||_H1 = {report.phi0_h1:.6g}, "
           f"finite fraction = {report.finite_fraction:.4f}")
@@ -183,7 +181,7 @@ def _run_simulate(args) -> int:
         out = Path(args.out)
         paths = emit_report(report, out)
         if args.partial:
-            _dump_fields(config, out)
+            _dump_fields(report, out)
         print(f"wrote {len(paths)} files to {out}")
     return 0 if ok else 1
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -245,9 +246,13 @@ def save_field(f: Field, path: str, name: str = "") -> None:
 
 def load_field(path: str) -> Field:
     """Read a field written by :func:`save_field`."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        raw = fh.read()
+    return parse_field(Path(path).read_bytes())
+
+
+def parse_field(data: bytes) -> Field:
+    """The field whose :func:`save_field` file holds exactly these bytes."""
+    head, _, raw = data.partition(b"\n")
+    header = json.loads(head.decode("ascii"))
     n = int(header["n_points"])
     grid = make_grid(n, float(header["box_length"]))
     rep = header["representation"]

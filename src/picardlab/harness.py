@@ -1,11 +1,14 @@
 """Monte Carlo experiment runner for randomized Picard iterates.
 
 Pipeline per sample: derive the sign draw from (base_seed, sample_index),
-randomize the fixed datum, draw the records of levels 0..n_max one at a time
-from the iterate generator and keep their three tracked norms.  Samples are
-independent and merged by sample index, so the report is a pure function of
-(config, base_seed) regardless of worker count (set PICARDLAB_WORKERS to
-parallelize; default serial).
+randomize the datum, draw the records of levels 0..n_max one at a time from the
+iterate generator and keep their three tracked norms.  Datum, time grid,
+||phi0||, active blocks and config hash are resolved once per run into one
+:class:`PreparedRun` (a data file is read once and hashed as parsed) that every
+sample, worker, report and field dump uses.  Samples are independent and merged
+by sample index, so the report is a pure function of (config, base_seed, data
+bytes) regardless of worker count (set PICARDLAB_WORKERS to parallelize;
+default serial; never more workers than samples or CPUs).
 
 The moment verdicts compare the empirical L^p_omega norm of
 ||du^(n)||_{L^2_t L^4_x} (plug-in estimator, bootstrap upper confidence bound
@@ -33,16 +36,17 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, load_field, make_grid, sobolev_norm
+from .grid import Field, Grid, make_grid, parse_field, sobolev_norm
 from .moments import MomentBound, tail_from_moments
 from .multipliers import D_CHOICES
 from .picard import BlowUpError, TimeGrid, _iterates
 from .randomization import (
+    RandomizedData,
     active_blocks,
     band_limited_field,
     draw_rademacher,
@@ -122,23 +126,40 @@ class ExperimentConfig:
                            tuple(float(t) for t in self.interval_list))
 
     @property
-    def data_sha256(self) -> str:
-        """sha256 of the data file's bytes for family 'file'; '' otherwise."""
-        if self.family != "file":
-            return ""
-        try:
-            return hashlib.sha256(Path(self.data_path).read_bytes()).hexdigest()
-        except OSError as exc:
-            raise ConfigError(f"cannot read data file {self.data_path!r}: {exc}") from exc
-
-    @property
     def config_hash(self) -> str:
         """Hash of every field, and of the data file's bytes for family 'file'."""
-        fields = asdict(self)
-        if self.family == "file":
-            fields["data_sha256"] = self.data_sha256
-        payload = json.dumps(fields, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return _hash_config(self, _data_digest(self)[1])
+
+
+def _data_digest(config: ExperimentConfig) -> tuple[bytes, str]:
+    if config.family != "file":
+        return b"", ""
+    try:
+        raw = Path(config.data_path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {config.data_path!r}: {exc}") from exc
+    return raw, hashlib.sha256(raw).hexdigest()
+
+
+def _hash_config(config: ExperimentConfig, data_sha256: str) -> str:
+    fields = asdict(config)
+    if config.family == "file":
+        fields["data_sha256"] = data_sha256
+    payload = json.dumps(fields, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedRun:
+    """What :func:`_prepare` resolves once per run; one value for all its samples."""
+
+    config: ExperimentConfig
+    phi0: Field
+    tg: TimeGrid
+    phi0_h1: float
+    blocks: tuple[tuple[int, int], ...]
+    data_sha256: str
+    config_hash: str
 
 
 @dataclass(frozen=True)
@@ -164,14 +185,21 @@ class MomentVerdict:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config: ExperimentConfig
-    phi0_h1: float
+    run: PreparedRun
     c_cal: float
     rows: tuple[SampleRow, ...]
     moment_verdicts: tuple[MomentVerdict, ...]
     level_stats: dict
     finite_fraction: float
     verdicts: dict
+
+    @property
+    def config(self) -> ExperimentConfig:
+        return self.run.config
+
+    @property
+    def phi0_h1(self) -> float:
+        return self.run.phi0_h1
 
     @property
     def all_pass(self) -> bool:
@@ -202,10 +230,10 @@ class TailStudyResult:
 
 
 # ---------------------------------------------------------------------------
-# Data preparation (cached per process)
+# Run preparation and the per-sample pipeline
 # ---------------------------------------------------------------------------
 
-def _build_phi0(config: ExperimentConfig, grid) -> Field:
+def _build_phi0(config: ExperimentConfig, grid: Grid, raw: bytes) -> Field:
     if config.family == "band_limited":
         return band_limited_field(grid, band=config.band, seed=config.data_seed,
                                   h1_norm=config.h1_norm)
@@ -213,8 +241,8 @@ def _build_phi0(config: ExperimentConfig, grid) -> Field:
         return gaussian_bump(grid, sigma=config.sigma, amplitude=config.amplitude)
     if config.family == "file":
         try:
-            phi0 = load_field(config.data_path)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+            phi0 = parse_field(raw)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed data file {config.data_path!r}: {exc!r}") from exc
         if phi0.grid != grid:
             raise ConfigError(f"data file {config.data_path!r} holds {phi0.grid}, "
@@ -224,17 +252,12 @@ def _build_phi0(config: ExperimentConfig, grid) -> Field:
                  representation="physical")
 
 
-def _prepared(config: ExperimentConfig):
-    """Grid, datum, time grid, ||phi0||_H1 and active blocks; cached per process
-    and per data-file content, so a rewritten file is read again."""
-    return _prepared_for(config, config.data_sha256)
-
-
-@lru_cache(maxsize=4)
-def _prepared_for(config: ExperimentConfig, data_sha256: str):
+def _prepare(config: ExperimentConfig) -> PreparedRun:
+    """Resolve a run once; a data file is read once and hashed as parsed."""
+    raw, data_sha256 = _data_digest(config)
     try:
         grid = make_grid(config.n_points, config.box_length)
-        phi0 = _build_phi0(config, grid)
+        phi0 = _build_phi0(config, grid, raw)
         tg = TimeGrid(t_final=config.t_final, n_steps=config.n_steps)
     except ConfigError:
         raise
@@ -250,32 +273,34 @@ def _prepared_for(config: ExperimentConfig, data_sha256: str):
             raise ConfigError(
                 f"t_final {config.t_final} reaches the box boundary "
                 f"(support margin {margin:.3g}); shrink T or enlarge the box")
-    return grid, phi0, tg, phi0_h1, blocks
+    return PreparedRun(config, phi0, tg, phi0_h1, blocks, data_sha256,
+                       _hash_config(config, data_sha256))
 
 
-def _run_one(payload: tuple[ExperimentConfig, int]) -> tuple[int, list[SampleRow]]:
-    """Sample index and rows (levels 0..n_max) of one sample."""
-    config, idx = payload
-    _, phi0, tg, _, blocks = _prepared(config)
-    if not blocks:
-        return idx, [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for n in range(config.n_max + 1)]
-    draw = draw_rademacher(config.base_seed, blocks, sample_index=idx)
-    data = randomize(phi0, None, draw)
+def _sample_data(run: PreparedRun, idx: int) -> RandomizedData:
+    """Sample ``idx``'s randomized datum: its sign draw applied to the run's phi0."""
+    draw = draw_rademacher(run.config.base_seed, run.blocks, sample_index=idx)
+    return randomize(run.phi0, None, draw)
+
+
+def _run_one(run: PreparedRun, idx: int) -> list[SampleRow]:
+    """Rows (levels 0..n_max) of sample ``idx``."""
+    n_max = run.config.n_max
+    if not run.blocks:
+        return [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for n in range(n_max + 1)]
     rows: list[SampleRow] = []
     try:
-        for rec in _iterates(config.n_max, data, tg, config.d_choice, config.config_hash):
-            rows.append(SampleRow(idx, rec.n, True,
-                                  rec.norms["linf_h1_u"],
-                                  rec.norms["linf_l2_dudt"],
-                                  rec.norms["l2t_l4_du"]))
+        for rec in _iterates(n_max, _sample_data(run, idx), run.tg, run.config.d_choice):
+            rows.append(SampleRow(idx, rec.n, True, **rec.norms))
     except BlowUpError as exc:
         rows.extend(SampleRow(idx, m, False, math.inf, math.inf, math.inf)
-                    for m in range(exc.n, config.n_max + 1))
-    return idx, rows
+                    for m in range(exc.n, n_max + 1))
+    return rows
 
 
-def _worker_count() -> int:
-    """PICARDLAB_WORKERS as an integer >= 1 (unset means 1)."""
+def _worker_count(samples: int) -> int:
+    """PICARDLAB_WORKERS (an integer >= 1, unset means 1) capped at the sample and
+    CPU counts: a fork pool starts all its workers on the first task."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(raw)
@@ -283,22 +308,20 @@ def _worker_count() -> int:
         workers = 0
     if workers < 1:
         raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    return workers
+    return min(workers, samples, os.cpu_count() or 1)
 
 
-def _sample_rows(config: ExperimentConfig) -> tuple[SampleRow, ...]:
+def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
     """All per-sample rows, sorted by (sample_index, n); schedule-independent."""
-    workers = _worker_count()
-    payloads = [(config, idx) for idx in range(config.samples)]
+    samples = run.config.samples
+    workers = _worker_count(samples)
+    runs, indices = repeat(run, samples), range(samples)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_run_one, payloads))
+            per_sample = list(pool.map(_run_one, runs, indices))
     else:
-        results = dict(map(_run_one, payloads))
-    rows: list[SampleRow] = []
-    for idx in range(config.samples):
-        rows.extend(results[idx])
-    return tuple(rows)
+        per_sample = list(map(_run_one, runs, indices))
+    return tuple(row for rows in per_sample for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +351,9 @@ def _moment_bound(c_cal: float, n: int, p: int, phi0_h1: float, t_final: float) 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo over sign draws: norms, moment verdicts, regime bookkeeping."""
-    _, _, _, phi0_h1, _ = _prepared(config)
-    rows = _sample_rows(config)
+    run = _prepare(config)
+    phi0_h1 = run.phi0_h1
+    rows = _sample_rows(run)
     by_level = _norms_by_level(rows, config.n_max)
     finite = np.array([r.finite for r in rows])
     finite_fraction = float(np.mean(finite))
@@ -400,7 +424,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"{small_regime_value:.4g} >= {SMALL_REGIME_LIMIT}")
 
     return ExperimentReport(
-        config=config, phi0_h1=phi0_h1, c_cal=c_cal, rows=rows,
+        run=run, c_cal=c_cal, rows=rows,
         moment_verdicts=tuple(verdicts_list), level_stats=level_stats,
         finite_fraction=finite_fraction, verdicts=verdicts)
 
@@ -417,9 +441,11 @@ def interval_scaling_study(config: ExperimentConfig) -> ScalingResult:
     for a, b in zip(ts, ts[1:]):
         if abs(b / a - 0.5) > 1e-6:
             raise ConfigError(f"intervals must halve: {a} -> {b}")
+    # one datum for the whole ladder, support-checked at the largest T
+    run = _prepare(replace(config, t_final=ts[0]))
     medians: dict = {n: [] for n in range(config.n_max + 1)}
     for t in ts:
-        rows = _sample_rows(replace(config, t_final=t, interval_list=()))
+        rows = _sample_rows(replace(run, tg=TimeGrid(t_final=t, n_steps=config.n_steps)))
         by_level = _norms_by_level(rows, config.n_max)
         for n in range(config.n_max + 1):
             x = by_level[n]
@@ -493,7 +519,7 @@ def _write_text(path: Path, text: str) -> Path:
 
 
 def _rows_csv(report: ExperimentReport) -> str:
-    lines = [f"# picardlab rows v1 config={report.config.config_hash} "
+    lines = [f"# picardlab rows v1 config={report.run.config_hash} "
              f"seed={report.config.base_seed}",
              "sample_index,n,finite,linf_h1_u,linf_l2_dudt,l2t_l4_du"]
     for r in report.rows:
@@ -511,7 +537,7 @@ def _summary_payload(report: ExperimentReport, scaling, tail) -> dict:
     payload = {
         "version": _package_version(),
         "config": asdict(report.config),
-        "config_hash": report.config.config_hash,
+        "config_hash": report.run.config_hash,
         "base_seed": report.config.base_seed,
         "phi0_h1": report.phi0_h1,
         "c_cal": report.c_cal,
@@ -526,7 +552,7 @@ def _summary_payload(report: ExperimentReport, scaling, tail) -> dict:
         "all_pass": report.all_pass,
     }
     if report.config.family == "file":
-        payload["data_sha256"] = report.config.data_sha256
+        payload["data_sha256"] = report.run.data_sha256
     if scaling is not None:
         payload["scaling"] = {
             "t_values": list(scaling.t_values),

@@ -31,7 +31,6 @@ diagnostic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -332,20 +331,6 @@ class IterateRecord:
     du_dt: FieldSeries
     du: FieldSeries
     norms: dict[str, float]
-    seed: int = 0
-    sample_index: int = 0
-    config_hash: str = ""
-
-    def to_json(self) -> str:
-        """Norms and provenance as one JSON object (fields are dumped separately)."""
-        payload = {
-            "n": self.n,
-            "norms": dict(self.norms),
-            "seed": self.seed,
-            "sample_index": self.sample_index,
-            "config_hash": self.config_hash,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
@@ -356,8 +341,9 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
     return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1]))) ** (1.0 / q)
 
 
-def _record(n: int, grid: Grid, tg: TimeGrid, u_hat, dudt_hat, du_hat,
-            seed: int, sample_index: int, config_hash: str) -> IterateRecord:
+def _record(n: int, grid: Grid, tg: TimeGrid, u_hat, dudt_hat,
+            d_choice: str) -> IterateRecord:
+    du_hat = _derivative_hat(u_hat, dudt_hat, grid, d_choice)
     norms = {
         "linf_h1_u": float(sobolev_nodes(u_hat, grid, 1.0).max()),
         "linf_l2_dudt": float(sobolev_nodes(dudt_hat, grid, 0.0).max()),
@@ -374,52 +360,40 @@ def _record(n: int, grid: Grid, tg: TimeGrid, u_hat, dudt_hat, du_hat,
         du_dt=_frozen_series(grid, tg, dudt_hat, "du_dt"),
         du=_frozen_series(grid, tg, du_hat, "du"),
         norms=norms,
-        seed=seed,
-        sample_index=sample_index,
-        config_hash=config_hash,
     )
 
 
-def _step(n: int, prev_du: np.ndarray, free: tuple[np.ndarray, np.ndarray],
-          grid: Grid, tg: TimeGrid, d_choice: str,
-          provenance: tuple[int, int, str]) -> IterateRecord:
-    """Iterate n from du^(n-1): free part plus the Duhamel integral of its square."""
-    u0, dudt0 = free
-    src = product_dealias(prev_du, prev_du, grid)
-    u_hat, dudt_hat = _duhamel_hats(src, grid, tg)
-    u_hat += u0
-    dudt_hat += dudt0
-    du_hat = _derivative_hat(u_hat, dudt_hat, grid, d_choice)
-    return _record(n, grid, tg, u_hat, dudt_hat, du_hat, *provenance)
-
-
-def _iterates(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
-              config_hash: str) -> Iterator[IterateRecord]:
+def _iterates(n_max: int, data: RandomizedData, tg: TimeGrid,
+              d_choice: str) -> Iterator[IterateRecord]:
     """Records of iterates 0..n_max in order, sharing one free evolution: the
     single path through the recursion for the chain, one iterate and the harness."""
     _check_d_choice(d_choice)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     grid = data.grid
-    provenance = (data.draw.seed, data.draw.sample_index, config_hash)
-    free = _data_hats(data, tg)
-    rec = _record(0, grid, tg, *free, _derivative_hat(*free, grid, d_choice), *provenance)
+    u0, dudt0 = _data_hats(data, tg)
+    rec = _record(0, grid, tg, u0, dudt0, d_choice)
     yield rec
     for n in range(1, n_max + 1):
-        rec = _step(n, rec.du.values, free, grid, tg, d_choice, provenance)
+        # the one recursion step: free part plus the Duhamel integral of (du^(n-1))^2
+        prev_du = rec.du.values
+        u_hat, dudt_hat = _duhamel_hats(product_dealias(prev_du, prev_du, grid), grid, tg)
+        u_hat += u0
+        dudt_hat += dudt0
+        rec = _record(n, grid, tg, u_hat, dudt_hat, d_choice)
         yield rec
 
 
 def picard_chain(n_max: int, data: RandomizedData, tg: TimeGrid,
-                 d_choice: str = "x1", config_hash: str = "") -> list[IterateRecord]:
+                 d_choice: str = "x1") -> list[IterateRecord]:
     """Iterates 0..n_max by the recursion, sharing the free-evolution work."""
-    return list(_iterates(n_max, data, tg, d_choice, config_hash))
+    return list(_iterates(n_max, data, tg, d_choice))
 
 
 def picard_iterate(n: int, data: RandomizedData, tg: TimeGrid,
-                   d_choice: str = "x1", config_hash: str = "") -> IterateRecord:
+                   d_choice: str = "x1") -> IterateRecord:
     """The n-th Picard iterate; lower levels are computed and dropped in turn."""
-    for rec in _iterates(n, data, tg, d_choice, config_hash):
+    for rec in _iterates(n, data, tg, d_choice):
         pass
     return rec
 

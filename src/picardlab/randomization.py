@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, SPECTRAL, as_spectral, sobolev_norm
+from .grid import Field, Grid, SPECTRAL, as_spectral, sobolev_nodes, sobolev_norm
 from .multipliers import UnitPartition, unit_projection
 
 __all__ = [
@@ -114,13 +114,12 @@ def active_blocks(phi0: Field, phi1: Field | None = None,
             raise ValueError("phi0 and phi1 live on different grids")
         candidates |= set(_spectral_bbox_blocks(g1.values, grid))
     part = UnitPartition(grid)
-    dx = grid.dx
     out = []
     for k in sorted(candidates):
         w = part.weight(k)
-        total = dx * np.linalg.norm(w * g0.values)
+        total = sobolev_nodes(w * g0.values, grid, 0.0)
         if g1 is not None:
-            total += dx * np.linalg.norm(w * g1.values)
+            total += sobolev_nodes(w * g1.values, grid, 0.0)
         if total > threshold:
             out.append(k)
     return tuple(out)
@@ -139,10 +138,6 @@ class RandomizedData:
     @property
     def grid(self) -> Grid:
         return self.phi0_rand.grid
-
-    @property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        return self.draw.blocks
 
     @property
     def phi1_is_zero(self) -> bool:

@@ -1,9 +1,12 @@
 """Monte Carlo harness: determinism, verdicts, config files, CLI exit codes."""
 
+import builtins
 import hashlib
 import json
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,19 +14,26 @@ import pytest
 from picardlab import (
     ExperimentConfig,
     Field,
+    TimeGrid,
     band_limited_field,
+    draw_rademacher,
+    load_field,
     make_grid,
+    picard_iterate,
+    randomize,
     run_experiment,
     save_field,
 )
 from picardlab.cli import main
 from picardlab.harness import (
     ConfigError,
+    _worker_count,
     emit_report,
     interval_scaling_study,
     load_config,
     tail_study,
 )
+from picardlab.randomization import active_blocks
 
 SMALL = ExperimentConfig(
     n_points=32,
@@ -145,13 +155,37 @@ def _write_datum(path, scale=1.0):
     save_field(Field(grid, scale * phi0.values, phi0.representation), str(path))
 
 
-def test_data_file_bytes_enter_hash_summary_and_cache(tmp_path):
+def test_data_file_bytes_enter_hash_summary_and_cache(tmp_path, monkeypatch):
     path = tmp_path / "phi0.field"
     _write_datum(path)
     config = replace(SMALL, family="file", data_path=str(path), samples=2, n_max=0)
+    first_bytes = path.read_bytes()
     first_hash = config.config_hash
+    reads = []
+    read_bytes, builtin_open = Path.read_bytes, builtins.open
+
+    def counting_read_bytes(self):
+        reads.append(str(self))
+        return read_bytes(self)
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(str(file))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(builtins, "open", counting_open)
     first = run_experiment(config)
-    _write_datum(path, scale=2.0)
+    _write_datum(path, scale=2.0)  # rewritten between the run and its report
+    emit_report(first, tmp_path / "first")
+    monkeypatch.undo()
+    assert reads.count(str(path)) == 1
+    # the report describes the bytes the samples used, not the file as it is now
+    summary = json.loads((tmp_path / "first" / "summary.json").read_text())
+    assert summary["data_sha256"] == hashlib.sha256(first_bytes).hexdigest()
+    assert summary["config_hash"] == first_hash
+    assert (tmp_path / "first" / "rows.csv").read_text().splitlines()[0] == (
+        f"# picardlab rows v1 config={first_hash} seed={config.base_seed}")
     assert config.config_hash != first_hash
     second = run_experiment(config)
     assert second.phi0_h1 == pytest.approx(2.0 * first.phi0_h1, rel=1e-12)
@@ -300,6 +334,39 @@ def test_cli_simulate_report_and_errors(tmp_path, capsys):
     assert main(["simulate", "--grid", "12", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "[ERROR]" in err
+
+
+def test_worker_pool_capped_at_samples_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("PICARDLAB_WORKERS", "64")
+    assert _worker_count(2) == 2
+    assert _worker_count(64) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setenv("PICARDLAB_WORKERS", "3")
+    assert _worker_count(2) == 2
+    assert _worker_count(64) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(64) == 1
+    monkeypatch.delenv("PICARDLAB_WORKERS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert _worker_count(64) == 1
+
+
+def test_cli_simulate_partial_dumps_sample0_fields(tmp_path):
+    out = tmp_path / "run"
+    code = main(["simulate", "--grid", "64", "--samples", "4", "--steps", "16",
+                 "--t", "0.2", "--n-max", "1", "--seed", "17", "--out", str(out),
+                 "--partial"])
+    assert code == 0
+    config = ExperimentConfig()
+    grid = make_grid(64, config.box_length)
+    phi0 = band_limited_field(grid, band=config.band, seed=config.data_seed,
+                              h1_norm=config.h1_norm)
+    draw = draw_rademacher(17, active_blocks(phi0), sample_index=0)
+    rec = picard_iterate(1, randomize(phi0, None, draw), TimeGrid(0.2, 16))
+    assert np.array_equal(load_field(str(out / "phi0.field")).values, phi0.values)
+    assert np.array_equal(load_field(str(out / "u_n1.field")).values, rec.u.values[-1])
+    assert np.array_equal(load_field(str(out / "du_n1.field")).values, rec.du.values[-1])
 
 
 @pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-3"])

@@ -218,13 +218,23 @@ def _run_tails(args) -> int:
     return 0 if ok else 1
 
 
+_SUMMARY_KEYS = ("config_hash", "version", "base_seed", "verdicts", "all_pass")
+
+
 def _run_report(args) -> int:
     if not args.out:
         raise ConfigError("report needs --out pointing at a finished run")
     path = Path(args.out) / "summary.json"
     if not path.exists():
         raise ConfigError(f"no summary.json under {args.out}")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        raise ConfigError(f"cannot read summary {path}: {exc}") from exc
+    if (not isinstance(payload, dict) or any(k not in payload for k in _SUMMARY_KEYS)
+            or not isinstance(payload["verdicts"], dict)):
+        raise ConfigError(f"{path} is not a picardlab summary (needs the keys "
+                          f"{', '.join(_SUMMARY_KEYS)}, verdicts an object)")
     print(f"run {payload['config_hash']} (version {payload['version']}), "
           f"seed {payload['base_seed']}")
     ok = True

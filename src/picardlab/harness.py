@@ -656,16 +656,23 @@ def load_config(path, **overrides) -> ExperimentConfig:
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        entries = [(section, key, raw) for section in parser.sections()
+                   for key, raw in parser.items(section)]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     kwargs = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            try:
-                field, conv = _INI_SCHEMA[(section, key)]
-            except KeyError:
-                raise ConfigError(f"unknown config entry [{section}] {key}") from None
+    for section, key, raw in entries:
+        try:
+            field, conv = _INI_SCHEMA[(section, key)]
+        except KeyError:
+            raise ConfigError(f"unknown config entry [{section}] {key}") from None
+        try:
             kwargs[field] = conv(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**kwargs)

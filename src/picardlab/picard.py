@@ -19,10 +19,20 @@ and dt u at every node come from two cumulative sums per Fourier mode.  d u
 is i xi_d u, or dt u for d = d/dt.
 
 The quadratic nonlinearity is Galerkin-truncated with the 2/3 rule: factors
-and product are projected onto |m_i| <= N/3 before and after the pointwise
-square, so the computed system is exactly the truncated Galerkin wave system
-(alias-free) and the product is bilinear in its factors -- the property the
-tree-expansion oracle relies on.
+and product are projected onto the box |m_i| <= N/3 before and after the
+pointwise square, so the computed system is exactly the truncated Galerkin
+wave system (alias-free) and the product is bilinear in its factors -- the
+property the tree-expansion oracle relies on.
+
+Work the truncation makes zero is skipped, with unchanged values.  numpy's
+2-D transforms are one 1-D pass per axis, each line on its own, so the
+product's inverse transforms run their first pass only on the box rows (the
+others are zero) and its forward transform runs its second pass only on the
+box columns (the others are discarded).  Every Duhamel source is a product,
+zero outside the box, so the recursion and the tree terms form the
+cumulative sums on the box only; outside it an iterate is its free part.
+The public :func:`duhamel` takes arbitrary sources and keeps the whole
+lattice.
 
 Iterates can grow factorially outside the small-interval regime, so every
 norm is checked against a blow-up guard and :class:`BlowUpError` carries the
@@ -155,6 +165,21 @@ def _wave_tables(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.n
     return tables
 
 
+_WHOLE = ((slice(None), slice(None)),)
+
+
+@lru_cache(maxsize=8)
+def _box(grid: Grid) -> tuple[tuple[slice, slice], ...]:
+    """The modes the 2/3 rule keeps, |m_1|, |m_2| <= N/3, as the four
+    (rows, cols) basic-slice pairs of numpy's unshifted layout: low band
+    0..N/3 and high band N-N/3..N-1 on each axis.  Indexing with them gives
+    views."""
+    n = grid.n_points
+    cut = n // 3
+    bands = (slice(0, cut + 1), slice(n - cut, n))
+    return tuple((rows, cols) for rows in bands for cols in bands)
+
+
 def _cumtrap(f: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid sums dt * sum''_{l<=m} f[l] for every node m, in place.
 
@@ -172,33 +197,58 @@ def _cumtrap(f: np.ndarray, dt: float) -> np.ndarray:
     return f
 
 
-def _duhamel_hats(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, *,
+def _duhamel_hats(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, region=_WHOLE, *,
+                  start: tuple[np.ndarray, np.ndarray] | None = None,
                   want_u: bool = True, want_dt: bool = True
                   ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt'.
+    """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt', plus
+    the pair ``start`` when one is given.
 
     With A = cumtrap(cos S) and B = cumtrap(sinc S) (see the module
-    docstring), u = sinc A - cos B and dt u = cos A + |xi| sin B.  A part
+    docstring), u = sinc A - cos B and dt u = cos A + |xi| sin B, computed
+    only on the (rows, cols) slice pairs of ``region`` (the box, or
+    ``_WHOLE``); outside it the result is ``start`` (zero when None).  A part
     not asked for is returned as None.
     """
     cos_t, sin_t, sinc_t = _wave_tables(grid, tg)
-    a = _cumtrap(cos_t * source_hat, tg.dt)
-    b = _cumtrap(sinc_t * source_hat, tg.dt)
+    shape = (tg.n_nodes, grid.n_points, grid.n_points)
+
+    def output(i: int, have: np.ndarray | None) -> np.ndarray:
+        # made after the first sums, not before them: allocating the output
+        # first made the whole-lattice call ~12 % slower (65 x 128^2, numpy
+        # 2.4, glibc), an effect of the allocator, not of the arithmetic
+        if have is not None:
+            return have
+        return np.zeros(shape, dtype=complex) if start is None else start[i].copy()
+
     u = dt_u = None
-    if want_u:
-        u = sinc_t * a
-        u -= cos_t * b
-    if want_dt:
-        b *= grid.abs_xi
-        dt_u = cos_t * a
-        dt_u += sin_t * b
+    for rows, cols in region:
+        q = (slice(None), rows, cols)
+        c, sc, src = cos_t[q], sinc_t[q], source_hat[q]
+        a = _cumtrap(c * src, tg.dt)
+        b = _cumtrap(sc * src, tg.dt)
+        # on a zero start the part is written in place; a start is added
+        # after the part is complete, as start + part
+        if want_u:
+            u = output(0, u)
+            part = np.multiply(sc, a, out=u[q] if start is None else None)
+            part -= c * b
+            if start is not None:
+                u[q] += part
+        if want_dt:
+            dt_u = output(1, dt_u)
+            b *= grid.abs_xi[rows, cols]
+            part = np.multiply(c, a, out=dt_u[q] if start is None else None)
+            part += sin_t[q] * b
+            if start is not None:
+                dt_u[q] += part
     return u, dt_u
 
 
 def _d_duhamel_hat(source_hat: np.ndarray, grid: Grid, tg: TimeGrid,
-                   d_choice: str) -> np.ndarray:
+                   d_choice: str, region) -> np.ndarray:
     """d of the Duhamel integral, from the one part of (u, dt u) it needs."""
-    pair = _duhamel_hats(source_hat, grid, tg, want_u=d_choice != "t",
+    pair = _duhamel_hats(source_hat, grid, tg, region, want_u=d_choice != "t",
                          want_dt=d_choice == "t")
     return _derivative_hat(*pair, grid, d_choice)
 
@@ -220,7 +270,7 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
     src = source.values
     if source.representation != SPECTRAL:
         src = np.fft.fft2(src, norm="ortho", axes=(-2, -1))
-    out = _d_duhamel_hat(src, source.grid, tg, d_choice)
+    out = _d_duhamel_hat(src, source.grid, tg, d_choice, _WHOLE)
     return _frozen_series(source.grid, tg, out, f"duhamel_{d_choice}")
 
 
@@ -228,34 +278,54 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
 # Dealiased products
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    n = grid.n_points
-    cut = n // 3
-    m = np.rint(np.fft.fftfreq(n) * n).astype(int)
-    keep1 = np.abs(m) <= cut
-    mask = np.outer(keep1, keep1)
-    mask.flags.writeable = False
-    return mask
+def _box_ifft2(hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """ifft2 of ``hat`` truncated to the box, over the trailing two axes.
+
+    numpy's ifft2 is one 1-D pass per axis, last axis first, and each line
+    is transformed on its own, so skipping the last-axis pass on rows that
+    are zero after truncation gives the same values as the full transform.
+    """
+    box = _box(grid)
+    out = np.zeros(hat.shape, dtype=complex)
+    for rows, cols in box:
+        out[..., rows, cols] = hat[..., rows, cols]
+    for rows, _ in box[::2]:  # each row band once
+        band = out[..., rows, :]
+        np.fft.ifft(band, axis=-1, norm="ortho", out=band)
+    return np.fft.ifft(out, axis=-2, norm="ortho", out=out)
+
+
+def _box_fft2(phys: np.ndarray, grid: Grid) -> np.ndarray:
+    """fft2 of ``phys`` over the trailing two axes, truncated to the box, in
+    place: the second pass runs only on the box columns (see _box_ifft2)."""
+    box = _box(grid)
+    np.fft.fft(phys, axis=-1, norm="ortho", out=phys)
+    for _, cols in box[:2]:  # each column band once
+        band = phys[..., :, cols]
+        np.fft.fft(band, axis=-2, norm="ortho", out=band)
+    gap = slice(box[0][0].stop, box[-1][0].start)  # N/3 < |m| on that axis
+    phys[..., gap, :] = 0.0
+    phys[..., :, gap] = 0.0
+    return phys
 
 
 def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndarray:
     """Galerkin product: truncate both factors, multiply pointwise, truncate.
 
     Exactly bilinear in (a, b) and alias-free on the retained modes; the
-    pointwise values stay complex (randomized data need not be real).  A
-    square (``b_hat is a_hat``) transforms its factor once; the result is the
-    same bits as transforming it twice.  Distinct factors are multiplied in
-    both orders and averaged: numpy's complex multiply may round fa*fb and
-    fb*fa differently (fused multiply-add), and the tree memo relies on
-    P(a, b) equalling P(b, a) bit for bit.
+    pointwise values stay complex (randomized data need not be real).  The
+    transforms skip the lines the truncation zeroes, with the same values as
+    full transforms of the masked arrays.  A square (``b_hat is a_hat``)
+    transforms its factor once; the result is the same bits as transforming
+    it twice.  Distinct factors are multiplied in both orders and averaged:
+    numpy's complex multiply may round fa*fb and fb*fa differently (fused
+    multiply-add), and the tree memo relies on P(a, b) equalling P(b, a) bit
+    for bit.
     """
-    mask = _dealias_mask(grid)
-    fa = np.fft.ifft2(a_hat * mask, norm="ortho", axes=(-2, -1))
-    fb = fa if b_hat is a_hat else np.fft.ifft2(b_hat * mask, norm="ortho", axes=(-2, -1))
+    fa = _box_ifft2(a_hat, grid)
+    fb = fa if b_hat is a_hat else _box_ifft2(b_hat, grid)
     pointwise = fa * fa if fb is fa else 0.5 * (fa * fb + fb * fa)
-    prod = np.fft.fft2(pointwise, norm="ortho", axes=(-2, -1))
-    return prod * mask
+    return _box_fft2(pointwise, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +447,8 @@ def _iterates(n_max: int, data: RandomizedData, tg: TimeGrid,
     for n in range(1, n_max + 1):
         # the one recursion step: free part plus the Duhamel integral of (du^(n-1))^2
         prev_du = rec.du.values
-        u_hat, dudt_hat = _duhamel_hats(product_dealias(prev_du, prev_du, grid), grid, tg)
-        u_hat += u0
-        dudt_hat += dudt0
+        u_hat, dudt_hat = _duhamel_hats(product_dealias(prev_du, prev_du, grid), grid, tg,
+                                        _box(grid), start=(u0, dudt0))
         rec = _record(n, grid, tg, u_hat, dudt_hat, d_choice)
         yield rec
 

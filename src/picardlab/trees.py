@@ -31,6 +31,7 @@ import numpy as np
 from .picard import (
     FieldSeries,
     TimeGrid,
+    _box,
     _check_d_choice,
     _d_duhamel_hat,
     _frozen_series,
@@ -301,7 +302,7 @@ def _tree_term_hat(
         left = _tree_term_hat(tree.left, blocks[:split], data, tg, d_choice, memo)
         right = _tree_term_hat(tree.right, blocks[split:], data, tg, d_choice, memo)
         src = product_dealias(left, right, grid)
-        out = _d_duhamel_hat(src, grid, tg, d_choice)
+        out = _d_duhamel_hat(src, grid, tg, d_choice, _box(grid))
     memo[key] = out
     return out
 

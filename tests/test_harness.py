@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -378,3 +380,45 @@ def test_cli_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, value):
     err = capsys.readouterr().err
     assert "[ERROR] PICARDLAB_WORKERS must be an integer >= 1" in err
     assert repr(value) in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[grid]\nn_points = abc\n", "[grid] n_points"),
+    ("n_points = 64\n", "no section headers"),
+    ("[grid]\nn_points = 64\nn_points = 32\n", "already exists"),
+    ("[experiment]\np_list = 4 x\n", "[experiment] p_list"),
+    ("[experiment]\nsamples = %(x)s\n", "samples"),
+    (b"\xff\xfe[grid]\n", "decode"),
+], ids=["bad-int", "no-section", "duplicate-key", "bad-p-list", "interpolation", "not-utf8"])
+def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
+    ini = tmp_path / "exp.ini"
+    if isinstance(text, bytes):
+        ini.write_bytes(text)
+    else:
+        ini.write_text(text)
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and "Traceback" not in err
+    assert str(ini) in err and where in err
+
+
+@pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe{}", b'{"config_hash": "x"}\n',
+                                     b"[1, 2]\n", b'{"config_hash": "x", "version": "0", '
+                                     b'"base_seed": 1, "verdicts": 3, "all_pass": true}\n'],
+                         ids=["not-json", "not-utf8", "missing-keys", "not-object",
+                              "bad-verdicts"])
+def test_cli_report_on_broken_summary_exits_2(tmp_path, capsys, content):
+    (tmp_path / "summary.json").write_bytes(content)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and str(tmp_path / "summary.json") in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "picardlab", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: picardlab")

@@ -12,6 +12,7 @@ from picardlab.multipliers import (
     bump_profile,
     cos_halfwave,
     gradient_magnitude,
+    halfwave_tables,
     m01,
     sinc_halfwave,
     spatial_derivative,
@@ -183,3 +184,22 @@ def test_symbol_arrays_are_frozen(grid64):
     s = symbol_array(gradient_magnitude(), grid64)
     with pytest.raises(ValueError):
         s[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n, length", [(128, 16.0 * math.pi), (64, 8.0 * math.pi),
+                                       (8, 4.0 * math.pi)])
+@pytest.mark.parametrize("times", [[0.0], np.linspace(0.0, 0.5, 65),
+                                   [0.0, 0.3, 0.31, 1.7, 11.0]],
+                         ids=["zero", "uniform", "nonuniform"])
+def test_halfwave_tables_equal_direct_evaluation(n, length, times):
+    grid = make_grid(n, length)
+    t = np.asarray(times)[:, None, None]
+    a = grid.abs_xi
+    arg = t * a
+    sin_direct = np.sin(arg)
+    sinc_direct = np.where(a > 0.0, sin_direct / np.where(a > 0.0, a, 1.0), t)
+    cos_t, sin_t, sinc_t = halfwave_tables(grid, times)
+    assert np.array_equal(cos_t, np.cos(arg))
+    assert np.array_equal(sin_t, sin_direct)
+    assert np.array_equal(sinc_t, sinc_direct)
+    assert np.array_equal(symbol_array(cos_halfwave(0.3), grid), np.cos(0.3 * a))

@@ -22,7 +22,7 @@ from picardlab import (
     space_time_norm,
 )
 from picardlab.grid import as_spectral
-from picardlab.picard import _duhamel_hats, product_dealias, series_to_physical
+from picardlab.picard import _box, _duhamel_hats, product_dealias, series_to_physical
 from picardlab.randomization import (
     RademacherDraw,
     active_blocks,
@@ -276,6 +276,65 @@ def test_product_is_bilinear_and_exactly_symmetric(seed, n_nodes, coeffs):
     got = product_dealias(x * a + y * c, b, grid)
     scale = max(float(np.max(np.abs(x * ab))), float(np.max(np.abs(y * cb))), 1e-300)
     assert np.max(np.abs(got - (x * ab + y * cb))) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# Third references for the box-restricted kernels shared by the recursion and
+# the trees: full-lattice transforms of the masked arrays, and the whole-lattice
+# Duhamel sum.
+# ---------------------------------------------------------------------------
+
+def _box_mask(n):
+    m = np.rint(np.fft.fftfreq(n) * n)
+    keep = np.abs(m) <= n // 3
+    return np.outer(keep, keep)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
+@pytest.mark.parametrize("square", [True, False], ids=["square", "distinct"])
+def test_product_equals_full_lattice_reference(n, lead, square):
+    grid = make_grid(n, 2.0 * math.pi * max(1, n // 16))
+    rng = np.random.default_rng(n + len(lead))
+    shape = lead + (n, n)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    if square:
+        b = a
+    mask = _box_mask(n)
+    fa = np.fft.ifft2(a * mask, norm="ortho", axes=(-2, -1))
+    fb = np.fft.ifft2(b * mask, norm="ortho", axes=(-2, -1))
+    pointwise = fa * fa if square else 0.5 * (fa * fb + fb * fa)
+    expect = np.fft.fft2(pointwise, norm="ortho", axes=(-2, -1)) * mask
+    got = product_dealias(a, b, grid)
+    assert got.shape == shape
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
+    grid = make_grid(n, 4.0 * math.pi)
+    tg = TimeGrid(t_final=0.9, n_steps=12)
+    mask = _box_mask(n)
+    src = _random_source(grid, tg, seed=n) * mask
+    from_box = np.zeros((n, n), dtype=bool)
+    for rows, cols in _box(grid):
+        from_box[rows, cols] = True
+    assert np.array_equal(from_box, mask)
+    whole_u, whole_dt = _duhamel_hats(src, grid, tg)
+    u, dt_u = _duhamel_hats(src, grid, tg, _box(grid))
+    assert np.array_equal(u, whole_u) and np.array_equal(dt_u, whole_dt)
+
+    free_u, free_dt = _random_source(grid, tg, seed=n + 1), _random_source(grid, tg, seed=n + 2)
+    u, dt_u = _duhamel_hats(src, grid, tg, _box(grid), start=(free_u, free_dt))
+    assert np.array_equal(u, free_u + whole_u)
+    assert np.array_equal(dt_u, free_dt + whole_dt)
+    assert np.array_equal(u[:, ~mask], free_u[:, ~mask])
+    assert np.array_equal(dt_u[:, ~mask], free_dt[:, ~mask])
+
+    only_u, none_dt = _duhamel_hats(src, grid, tg, _box(grid), want_dt=False)
+    none_u, only_dt = _duhamel_hats(src, grid, tg, _box(grid), want_u=False)
+    assert none_u is None and none_dt is None
+    assert np.array_equal(only_u, whole_u) and np.array_equal(only_dt, whole_dt)
 
 
 def test_chain_matches_stepwise_bit_for_bit(grid64):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -189,13 +190,27 @@ def lp_nodes(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
     return (np.sum(a**p, axis=(-2, -1)) * grid.dx**2) ** (1.0 / p)
 
 
-def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float) -> np.ndarray:
-    """Homogeneous H^s norm of spectral values over the trailing two axes,
-    dx (sum |xi|^(2s) |fhat|^2)^(1/2); xi = 0 is dropped for s != 0."""
+@lru_cache(maxsize=16)
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """Read-only |xi|^(2s), with xi = 0 dropped for s != 0."""
     w = grid.abs_xi ** (2.0 * s)
     if s != 0.0:
         w[0, 0] = 0.0
-    return grid.dx * np.sqrt(np.einsum("...ij,ij->...", np.abs(hat) ** 2, w))
+    w.flags.writeable = False
+    return w
+
+
+def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """Homogeneous H^s norm of spectral values over the trailing two axes,
+    dx (sum |xi|^(2s) |fhat|^2)^(1/2); xi = 0 is dropped for s != 0.
+
+    Each leading index is reduced on its own over its contiguous N x N
+    block, as in :func:`lp_nodes`, so a node's value does not depend on how
+    many nodes are passed with it.
+    """
+    sq = np.abs(hat) ** 2
+    sq *= _sobolev_weight(grid, s)
+    return grid.dx * np.sqrt(np.sum(sq, axis=(-2, -1)))
 
 
 def lp_norm(f: Field, p: float) -> float:

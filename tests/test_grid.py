@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardlab import Field, load_field, lp_norm, make_grid, save_field, sobolev_norm, transform
-from picardlab.grid import as_physical, as_spectral
+from picardlab.grid import as_physical, as_spectral, lp_nodes, sobolev_nodes
 
 
 def test_make_grid_frequency_spacing():
@@ -117,6 +117,29 @@ def test_sobolev_norm_drops_mean(grid64):
     f = Field(grid64, np.cos(grid64.x1) + 7.0, "physical")
     g = Field(grid64, np.cos(grid64.x1), "physical")
     assert sobolev_norm(f, 1.0) == pytest.approx(sobolev_norm(g, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 128, 256])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_per_node_norms_do_not_depend_on_the_leading_shape(n, s):
+    """A node's norm is the same bits whether it comes alone or with others:
+    the time-marching engine evaluates norms on short chunks of nodes."""
+    grid = make_grid(n, 2.0 * math.pi * max(1, n // 16))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((65, n, n)) + 1j * rng.standard_normal((65, n, n))
+    whole = sobolev_nodes(x, grid, s)
+    phys = lp_nodes(np.fft.ifft2(x, norm="ortho", axes=(-2, -1)), grid, 4.0)
+    for k in (1, 3, 4, 16, 33):
+        for j in range(0, 65, k):
+            part = slice(j, j + k)
+            assert np.array_equal(sobolev_nodes(x[part], grid, s), whole[part])
+            assert np.array_equal(
+                lp_nodes(np.fft.ifft2(x[part], norm="ortho", axes=(-2, -1)), grid, 4.0),
+                phys[part])
+    for j in (0, 17, 64):
+        assert sobolev_nodes(x[j:j + 1], grid, s)[0] == whole[j]
+        assert sobolev_nodes(x[j], grid, s) == whole[j]
+    assert np.array_equal(sobolev_nodes(x.reshape(5, 13, n, n), grid, s).ravel(), whole)
 
 
 @settings(max_examples=25, deadline=None)

@@ -44,7 +44,7 @@ import numpy as np
 from .grid import Field, Grid, make_grid, parse_field, sobolev_norm
 from .moments import MomentBound, tail_from_moments
 from .multipliers import D_CHOICES
-from .picard import BlowUpError, TimeGrid, _iterates
+from .picard import BlowUpError, TimeGrid, _levels
 from .randomization import (
     RandomizedData,
     active_blocks,
@@ -290,8 +290,8 @@ def _run_one(run: PreparedRun, idx: int) -> list[SampleRow]:
         return [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for n in range(n_max + 1)]
     rows: list[SampleRow] = []
     try:
-        for rec in _iterates(n_max, _sample_data(run, idx), run.tg, run.config.d_choice):
-            rows.append(SampleRow(idx, rec.n, True, **rec.norms))
+        for n, norms, _ in _levels(n_max, _sample_data(run, idx), run.tg, run.config.d_choice):
+            rows.append(SampleRow(idx, n, True, **norms))
     except BlowUpError as exc:
         rows.extend(SampleRow(idx, m, False, math.inf, math.inf, math.inf)
                     for m in range(exc.n, n_max + 1))
@@ -627,6 +627,17 @@ def emit_report(report: ExperimentReport, out_dir, formats=("csv", "json"),
 # Declarative config files (INI: one section per concern, key = value lines)
 # ---------------------------------------------------------------------------
 
+def _ini_boolean(raw: str) -> bool:
+    """configparser's boolean words (1/0, yes/no, true/false, on/off); anything
+    else is an error, so a typo cannot switch a gate off."""
+    import configparser
+
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
 _INI_SCHEMA = {
     ("grid", "n_points"): ("n_points", int),
     ("grid", "box_length"): ("box_length", float),
@@ -639,8 +650,7 @@ _INI_SCHEMA = {
     ("experiment", "p_list"): ("p_list", lambda s: tuple(int(v) for v in s.split())),
     ("experiment", "interval_list"):
         ("interval_list", lambda s: tuple(float(v) for v in s.split())),
-    ("experiment", "require_small_regime"):
-        ("require_small_regime", lambda s: s.strip().lower() in ("1", "true", "yes")),
+    ("experiment", "require_small_regime"): ("require_small_regime", _ini_boolean),
     ("data", "family"): ("family", str),
     ("data", "band"): ("band", float),
     ("data", "h1_norm"): ("h1_norm", float),

@@ -34,9 +34,24 @@ cumulative sums on the box only; outside it an iterate is its free part.
 The public :func:`duhamel` takes arbitrary sources and keeps the whole
 lattice.
 
+The iterates are computed by one time march.  Duhamel is causal and the
+product is pointwise in time, so du^(n) at the nodes up to t_m needs only
+du^(n-1) at those nodes and the running sums of level n.  Levels 0..n_max
+therefore advance together, a short chunk of nodes at a time, and every
+array a chunk touches stays small; the running sums carry over from chunk
+to chunk in the same operation order, so any chunk length gives the same
+bits.  The Monte Carlo harness keeps only per-node norms; the chain, single
+iterates, :func:`duhamel` and the tree terms store every node.  When the
+datum's spectrum is exactly zero outside the box (every band-limited datum,
+but not a Gaussian bump), every du lies in the box too, and the
+box inverse transform of du equals the full one: that single physical du
+gives the L^4 norm and is squared for the next level's product, two
+transforms per level instead of three.
+
 Iterates can grow factorially outside the small-interval regime, so every
 norm is checked against a blow-up guard and :class:`BlowUpError` carries the
-diagnostic.
+diagnostic of the first failing level; the levels after a level sure to fail
+are not advanced further.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -165,9 +180,6 @@ def _wave_tables(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.n
     return tables
 
 
-_WHOLE = ((slice(None), slice(None)),)
-
-
 @lru_cache(maxsize=8)
 def _box(grid: Grid) -> tuple[tuple[slice, slice], ...]:
     """The modes the 2/3 rule keeps, |m_1|, |m_2| <= N/3, as the four
@@ -180,76 +192,164 @@ def _box(grid: Grid) -> tuple[tuple[slice, slice], ...]:
     return tuple((rows, cols) for rows in bands for cols in bands)
 
 
-def _cumtrap(f: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid sums dt * sum''_{l<=m} f[l] for every node m, in place.
+def _gap(grid: Grid) -> slice:
+    """The indices N/3 < |m| of one axis: the lines the box leaves out."""
+    box = _box(grid)
+    return slice(box[0][0].stop, box[-1][0].start)
 
-    A running sum minus the half-weight endpoint terms f[0]/2 and f[m]/2,
-    one time row at a time: np.cumsum along the leading axis gives the same
-    bits several times slower and needs a second full-size array.
+
+def _inside_box(hat: np.ndarray, grid: Grid) -> bool:
+    """Whether a spectrum is exactly zero outside the box."""
+    gap = _gap(grid)
+    return not (hat[..., gap, :].any() or hat[..., :, gap].any())
+
+
+# Time nodes per step of the march.  A chunk's arrays stay well inside a 2 MB
+# L2 (0.8 MB each at 128^2).  One 128^2, 65-node, n <= 3 sample took 295,
+# 279, 358 and 395 ms for k = 2, 3, 4 and 6 (median of 15, alternating, on a
+# 2-core 2.1 GHz Xeon; 520 ms before the march).
+_CHUNK = 3
+
+
+def _chunks(n_nodes: int) -> Iterator[slice]:
+    return (slice(m, min(m + _CHUNK, n_nodes)) for m in range(0, n_nodes, _CHUNK))
+
+
+@dataclass(frozen=True)
+class _Region:
+    """The modes a Duhamel sum runs on, held as one contiguous array: the
+    whole lattice, or the box with its four quadrants side by side.
+
+    ``pairs`` maps each (rows, cols) slice pair of the full lattice to its
+    place in that compact array; every kernel is pointwise per mode, so the
+    layout changes no value.
     """
-    run = f[0].copy()
-    half_first = 0.5 * f[0]
-    f[0] = 0.0
-    for m in range(1, f.shape[0]):
-        run += f[m]
-        f[m] = run - half_first - 0.5 * f[m]
-    f *= dt
-    return f
+
+    pairs: tuple
+    size: int
+
+    def gather(self, full: np.ndarray) -> np.ndarray:
+        if len(self.pairs) == 1:
+            return full
+        out = np.empty(full.shape[:-2] + (self.size, self.size), dtype=full.dtype)
+        for (rows, cols), (c_rows, c_cols) in self.pairs:
+            out[..., c_rows, c_cols] = full[..., rows, cols]
+        return out
+
+    def place(self, part: np.ndarray, out: np.ndarray, add: bool) -> None:
+        """Write ``part`` into its modes of ``out``, or add it to the start
+        ``out`` holds there (start + part)."""
+        for (rows, cols), (c_rows, c_cols) in self.pairs:
+            if add:
+                out[..., rows, cols] += part[..., c_rows, c_cols]
+            else:
+                out[..., rows, cols] = part[..., c_rows, c_cols]
 
 
-def _duhamel_hats(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, region=_WHOLE, *,
-                  start: tuple[np.ndarray, np.ndarray] | None = None,
-                  want_u: bool = True, want_dt: bool = True
-                  ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt', plus
-    the pair ``start`` when one is given.
+@lru_cache(maxsize=8)
+def _region(grid: Grid, box: bool) -> _Region:
+    n = grid.n_points
+    if not box:
+        whole = (slice(None), slice(None))
+        return _Region(((whole, whole),), n)
+    cut = n // 3
+    bands = (slice(0, cut + 1), slice(cut + 1, 2 * cut + 1))
+    compact = tuple((rows, cols) for rows in bands for cols in bands)
+    return _Region(tuple(zip(_box(grid), compact)), 2 * cut + 1)
 
-    With A = cumtrap(cos S) and B = cumtrap(sinc S) (see the module
-    docstring), u = sinc A - cos B and dt u = cos A + |xi| sin B, computed
-    only on the (rows, cols) slice pairs of ``region`` (the box, or
-    ``_WHOLE``); outside it the result is ``start`` (zero when None).  A part
-    not asked for is returned as None.
+
+@lru_cache(maxsize=8)
+def _region_tables(grid: Grid, tg: TimeGrid, box: bool) -> tuple[np.ndarray, ...]:
+    """(cos, sin, sinc, |xi|) on the modes of ``_region(grid, box)``, read-only."""
+    region = _region(grid, box)
+    tables = tuple(region.gather(t) for t in (*_wave_tables(grid, tg), grid.abs_xi))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+class _DuhamelSums:
+    """The Duhamel integral of a source that arrives a chunk of nodes at a
+    time: the one Duhamel body of the engine.
+
+    With A = sum''(cos S) and B = sum''(sinc S), the trapezoid sums up to
+    each node (see the module docstring), u = sinc A - cos B and
+    dt u = cos A + |xi| sin B.  Each sum is a running sum minus the
+    half-weight terms of the first and the current node, one node at a time;
+    the running sum and the first half-weight term carry over from one chunk
+    to the next, so any chunking gives the same bits.
     """
-    cos_t, sin_t, sinc_t = _wave_tables(grid, tg)
-    shape = (tg.n_nodes, grid.n_points, grid.n_points)
 
-    def output(i: int, have: np.ndarray | None) -> np.ndarray:
-        # made after the first sums, not before them: allocating the output
-        # first made the whole-lattice call ~12 % slower (65 x 128^2, numpy
-        # 2.4, glibc), an effect of the allocator, not of the arithmetic
-        if have is not None:
-            return have
-        return np.zeros(shape, dtype=complex) if start is None else start[i].copy()
+    def __init__(self, grid: Grid, tg: TimeGrid, box: bool):
+        self.region = _region(grid, box)
+        self.cos, self.sin, self.sinc, self.abs_xi = _region_tables(grid, tg, box)
+        self.dt = tg.dt
+        self.node = 0
+        self.run: list = [None, None]
+        self.half_first: list = [None, None]
 
-    u = dt_u = None
-    for rows, cols in region:
-        q = (slice(None), rows, cols)
-        c, sc, src = cos_t[q], sinc_t[q], source_hat[q]
-        a = _cumtrap(c * src, tg.dt)
-        b = _cumtrap(sc * src, tg.dt)
-        # on a zero start the part is written in place; a start is added
-        # after the part is complete, as start + part
+    def _sum(self, i: int, f: np.ndarray) -> None:
+        """Trapezoid sums dt * sum''_{l<=m} f[l] of sum ``i``, in place."""
+        rest = f
+        if self.node == 0:
+            self.run[i] = f[0].copy()
+            self.half_first[i] = 0.5 * f[0]
+            f[0] = 0.0
+            rest = f[1:]
+        run, half_first = self.run[i], self.half_first[i]
+        for row in rest:
+            run += row
+            row[...] = run - half_first - 0.5 * row
+        f *= self.dt
+
+    def advance(self, src_hat: np.ndarray, want_u: bool = True, want_dt: bool = True
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(u, dt u) on the region at the next ``len(src_hat)`` nodes, in the
+        region's compact layout; a part not asked for is None."""
+        nodes = slice(self.node, self.node + len(src_hat))
+        c, sc = self.cos[nodes], self.sinc[nodes]
+        src = self.region.gather(src_hat)
+        a, b = c * src, sc * src
+        src = None
+        self._sum(0, a)
+        self._sum(1, b)
+        self.node = nodes.stop
+        u = dt_u = None
         if want_u:
-            u = output(0, u)
-            part = np.multiply(sc, a, out=u[q] if start is None else None)
-            part -= c * b
-            if start is not None:
-                u[q] += part
+            u = sc * a
+            u -= c * b
         if want_dt:
-            dt_u = output(1, dt_u)
-            b *= grid.abs_xi[rows, cols]
-            part = np.multiply(c, a, out=dt_u[q] if start is None else None)
-            part += sin_t[q] * b
-            if start is not None:
-                dt_u[q] += part
-    return u, dt_u
+            b *= self.abs_xi
+            dt_u = c * a
+            dt_u += self.sin[nodes] * b
+        return u, dt_u
+
+
+def _duhamel_series(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = False, *,
+                    want_u: bool = True, want_dt: bool = True
+                    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt' at every
+    node.
+
+    The sums run on the box (``box``) or the whole lattice; outside the
+    region the result is zero.  A part not asked for is returned as None.
+    """
+    sums = _DuhamelSums(grid, tg, box)
+    new = np.zeros if box else np.empty
+    outs = [new(source_hat.shape, dtype=complex) if want else None
+            for want in (want_u, want_dt)]
+    for nodes in _chunks(tg.n_nodes):
+        for part, out in zip(sums.advance(source_hat[nodes], want_u, want_dt), outs):
+            if out is not None:
+                sums.region.place(part, out[nodes], add=False)
+    return outs[0], outs[1]
 
 
 def _d_duhamel_hat(source_hat: np.ndarray, grid: Grid, tg: TimeGrid,
-                   d_choice: str, region) -> np.ndarray:
+                   d_choice: str, box: bool) -> np.ndarray:
     """d of the Duhamel integral, from the one part of (u, dt u) it needs."""
-    pair = _duhamel_hats(source_hat, grid, tg, region, want_u=d_choice != "t",
-                         want_dt=d_choice == "t")
+    pair = _duhamel_series(source_hat, grid, tg, box, want_u=d_choice != "t",
+                           want_dt=d_choice == "t")
     return _derivative_hat(*pair, grid, d_choice)
 
 
@@ -270,7 +370,7 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
     src = source.values
     if source.representation != SPECTRAL:
         src = np.fft.fft2(src, norm="ortho", axes=(-2, -1))
-    out = _d_duhamel_hat(src, source.grid, tg, d_choice, _WHOLE)
+    out = _d_duhamel_hat(src, source.grid, tg, d_choice, box=False)
     return _frozen_series(source.grid, tg, out, f"duhamel_{d_choice}")
 
 
@@ -303,7 +403,7 @@ def _box_fft2(phys: np.ndarray, grid: Grid) -> np.ndarray:
     for _, cols in box[:2]:  # each column band once
         band = phys[..., :, cols]
         np.fft.fft(band, axis=-2, norm="ortho", out=band)
-    gap = slice(box[0][0].stop, box[-1][0].start)  # N/3 < |m| on that axis
+    gap = _gap(grid)
     phys[..., gap, :] = 0.0
     phys[..., :, gap] = 0.0
     return phys
@@ -329,13 +429,14 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Free evolution and the iterate recursion
+# Free evolution and the time-marching iterate engine
 # ---------------------------------------------------------------------------
 
 def _free_hats(phi0_hat: np.ndarray, phi1_hat: np.ndarray | None, grid: Grid,
-               tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(u, dt u) of the free wave from (phi0, phi1); phi1 None is zero velocity."""
-    cos_t, sin_t, sinc_t = _wave_tables(grid, tg)
+               tables: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(u, dt u) of the free wave from (phi0, phi1) at the nodes of the
+    (cos, sin, sinc) ``tables``; phi1 None is zero velocity."""
+    cos_t, sin_t, sinc_t = tables
     u = cos_t * phi0_hat
     dudt = -(grid.abs_xi[None, :, :] * sin_t) * phi0_hat
     if phi1_hat is not None:
@@ -344,9 +445,8 @@ def _free_hats(phi0_hat: np.ndarray, phi1_hat: np.ndarray | None, grid: Grid,
     return u, dudt
 
 
-def _data_hats(data: RandomizedData, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    phi1 = None if data.phi1_is_zero else data.phi1_rand.values
-    return _free_hats(data.phi0_rand.values, phi1, data.grid, tg)
+def _datum_hats(data: RandomizedData) -> tuple[np.ndarray, np.ndarray | None]:
+    return data.phi0_rand.values, None if data.phi1_is_zero else data.phi1_rand.values
 
 
 def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
@@ -363,7 +463,8 @@ def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
     """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
     expansion's per-block brick, from the free pair the recursion starts at."""
     _check_d_choice(d_choice)
-    return _derivative_hat(*_free_hats(phi0_hat, None, grid, tg), grid, d_choice)
+    pair = _free_hats(phi0_hat, None, grid, _wave_tables(grid, tg))
+    return _derivative_hat(*pair, grid, d_choice)
 
 
 def free_evolution(data: RandomizedData, tg: TimeGrid,
@@ -378,8 +479,8 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     ||grad u0||_2^2 + ||dt u0||_2^2 is conserved node-to-node to rounding.
     """
     _check_d_choice(d_choice)
-    u0, dudt0 = _data_hats(data, tg)
     grid = data.grid
+    u0, dudt0 = _free_hats(*_datum_hats(data), grid, _wave_tables(grid, tg))
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
         _frozen_series(grid, tg, u0, "u"),
@@ -411,60 +512,123 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
     return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1]))) ** (1.0 / q)
 
 
-def _record(n: int, grid: Grid, tg: TimeGrid, u_hat, dudt_hat,
-            d_choice: str) -> IterateRecord:
-    du_hat = _derivative_hat(u_hat, dudt_hat, grid, d_choice)
-    norms = {
-        "linf_h1_u": float(sobolev_nodes(u_hat, grid, 1.0).max()),
-        "linf_l2_dudt": float(sobolev_nodes(dudt_hat, grid, 0.0).max()),
-        "l2t_l4_du": _time_norm(
-            lp_nodes(np.fft.ifft2(du_hat, norm="ortho", axes=(-2, -1)), grid, 4.0),
-            2.0, tg.dt),
-    }
-    for name, value in norms.items():
-        if not math.isfinite(value) or value > BLOWUP_GUARD:
-            raise BlowUpError(n, name, value)
+def _add_duhamel(step: _DuhamelSums, src_hat: np.ndarray,
+                 start: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """start + (u, dt u) of the Duhamel integral of the next chunk of ``src_hat``."""
+    parts = step.advance(src_hat)
+    u, dudt = start[0].copy(), start[1].copy()
+    for part, out in zip(parts, (u, dudt)):
+        step.region.place(part, out, add=True)
+    return u, dudt
+
+
+def _march(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
+           keep: Collection[int]) -> tuple[np.ndarray, dict]:
+    """Per-node norms of iterates 0..n_max, and the (u, dt u) series of the
+    levels in ``keep``, all levels advancing together a chunk of nodes at a
+    time.
+
+    Row n of the norms holds (H^1 of u, L^2 of dt u, L^4 of du) per node.
+    Once a level is sure to fail the blow-up guard (a node's sup-norm term
+    above it, or a non-finite term), the levels after it are dropped: the
+    rows end at that level.
+    """
+    grid = data.grid
+    phi0_hat, phi1_hat = _datum_hats(data)
+    # a box-supported datum keeps every du in the box, where the box inverse
+    # transform of du equals the full one: one transform serves the L^4 norm
+    # and the next level's product
+    reuse = _inside_box(phi0_hat, grid) and (phi1_hat is None or _inside_box(phi1_hat, grid))
+    tables = _wave_tables(grid, tg)
+    sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_max)]
+    per_node = np.zeros((n_max + 1, 3, tg.n_nodes))
+    shape = (tg.n_nodes, grid.n_points, grid.n_points)
+    kept = {n: (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+            for n in keep}
+    top = n_max
+    for nodes in _chunks(tg.n_nodes):
+        free = _free_hats(phi0_hat, phi1_hat, grid, tuple(t[nodes] for t in tables))
+        phys = None
+        for n in range(top + 1):
+            if n == 0:
+                u, dudt = free
+            else:
+                # free part plus the Duhamel integral of (du^(n-1))^2, the
+                # self-square of product_dealias taken in place
+                phys *= phys
+                u, dudt = _add_duhamel(sums[n - 1], _box_fft2(phys, grid), free)
+                phys = None
+            rows = per_node[n, :, nodes]
+            rows[0] = sobolev_nodes(u, grid, 1.0)
+            rows[1] = sobolev_nodes(dudt, grid, 0.0)
+            if n in kept:
+                kept[n][0][nodes] = u
+                kept[n][1][nodes] = dudt
+            # each array is released once used, so a level holds few at a time
+            du = _derivative_hat(u, dudt, grid, d_choice)
+            u = dudt = None
+            if reuse:
+                phys = _box_ifft2(du, grid)
+                rows[2] = lp_nodes(phys, grid, 4.0)
+            else:
+                rows[2] = lp_nodes(np.fft.ifft2(du, norm="ortho", axes=(-2, -1)), grid, 4.0)
+                phys = _box_ifft2(du, grid) if n < top else None
+            du = None
+            if not (np.all(rows[:2] <= BLOWUP_GUARD) and np.all(np.isfinite(rows[2]))):
+                top = n
+                break
+        free = phys = None  # only the running sums carry over to the next chunk
+    return per_node[:top + 1], kept
+
+
+def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
+            keep: Collection[int] = ()) -> Iterator[tuple[int, dict[str, float], tuple | None]]:
+    """(n, norms, kept series or None) of iterates 0..n_max in order: the
+    single path through the recursion for the chain, one iterate and the
+    harness.  The first level whose norm fails the guard raises
+    :class:`BlowUpError`, norms checked in key order."""
+    _check_d_choice(d_choice)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    per_node, kept = _march(n_max, data, tg, d_choice, keep)
+    for n, (h1_u, l2_dudt, l4_du) in enumerate(per_node):
+        norms = {
+            "linf_h1_u": float(h1_u.max()),
+            "linf_l2_dudt": float(l2_dudt.max()),
+            "l2t_l4_du": _time_norm(l4_du, 2.0, tg.dt),
+        }
+        for name, value in norms.items():
+            if not math.isfinite(value) or value > BLOWUP_GUARD:
+                raise BlowUpError(n, name, value)
+        yield n, norms, kept.get(n)
+
+
+def _record(n: int, norms: dict[str, float], series: tuple, data: RandomizedData,
+            tg: TimeGrid, d_choice: str) -> IterateRecord:
+    grid = data.grid
+    u_hat, dudt_hat = series
     return IterateRecord(
         n=n,
         u=_frozen_series(grid, tg, u_hat, "u"),
         du_dt=_frozen_series(grid, tg, dudt_hat, "du_dt"),
-        du=_frozen_series(grid, tg, du_hat, "du"),
+        du=_frozen_series(grid, tg, _derivative_hat(u_hat, dudt_hat, grid, d_choice), "du"),
         norms=norms,
     )
-
-
-def _iterates(n_max: int, data: RandomizedData, tg: TimeGrid,
-              d_choice: str) -> Iterator[IterateRecord]:
-    """Records of iterates 0..n_max in order, sharing one free evolution: the
-    single path through the recursion for the chain, one iterate and the harness."""
-    _check_d_choice(d_choice)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    grid = data.grid
-    u0, dudt0 = _data_hats(data, tg)
-    rec = _record(0, grid, tg, u0, dudt0, d_choice)
-    yield rec
-    for n in range(1, n_max + 1):
-        # the one recursion step: free part plus the Duhamel integral of (du^(n-1))^2
-        prev_du = rec.du.values
-        u_hat, dudt_hat = _duhamel_hats(product_dealias(prev_du, prev_du, grid), grid, tg,
-                                        _box(grid), start=(u0, dudt0))
-        rec = _record(n, grid, tg, u_hat, dudt_hat, d_choice)
-        yield rec
 
 
 def picard_chain(n_max: int, data: RandomizedData, tg: TimeGrid,
                  d_choice: str = "x1") -> list[IterateRecord]:
     """Iterates 0..n_max by the recursion, sharing the free-evolution work."""
-    return list(_iterates(n_max, data, tg, d_choice))
+    return [_record(n, norms, series, data, tg, d_choice)
+            for n, norms, series in _levels(n_max, data, tg, d_choice, range(n_max + 1))]
 
 
 def picard_iterate(n: int, data: RandomizedData, tg: TimeGrid,
                    d_choice: str = "x1") -> IterateRecord:
-    """The n-th Picard iterate; lower levels are computed and dropped in turn."""
-    for rec in _iterates(n, data, tg, d_choice):
+    """The n-th Picard iterate; only its own series are kept."""
+    for level in _levels(n, data, tg, d_choice, keep=(n,)):
         pass
-    return rec
+    return _record(*level, data, tg, d_choice)
 
 
 def space_time_norm(series: FieldSeries, q: float, r: float) -> float:

@@ -1,12 +1,14 @@
 """Monte Carlo harness: determinism, verdicts, config files, CLI exit codes."""
 
 import builtins
+import configparser
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +31,8 @@ from picardlab import (
 from picardlab.cli import main
 from picardlab.harness import (
     ConfigError,
+    _prepare,
+    _run_one,
     _worker_count,
     emit_report,
     interval_scaling_study,
@@ -149,6 +153,38 @@ def test_blowup_fills_inf_rows_from_the_failing_level(tmp_path):
     lines = (tmp_path / "rows.csv").read_text().splitlines()[2:]
     assert [line.split(",")[2:] for line in lines if line.split(",")[1] in ("2", "3")] == \
         [["0", "inf", "inf", "inf"]] * 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_max", [3, 6])
+def test_blowup_rows_raise_no_warnings_past_the_failing_level(tmp_path, n_max):
+    """The levels march together, but none past the first failing one is
+    advanced far enough to overflow: every row from level 2 on is inf."""
+    if n_max == 3:
+        test_blowup_fills_inf_rows_from_the_failing_level(tmp_path)
+        return
+    config = replace(SMALL, h1_norm=1e6, n_max=n_max, samples=2, require_small_regime=False)
+    report = run_experiment(config)
+    assert [(r.n, r.finite) for r in report.rows if r.sample_index == 0] == \
+        [(n, n <= 1) for n in range(n_max + 1)]
+    assert report.finite_fraction == 2 / 7
+
+
+def test_one_reference_sample_holds_less_than_one_series_of_memory():
+    """One 128^2, 65-node, n <= 3 sample, after a warm-up has built the cached
+    tables: its traced peak stays below one 65 x 128^2 complex series."""
+    config = ExperimentConfig(n_points=128, box_length=16.0 * math.pi, t_final=0.2,
+                              n_steps=64, n_max=3, samples=1, band=2.0)
+    run = _prepare(config)
+    _run_one(run, 0)
+    tracemalloc.start()
+    try:
+        rows = _run_one(run, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.n for r in rows] == [0, 1, 2, 3] and all(r.finite for r in rows)
+    assert peak < 65 * 128 * 128 * 16
 
 
 def _write_datum(path, scale=1.0):
@@ -389,7 +425,11 @@ def test_cli_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, value):
     ("[experiment]\np_list = 4 x\n", "[experiment] p_list"),
     ("[experiment]\nsamples = %(x)s\n", "samples"),
     (b"\xff\xfe[grid]\n", "decode"),
-], ids=["bad-int", "no-section", "duplicate-key", "bad-p-list", "interpolation", "not-utf8"])
+    ("[experiment]\nrequire_small_regime = ture\n", "[experiment] require_small_regime"),
+    ("[experiment]\nrequire_small_regime = 2\n", "[experiment] require_small_regime"),
+    ("[experiment]\nrequire_small_regime =\n", "[experiment] require_small_regime"),
+], ids=["bad-int", "no-section", "duplicate-key", "bad-p-list", "interpolation", "not-utf8",
+        "bool-typo", "bool-number", "bool-empty"])
 def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
     ini = tmp_path / "exp.ini"
     if isinstance(text, bytes):
@@ -400,6 +440,17 @@ def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
     err = capsys.readouterr().err
     assert err.startswith("[ERROR] ") and "Traceback" not in err
     assert str(ini) in err and where in err
+
+
+def test_ini_boolean_accepts_configparser_words(tmp_path):
+    ini = tmp_path / "exp.ini"
+    for word, value in configparser.ConfigParser.BOOLEAN_STATES.items():
+        for text in (word, word.upper(), f" {word.title()} "):
+            ini.write_text(f"[experiment]\nrequire_small_regime = {text}\n")
+            config = load_config(str(ini))
+            assert config.require_small_regime is value
+            # the field is stored as a bool, so the hash does not see the spelling
+            assert config.config_hash == ExperimentConfig(require_small_regime=value).config_hash
 
 
 @pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe{}", b'{"config_hash": "x"}\n',

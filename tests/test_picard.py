@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import picardlab.picard as picard
 from picardlab import (
     BlowUpError,
     Field,
@@ -15,14 +16,15 @@ from picardlab import (
     duhamel,
     energy_inequality_check,
     free_evolution,
+    gaussian_bump,
     make_grid,
     picard_chain,
     picard_iterate,
     sobolev_norm,
     space_time_norm,
 )
-from picardlab.grid import as_spectral
-from picardlab.picard import _box, _duhamel_hats, product_dealias, series_to_physical
+from picardlab.grid import as_spectral, lp_nodes, sobolev_nodes
+from picardlab.picard import _box, _duhamel_series, product_dealias, series_to_physical
 from picardlab.randomization import (
     RademacherDraw,
     active_blocks,
@@ -31,6 +33,8 @@ from picardlab.randomization import (
 )
 
 from conftest import two_block_datum
+
+DEFAULT_CHUNK = picard._CHUNK
 
 
 def _identity_data(phi0):
@@ -215,7 +219,7 @@ def test_duhamel_matches_direct_trapezoid_sum(t_xi_max, n_steps):
     tg = TimeGrid(t_final=t_xi_max / grid.xi_max, n_steps=n_steps)
     src = _random_source(grid, tg, seed=n_steps)
     kernels = _direct_kernels(grid)
-    u, dt_u = _duhamel_hats(src, grid, tg)
+    u, dt_u = _duhamel_series(src, grid, tg)
     assert _rel(u, _direct_trapezoid(kernels["u"], src, tg)) <= 1e-12
     assert _rel(dt_u, _direct_trapezoid(kernels["dt"], src, tg)) <= 1e-12
     series = FieldSeries(grid, tg, src, "spectral")
@@ -310,6 +314,14 @@ def test_product_equals_full_lattice_reference(n, lead, square):
     assert np.array_equal(got, expect)
 
 
+def _march_duhamel(src, grid, tg, start):
+    """start + the box Duhamel series, chunk by chunk as the march adds it."""
+    step = picard._DuhamelSums(grid, tg, box=True)
+    chunks = [picard._add_duhamel(step, src[nodes], (start[0][nodes], start[1][nodes]))
+              for nodes in picard._chunks(tg.n_nodes)]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     grid = make_grid(n, 4.0 * math.pi)
@@ -320,19 +332,19 @@ def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     for rows, cols in _box(grid):
         from_box[rows, cols] = True
     assert np.array_equal(from_box, mask)
-    whole_u, whole_dt = _duhamel_hats(src, grid, tg)
-    u, dt_u = _duhamel_hats(src, grid, tg, _box(grid))
+    whole_u, whole_dt = _duhamel_series(src, grid, tg)
+    u, dt_u = _duhamel_series(src, grid, tg, box=True)
     assert np.array_equal(u, whole_u) and np.array_equal(dt_u, whole_dt)
 
     free_u, free_dt = _random_source(grid, tg, seed=n + 1), _random_source(grid, tg, seed=n + 2)
-    u, dt_u = _duhamel_hats(src, grid, tg, _box(grid), start=(free_u, free_dt))
+    u, dt_u = _march_duhamel(src, grid, tg, start=(free_u, free_dt))
     assert np.array_equal(u, free_u + whole_u)
     assert np.array_equal(dt_u, free_dt + whole_dt)
     assert np.array_equal(u[:, ~mask], free_u[:, ~mask])
     assert np.array_equal(dt_u[:, ~mask], free_dt[:, ~mask])
 
-    only_u, none_dt = _duhamel_hats(src, grid, tg, _box(grid), want_dt=False)
-    none_u, only_dt = _duhamel_hats(src, grid, tg, _box(grid), want_u=False)
+    only_u, none_dt = _duhamel_series(src, grid, tg, box=True, want_dt=False)
+    none_u, only_dt = _duhamel_series(src, grid, tg, box=True, want_u=False)
     assert none_u is None and none_dt is None
     assert np.array_equal(only_u, whole_u) and np.array_equal(only_dt, whole_dt)
 
@@ -347,6 +359,113 @@ def test_chain_matches_stepwise_bit_for_bit(grid64):
     assert np.array_equal(top.du.values, chain[3].du.values)
     assert top.norms == chain[3].norms
     assert set(top.norms) == {"linf_h1_u", "linf_l2_dudt", "l2t_l4_du"}
+
+
+# ---------------------------------------------------------------------------
+# The time march: every chunk length, both transform branches and the
+# level-by-level recursion give the same bits.
+# ---------------------------------------------------------------------------
+
+def _gaussian_data(grid):
+    phi0 = gaussian_bump(grid, sigma=2.0)
+    return randomize(phi0, None, draw_rademacher(21, active_blocks(phi0), sample_index=3))
+
+
+def _chain_values(chain):
+    return [(rec.norms, rec.u.values, rec.du_dt.values, rec.du.values) for rec in chain]
+
+
+def _assert_same_chain(got, expect):
+    assert len(got) == len(expect)
+    for (got_norms, *got_series), (norms, *series) in zip(got, expect):
+        assert got_norms == norms
+        for a, b in zip(got_series, series):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family, d_choice", [("band", "x1"), ("band", "x2"), ("band", "t"),
+                                              ("gaussian", "x1"), ("gaussian", "t")])
+def test_march_is_bit_identical_for_every_chunk_length(monkeypatch, grid64, family, d_choice):
+    data = _random_data(grid64) if family == "band" else _gaussian_data(grid64)
+    assert picard._inside_box(data.phi0_rand.values, grid64) == (family == "band")
+    tg = TimeGrid(t_final=0.3, n_steps=24)
+    monkeypatch.setattr(picard, "_CHUNK", tg.n_nodes)
+    expect = _chain_values(picard_chain(3, data, tg, d_choice))
+    norms_only = [norms for _, norms, _ in picard._levels(3, data, tg, d_choice)]
+    assert norms_only == [norms for norms, *_ in expect]
+    for chunk in sorted({1, 3, 4, DEFAULT_CHUNK}):
+        monkeypatch.setattr(picard, "_CHUNK", chunk)
+        _assert_same_chain(_chain_values(picard_chain(3, data, tg, d_choice)), expect)
+        assert [norms for _, norms, _ in picard._levels(3, data, tg, d_choice)] == norms_only
+        top = picard_iterate(3, data, tg, d_choice)
+        _assert_same_chain(_chain_values([top]), expect[3:])
+
+
+@pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
+def test_reused_physical_du_gives_the_bits_of_the_full_transform(monkeypatch, grid64, d_choice):
+    """On a box-supported datum one inverse transform serves the L^4 norm and
+    the next product; forcing the full-transform branch changes no bit."""
+    data = _random_data(grid64)
+    tg = TimeGrid(t_final=0.3, n_steps=20)
+    full_transforms = []
+    ifft2 = np.fft.ifft2
+
+    def counted(*args, **kwargs):
+        full_transforms.append(1)
+        return ifft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft2", counted)
+    reused = _chain_values(picard_chain(3, data, tg, d_choice))
+    assert not full_transforms
+    monkeypatch.setattr(picard, "_inside_box", lambda hat, grid: False)
+    _assert_same_chain(_chain_values(picard_chain(3, data, tg, d_choice)), reused)
+    chunks = -(-tg.n_nodes // DEFAULT_CHUNK)
+    assert len(full_transforms) == 4 * chunks
+
+
+@pytest.mark.parametrize("family, d_choice", [("band", "x1"), ("gaussian", "t")])
+def test_march_equals_the_level_by_level_recursion(grid64, family, d_choice):
+    """Each level from the whole previous level: the product of its du, the
+    box Duhamel series from the free pair, and the norms of whole series."""
+    data = _random_data(grid64) if family == "band" else _gaussian_data(grid64)
+    tg = TimeGrid(t_final=0.3, n_steps=24)
+    chain = picard_chain(3, data, tg, d_choice)
+    free_u, free_dt, _ = free_evolution(data, tg, d_choice)
+    for prev, rec in zip([None] + chain, chain):
+        if prev is None:
+            u, dt_u = free_u.values, free_dt.values
+        else:
+            src = product_dealias(prev.du.values, prev.du.values, grid64)
+            part_u, part_dt = _duhamel_series(src, grid64, tg, box=True)
+            u, dt_u = free_u.values + part_u, free_dt.values + part_dt
+        assert np.array_equal(rec.u.values, u) and np.array_equal(rec.du_dt.values, dt_u)
+        du_phys = np.fft.ifft2(rec.du.values, norm="ortho", axes=(-2, -1))
+        assert rec.norms == {
+            "linf_h1_u": float(sobolev_nodes(u, grid64, 1.0).max()),
+            "linf_l2_dudt": float(sobolev_nodes(dt_u, grid64, 0.0).max()),
+            "l2t_l4_du": picard._time_norm(lp_nodes(du_phys, grid64, 4.0), 2.0, tg.dt),
+        }
+
+
+@pytest.mark.filterwarnings("error")
+def test_blowup_error_names_the_first_failing_level(monkeypatch):
+    """Levels past the failing one march no further than it, raise no
+    overflow warning, and leave the error of the level-by-level order."""
+    grid = make_grid(32, 16.0 * math.pi)
+    phi0 = band_limited_field(grid, band=1.0, seed=7, h1_norm=1e6)
+    data = randomize(phi0, None, draw_rademacher(91, active_blocks(phi0), sample_index=0))
+    tg = TimeGrid(t_final=0.2, n_steps=16)
+    errors = set()
+    for chunk in (1, DEFAULT_CHUNK, tg.n_nodes):
+        monkeypatch.setattr(picard, "_CHUNK", chunk)
+        for n_max in (2, 3, 8):
+            with pytest.raises(BlowUpError) as err:
+                picard_chain(n_max, data, tg)
+            errors.add((err.value.n, err.value.norm_name, err.value.value))
+    assert len(errors) == 1
+    n, name, value = errors.pop()
+    assert n == 2 and name == "linf_l2_dudt" and value > picard.BLOWUP_GUARD
+    assert picard_chain(1, data, tg)[1].norms["linf_l2_dudt"] < picard.BLOWUP_GUARD
 
 
 def test_records_wrap_engine_arrays_read_only(grid64):

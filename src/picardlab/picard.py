@@ -207,7 +207,7 @@ def _inside_box(hat: np.ndarray, grid: Grid) -> bool:
 # Time nodes per step of the march.  A chunk's arrays stay well inside a 2 MB
 # L2 (0.8 MB each at 128^2).  One 128^2, 65-node, n <= 3 sample took 295,
 # 279, 358 and 395 ms for k = 2, 3, 4 and 6 (median of 15, alternating, on a
-# 2-core 2.1 GHz Xeon; 520 ms before the march).
+# 2-core 2.1 GHz Xeon).
 _CHUNK = 3
 
 

@@ -345,8 +345,14 @@ def _bootstrap_upper(x: np.ndarray, p: int, boot_idx: np.ndarray) -> float:
 
 
 def _moment_bound(c_cal: float, n: int, p: int, phi0_h1: float, t_final: float) -> float:
-    return (c_cal * p ** (2**n / 2.0) * phi0_h1 * math.sqrt(t_final)
-            * math.factorial(2**n))
+    """C_cal p^(2^n/2) ||phi0||_H1 sqrt(T) (2^n)!; inf once it leaves the
+    float range (from n = 8 on), where it holds trivially, and 0 for a zero
+    datum."""
+    try:
+        return (c_cal * p ** (2**n / 2.0) * phi0_h1 * math.sqrt(t_final)
+                * math.factorial(2**n))
+    except OverflowError:
+        return math.inf if c_cal * phi0_h1 > 0 else 0.0
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -424,6 +424,13 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     """
     fa = _box_ifft2(a_hat, grid)
     fb = fa if b_hat is a_hat else _box_ifft2(b_hat, grid)
+    return _physical_product_hat(fa, fb, grid)
+
+
+def _physical_product_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid) -> np.ndarray:
+    """The tail of :func:`product_dealias` from the box inverse transforms of
+    its factors: the pointwise square when ``fb is fa``, else the symmetric
+    average, then the box forward transform."""
     pointwise = fa * fa if fb is fa else 0.5 * (fa * fb + fb * fa)
     return _box_fft2(pointwise, grid)
 

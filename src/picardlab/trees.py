@@ -17,6 +17,18 @@ realizable at iterate level n over all block tuples (weighted by the product
 of Rademacher signs) reconstructs the n-th Picard iterate -- the central
 cross-check against the direct recursion, sharing the product and the Duhamel
 implementation but never squaring a running iterate.
+
+The sum does each distinct piece of work once.  The dealiased product is
+symmetric bit for bit, so a tree term does not change when the two children
+of any node swap places together with their blocks; the memo key orders the
+children of every node by their own (shape encoding, blocks) keys, and a
+whole class of swapped terms is computed once (at n = 2 with 4 blocks, 105
+products instead of 145).  A term that serves as a factor keeps its box
+inverse transform, so each distinct factor is transformed once; the product
+takes the cached arrays (the self-square path when both children share one
+key).  Each tuple's signed term is added to or subtracted from the total in
+place.  The values are the bits of the plain memo-free sum; only the signs
+of exact zeros can differ.
 """
 
 from __future__ import annotations
@@ -31,11 +43,12 @@ import numpy as np
 from .picard import (
     FieldSeries,
     TimeGrid,
+    _box_ifft2,
     _check_d_choice,
     _d_duhamel_hat,
     _frozen_series,
+    _physical_product_hat,
     free_derivative_hat,
-    product_dealias,
 )
 from .randomization import RandomizedData
 
@@ -263,47 +276,55 @@ def i_tau_oracle(tree: BinaryTree, t: float) -> float:
 # Tree terms on field data
 # ---------------------------------------------------------------------------
 
-def _canonical_blocks(tree: BinaryTree, blocks: tuple) -> tuple:
-    """Normalize block assignments that provably give the same term.
+class _Term:
+    """A memo entry: the spectral series of one term and, once the term has
+    been a factor, its box inverse transform."""
 
-    The dealiased product is symmetric, so whenever the two subtrees are
-    structurally equal, swapping their block halves reproduces the same field
-    bit for bit; sorting those halves makes the memo key canonical.
-    """
-    if tree.is_leaf:
-        return blocks
-    split = _leaves(tree.left)
-    left = _canonical_blocks(tree.left, blocks[:split])
-    right = _canonical_blocks(tree.right, blocks[split:])
-    if tree.left == tree.right:
-        left, right = sorted((left, right))
-    return left + right
+    __slots__ = ("hat", "phys")
+
+    def __init__(self, hat: np.ndarray):
+        self.hat = hat
+        self.phys = None
+
+    def physical(self, grid) -> np.ndarray:
+        if self.phys is None:
+            self.phys = _box_ifft2(self.hat, grid)
+        return self.phys
 
 
-def _tree_term_hat(
+def _term_key(
     tree: BinaryTree,
     blocks: tuple[tuple[int, int], ...],
     data: RandomizedData,
     tg: TimeGrid,
     d_choice: str,
     memo: dict,
-) -> np.ndarray:
-    key = (tree, _canonical_blocks(tree, blocks))
-    got = memo.get(key)
-    if got is not None:
-        return got
-    grid = data.grid
+) -> tuple[str, tuple]:
+    """The memo key of the term of ``tree`` on ``blocks``, its entry computed
+    into ``memo`` first if absent.
+
+    A key is (shape encoding, blocks) with the two children of every node
+    put in the order of their own keys, so the trees and block tuples that
+    differ by swaps of children share one key, and distinct classes keep
+    distinct keys.
+    """
     if tree.is_leaf:
-        block = blocks[0]
-        out = free_derivative_hat(data.phi0_blocks[block].values, grid, tg, d_choice)
-    else:
-        split = _leaves(tree.left)
-        left = _tree_term_hat(tree.left, blocks[:split], data, tg, d_choice, memo)
-        right = _tree_term_hat(tree.right, blocks[split:], data, tg, d_choice, memo)
-        src = product_dealias(left, right, grid)
-        out = _d_duhamel_hat(src, grid, tg, d_choice, box=True)
-    memo[key] = out
-    return out
+        key = ("o", blocks)
+        if key not in memo:
+            memo[key] = _Term(free_derivative_hat(data.phi0_blocks[blocks[0]].values,
+                                                  data.grid, tg, d_choice))
+        return key
+    split = _leaves(tree.left)
+    first, second = sorted((_term_key(tree.left, blocks[:split], data, tg, d_choice, memo),
+                            _term_key(tree.right, blocks[split:], data, tg, d_choice, memo)))
+    key = (f"({first[0]}{second[0]})", first[1] + second[1])
+    if key not in memo:
+        grid = data.grid
+        # equal keys share one entry, so a square takes the self-square path
+        src = _physical_product_hat(memo[first].physical(grid), memo[second].physical(grid),
+                                    grid)
+        memo[key] = _Term(_d_duhamel_hat(src, grid, tg, d_choice, box=True))
+    return key
 
 
 def _require_tree_data(data: RandomizedData) -> None:
@@ -336,8 +357,8 @@ def evaluate_tree_term(
     if memo is None:
         memo = {}
     norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
-    hat = _tree_term_hat(tree, norm_blocks, data, tg, d_choice, memo)
-    return _frozen_series(data.grid, tg, hat, "tree_term")
+    key = _term_key(tree, norm_blocks, data, tg, d_choice, memo)
+    return _frozen_series(data.grid, tg, memo[key].hat, "tree_term")
 
 
 def reconstruct_iterate(
@@ -369,14 +390,16 @@ def reconstruct_iterate(
     memo: dict = {}
     for j in range(1, 2**n + 1):
         trees = trees_at_level(j, n)
-        if not trees:
-            continue
         for tup in cartesian_product(active, repeat=j):
             sign = 1
             for k in tup:
                 sign *= data.draw.eps(k)
-            term = np.zeros_like(total)
-            for tree in trees:
-                term += _tree_term_hat(tree, tup, data, tg, d_choice, memo)
-            total += sign * term
+            terms = [memo[_term_key(tree, tup, data, tg, d_choice, memo)].hat for tree in trees]
+            # the terms summed in tree order, a lone term not copied; adding
+            # it to zero and negating it are exact, so this is the signed sum
+            term = sum(terms[1:], terms[0])
+            if sign > 0:
+                total += term
+            else:
+                total -= term
     return _frozen_series(grid, tg, total, "du_reconstructed")

@@ -374,6 +374,21 @@ def test_cli_simulate_report_and_errors(tmp_path, capsys):
     assert "[ERROR]" in err
 
 
+def test_cli_simulate_reports_past_the_float_range_of_the_bound(tmp_path):
+    """From n = 8 on, (2^n)! exceeds the float range: the moment bound is
+    inf, which holds trivially."""
+    out = tmp_path / "run"
+    code = main(["simulate", "--grid", "64", "--samples", "2", "--steps", "8",
+                 "--n-max", "8", "--out", str(out)])
+    assert code == 0
+    assert (out / "rows.csv").exists()
+    moments = json.loads((out / "summary.json").read_text())["moments"]
+    top = [m for m in moments if m["n"] == 8]
+    assert top and all(m["bound"] == math.inf and m["ratio"] == 0.0 and m["passed"]
+                       for m in top)
+    assert all(math.isfinite(m["bound"]) for m in moments if m["n"] <= 7)
+
+
 def test_worker_pool_capped_at_samples_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("PICARDLAB_WORKERS", "64")

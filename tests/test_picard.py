@@ -268,7 +268,7 @@ def test_self_square_is_bit_identical_to_two_transforms(grid64):
        coeffs=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
 def test_product_is_bilinear_and_exactly_symmetric(seed, n_nodes, coeffs):
     """Bilinearity is what the tree expansion sums over; exact symmetry is
-    what lets trees._canonical_blocks merge swapped block halves."""
+    what lets the tree memo give one key to terms that differ by child swaps."""
     grid = make_grid(16, 4.0 * math.pi)
     rng = np.random.default_rng(seed)
     shape = (n_nodes, 16, 16)

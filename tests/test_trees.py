@@ -1,12 +1,15 @@
 """Full binary tree combinatorics, integral constants, and reconstruction."""
 
 import math
+from collections import Counter
+from itertools import product as cartesian_product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import two_block_datum
 from picardlab import (
     BinaryTree,
     TimeGrid,
@@ -19,13 +22,41 @@ from picardlab import (
     evaluate_tree_term,
     free_evolution,
     i_tau_oracle,
+    make_grid,
     picard_iterate,
     reconstruct_iterate,
 )
+from picardlab import trees
 from picardlab.picard import FieldSeries, free_derivative_hat, product_dealias
-from picardlab.trees import LEAF, _canonical_blocks, trees_at_level
+from picardlab.randomization import active_blocks, draw_rademacher, randomize
+from picardlab.trees import LEAF, _term_key, trees_at_level
 
 NODE2 = BinaryTree(LEAF, LEAF)
+
+
+@pytest.fixture(scope="module")
+def small_oracle():
+    """The 4-block oracle datum and draw at 32^2 (same box, so same blocks)
+    on a few time nodes: cheap enough to sum every tree term without a memo."""
+    phi0 = two_block_datum(make_grid(32, 8.0 * math.pi))
+    blocks = active_blocks(phi0)
+    assert len(blocks) == 4
+    data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
+    return data, TimeGrid(t_final=0.5, n_steps=5)
+
+
+def _reference_term(tree, blocks, data, tg, d_choice):
+    """G^tau without a memo: the leaf's free derivative series, and at a node
+    the public whole-lattice duhamel of product_dealias(left, right) taken in
+    the tree's own child order."""
+    grid = data.grid
+    if tree.is_leaf:
+        return free_derivative_hat(data.phi0_blocks[blocks[0]].values, grid, tg, d_choice)
+    split = tree.left.leaves
+    left = _reference_term(tree.left, blocks[:split], data, tg, d_choice)
+    right = _reference_term(tree.right, blocks[split:], data, tg, d_choice)
+    src = FieldSeries(grid, tg, product_dealias(left, right, grid), "spectral")
+    return duhamel(src, tg, d_choice).values
 
 
 def test_tree_shape_validation():
@@ -143,15 +174,95 @@ def test_trees_at_level_are_height_filtered_enumeration():
     assert len(trees_at_level(4, 2)) == 1
 
 
-def test_canonical_blocks_sorts_symmetric_halves():
-    tree = BinaryTree(NODE2, NODE2)
-    a, b = (1, 0), (0, 1)  # lexicographically b < a
-    assert _canonical_blocks(tree, (a, a, b, b)) == (b, b, a, a)
-    assert _canonical_blocks(tree, (b, b, a, a)) == (b, b, a, a)
-    # asymmetric top node: the two halves stay in place, but the symmetric
-    # NODE2 inside still sorts its own pair
-    askew = BinaryTree(BinaryTree(NODE2, LEAF), LEAF)
-    assert _canonical_blocks(askew, (a, b, a, b)) == (b, a, a, b)
+def _swap_class(tree, blocks):
+    """The labelled tree with unordered children: a leaf is its block, a node
+    the multiset of its two children's classes."""
+    if tree.is_leaf:
+        return blocks[0]
+    split = tree.left.leaves
+    halves = (_swap_class(tree.left, blocks[:split]), _swap_class(tree.right, blocks[split:]))
+    return frozenset(Counter(halves).items())
+
+
+def test_term_key_is_canonical_under_child_swaps(small_oracle):
+    data, tg = small_oracle
+    a, b, c = sorted(data.phi0_blocks)[:3]
+    memo = {}
+
+    def key(tree, blocks):
+        return _term_key(tree, blocks, data, tg, "x1", memo)
+
+    # same-shape halves swapped, at the top and inside
+    balanced = BinaryTree(NODE2, NODE2)
+    assert key(balanced, (a, a, b, b)) == key(balanced, (b, b, a, a))
+    assert key(balanced, (a, b, c, a)) == key(balanced, (a, c, b, a))
+    assert key(NODE2, (a, b)) == key(NODE2, (b, a))
+    # children of different shapes swapped
+    right_comb, left_comb = BinaryTree(LEAF, NODE2), BinaryTree(NODE2, LEAF)
+    assert key(right_comb, (a, b, c)) == key(left_comb, (b, c, a))
+    for tree, blocks in ((right_comb, (a, b, c)), (left_comb, (b, c, a))):
+        got = evaluate_tree_term(tree, blocks, data, tg).values
+        assert np.array_equal(got, _reference_term(tree, blocks, data, tg, "x1"))
+    assert np.array_equal(evaluate_tree_term(right_comb, (a, b, c), data, tg).values,
+                          evaluate_tree_term(left_comb, (b, c, a), data, tg).values)
+    # one key per class of (tree, blocks) under child swaps, never two
+    classes = {}
+    for j in range(1, 5):
+        for tree in enumerate_trees(j):
+            for blocks in cartesian_product((a, b, c), repeat=j):
+                classes.setdefault(_swap_class(tree, blocks), set()).add(key(tree, blocks))
+    assert all(len(keys) == 1 for keys in classes.values())
+    assert len(set().union(*classes.values())) == len(classes)
+
+
+@pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
+def test_reconstruction_equals_the_memo_free_tree_sum(small_oracle, d_choice):
+    """Third reference for the tree sum: every tuple and tree recomputed from
+    public pieces in reconstruct_iterate's order, each signed term summed
+    from zero.  Merging swapped terms, caching factor transforms and adding
+    in place change no value."""
+    data, tg = small_oracle
+    grid = data.grid
+    active = tuple(sorted(data.phi0_blocks))
+    for n in (0, 1, 2):
+        total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
+        for j in range(1, 2**n + 1):
+            for tup in cartesian_product(active, repeat=j):
+                sign = math.prod(data.draw.eps(k) for k in tup)
+                term = np.zeros_like(total)
+                for tree in trees_at_level(j, n):
+                    term += _reference_term(tree, tup, data, tg, d_choice)
+                total += sign * term
+        got = reconstruct_iterate(n, data, tg, d_choice).values
+        assert np.array_equal(got, total), n
+
+
+def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monkeypatch):
+    """With 4 blocks, n = 2 has 4 leaves, 10 pairs, 40 three-leaf and 55
+    four-leaf terms up to child swaps: 105 products, each one Duhamel sum,
+    and one box inverse transform per factor (the leaves and the pairs)."""
+    data, tg = small_oracle
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(trees, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trees, name, wrapper)
+
+    for name in ("free_derivative_hat", "_box_ifft2", "_physical_product_hat",
+                 "_d_duhamel_hat"):
+        counting(name)
+    reconstruct_iterate(1, data, tg)
+    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 4,
+                     "_physical_product_hat": 10, "_d_duhamel_hat": 10}
+    calls.clear()
+    reconstruct_iterate(2, data, tg)
+    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 14,
+                     "_physical_product_hat": 105, "_d_duhamel_hat": 105}
 
 
 def test_tree_term_validation(oracle_data, oracle_timegrid):

@@ -181,13 +181,16 @@ def as_physical(f: Field) -> Field:
     return f if f.is_physical else transform(f, "inverse")
 
 
-def lp_nodes(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+def lp_nodes(values: np.ndarray, grid: Grid, p: float,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Continuum L^p norm over the trailing two axes, one per leading index:
-    (sum |f|^p dx^2)^(1/p), or max |f| for p = inf."""
-    a = np.abs(values)
+    (sum |f|^p dx^2)^(1/p), or max |f| for p = inf.  A real ``scratch`` of
+    the shape of ``values`` holds |f|^p instead of a fresh array."""
+    a = np.abs(values, out=scratch)
     if p == np.inf:
         return a.max(axis=(-2, -1))
-    return (np.sum(a**p, axis=(-2, -1)) * grid.dx**2) ** (1.0 / p)
+    a **= p
+    return (np.sum(a, axis=(-2, -1)) * grid.dx**2) ** (1.0 / p)
 
 
 @lru_cache(maxsize=16)
@@ -200,15 +203,18 @@ def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     return w
 
 
-def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Homogeneous H^s norm of spectral values over the trailing two axes,
     dx (sum |xi|^(2s) |fhat|^2)^(1/2); xi = 0 is dropped for s != 0.
 
     Each leading index is reduced on its own over its contiguous N x N
     block, as in :func:`lp_nodes`, so a node's value does not depend on how
-    many nodes are passed with it.
+    many nodes are passed with it.  A real ``scratch`` of the shape of
+    ``hat`` holds the weighted squares instead of a fresh array.
     """
-    sq = np.abs(hat) ** 2
+    sq = np.abs(hat, out=scratch)
+    sq **= 2
     sq *= _sobolev_weight(grid, s)
     return grid.dx * np.sqrt(np.sum(sq, axis=(-2, -1)))
 

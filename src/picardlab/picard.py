@@ -40,7 +40,11 @@ du^(n-1) at those nodes and the running sums of level n.  Levels 0..n_max
 therefore advance together, a short chunk of nodes at a time, and every
 array a chunk touches stays small; the running sums carry over from chunk
 to chunk in the same operation order, so any chunk length gives the same
-bits.  The Monte Carlo harness keeps only per-node norms; the chain, single
+bits.  The levels of a chunk run one after another, so one workspace of
+chunk-sized buffers, allocated when the march starts, serves all of them:
+every stage writes into it with ufunc ``out=`` arguments, the same
+operations in the same order, and the march maps no fresh memory per chunk.
+The Monte Carlo harness keeps only per-node norms; the chain, single
 iterates, :func:`duhamel` and the tree terms store every node.  When the
 datum's spectrum is exactly zero outside the box (every band-limited datum,
 but not a Gaussian bump), every du lies in the box too, and the
@@ -204,6 +208,13 @@ def _inside_box(hat: np.ndarray, grid: Grid) -> bool:
     return not (hat[..., gap, :].any() or hat[..., :, gap].any())
 
 
+def _gap_lines(grid: Grid) -> tuple[tuple, tuple]:
+    """Index tuples of the rows and of the columns outside the box; together
+    they cover every mode outside it."""
+    gap = _gap(grid)
+    return (..., gap, slice(None)), (..., slice(None), gap)
+
+
 # Time nodes per step of the march.  A chunk's arrays stay well inside a 2 MB
 # L2 (0.8 MB each at 128^2).  One 128^2, 65-node, n <= 3 sample took 295,
 # 279, 358 and 395 ms for k = 2, 3, 4 and 6 (median of 15, alternating, on a
@@ -228,22 +239,33 @@ class _Region:
     pairs: tuple
     size: int
 
-    def gather(self, full: np.ndarray) -> np.ndarray:
+    def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The region's modes of ``full`` in the compact layout, written into
+        ``out`` (or a fresh array); the whole lattice is ``full`` itself."""
         if len(self.pairs) == 1:
             return full
-        out = np.empty(full.shape[:-2] + (self.size, self.size), dtype=full.dtype)
+        if out is None:
+            out = np.empty(full.shape[:-2] + (self.size, self.size), dtype=full.dtype)
         for (rows, cols), (c_rows, c_cols) in self.pairs:
             out[..., c_rows, c_cols] = full[..., rows, cols]
         return out
 
-    def place(self, part: np.ndarray, out: np.ndarray, add: bool) -> None:
-        """Write ``part`` into its modes of ``out``, or add it to the start
-        ``out`` holds there (start + part)."""
+    def buffers(self, n_nodes: int) -> tuple[np.ndarray, ...]:
+        """A Duhamel step's workspace for up to ``n_nodes`` nodes: scratch
+        (the gathered source), the two sums A and B, and the parts u, dt u."""
+        return tuple(np.empty((n_nodes, self.size, self.size), dtype=complex)
+                     for _ in range(5))
+
+    def place(self, part: np.ndarray, out: np.ndarray, start: np.ndarray | None = None) -> None:
+        """Write ``part`` into its modes of ``out``, or start + part there
+        with ``start`` of the shape of ``out``; the other modes of ``out``
+        are left as they are."""
         for (rows, cols), (c_rows, c_cols) in self.pairs:
-            if add:
-                out[..., rows, cols] += part[..., c_rows, c_cols]
-            else:
+            if start is None:
                 out[..., rows, cols] = part[..., c_rows, c_cols]
+            else:
+                np.add(start[..., rows, cols], part[..., c_rows, c_cols],
+                       out=out[..., rows, cols])
 
 
 @lru_cache(maxsize=8)
@@ -288,8 +310,9 @@ class _DuhamelSums:
         self.run: list = [None, None]
         self.half_first: list = [None, None]
 
-    def _sum(self, i: int, f: np.ndarray) -> None:
-        """Trapezoid sums dt * sum''_{l<=m} f[l] of sum ``i``, in place."""
+    def _sum(self, i: int, f: np.ndarray, scratch: np.ndarray) -> None:
+        """Trapezoid sums dt * sum''_{l<=m} f[l] of sum ``i``, in place;
+        ``scratch`` holds one node."""
         rest = f
         if self.node == 0:
             self.run[i] = f[0].copy()
@@ -299,30 +322,40 @@ class _DuhamelSums:
         run, half_first = self.run[i], self.half_first[i]
         for row in rest:
             run += row
-            row[...] = run - half_first - 0.5 * row
+            # row = run - half_first - 0.5 * row
+            np.subtract(run, half_first, out=scratch)
+            np.multiply(0.5, row, out=row)
+            np.subtract(scratch, row, out=row)
         f *= self.dt
 
-    def advance(self, src_hat: np.ndarray, want_u: bool = True, want_dt: bool = True
+    def advance(self, src_hat: np.ndarray, work: tuple[np.ndarray, ...],
+                want_u: bool = True, want_dt: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(u, dt u) on the region at the next ``len(src_hat)`` nodes, in the
-        region's compact layout; a part not asked for is None."""
+        region's compact layout; a part not asked for is None.
+
+        Every intermediate and both parts live in ``work``
+        (:meth:`_Region.buffers`); the parts are views of it, valid until
+        the next call that uses it.
+        """
         nodes = slice(self.node, self.node + len(src_hat))
+        scratch, a, b, u, dt_u = (buf[:len(src_hat)] for buf in work)
         c, sc = self.cos[nodes], self.sinc[nodes]
-        src = self.region.gather(src_hat)
-        a, b = c * src, sc * src
-        src = None
-        self._sum(0, a)
-        self._sum(1, b)
+        src = self.region.gather(src_hat, out=scratch)
+        np.multiply(c, src, out=a)
+        np.multiply(sc, src, out=b)
+        # A and B hold all the source is needed for: the scratch is free
+        self._sum(0, a, scratch[0])
+        self._sum(1, b, scratch[0])
         self.node = nodes.stop
-        u = dt_u = None
         if want_u:
-            u = sc * a
-            u -= c * b
+            np.multiply(sc, a, out=u)
+            u -= np.multiply(c, b, out=scratch)
         if want_dt:
             b *= self.abs_xi
-            dt_u = c * a
-            dt_u += self.sin[nodes] * b
-        return u, dt_u
+            np.multiply(c, a, out=dt_u)
+            dt_u += np.multiply(self.sin[nodes], b, out=scratch)
+        return u if want_u else None, dt_u if want_dt else None
 
 
 def _duhamel_series(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = False, *,
@@ -335,13 +368,14 @@ def _duhamel_series(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, box: bool 
     region the result is zero.  A part not asked for is returned as None.
     """
     sums = _DuhamelSums(grid, tg, box)
+    work = sums.region.buffers(min(_CHUNK, tg.n_nodes))
     new = np.zeros if box else np.empty
     outs = [new(source_hat.shape, dtype=complex) if want else None
             for want in (want_u, want_dt)]
     for nodes in _chunks(tg.n_nodes):
-        for part, out in zip(sums.advance(source_hat[nodes], want_u, want_dt), outs):
+        for part, out in zip(sums.advance(source_hat[nodes], work, want_u, want_dt), outs):
             if out is not None:
-                sums.region.place(part, out[nodes], add=False)
+                sums.region.place(part, out[nodes])
     return outs[0], outs[1]
 
 
@@ -378,15 +412,19 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
 # Dealiased products
 # ---------------------------------------------------------------------------
 
-def _box_ifft2(hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """ifft2 of ``hat`` truncated to the box, over the trailing two axes.
+def _box_ifft2(hat: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """ifft2 of ``hat`` truncated to the box, over the trailing two axes,
+    written into ``out`` (or a fresh array).
 
     numpy's ifft2 is one 1-D pass per axis, last axis first, and each line
     is transformed on its own, so skipping the last-axis pass on rows that
     are zero after truncation gives the same values as the full transform.
     """
     box = _box(grid)
-    out = np.zeros(hat.shape, dtype=complex)
+    if out is None:
+        out = np.empty(hat.shape, dtype=complex)
+    for lines in _gap_lines(grid):
+        out[lines] = 0.0
     for rows, cols in box:
         out[..., rows, cols] = hat[..., rows, cols]
     for rows, _ in box[::2]:  # each row band once
@@ -403,9 +441,8 @@ def _box_fft2(phys: np.ndarray, grid: Grid) -> np.ndarray:
     for _, cols in box[:2]:  # each column band once
         band = phys[..., :, cols]
         np.fft.fft(band, axis=-2, norm="ortho", out=band)
-    gap = _gap(grid)
-    phys[..., gap, :] = 0.0
-    phys[..., :, gap] = 0.0
+    for lines in _gap_lines(grid):
+        phys[lines] = 0.0
     return phys
 
 
@@ -440,12 +477,16 @@ def _physical_product_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _free_hats(phi0_hat: np.ndarray, phi1_hat: np.ndarray | None, grid: Grid,
-               tables: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+               tables: tuple[np.ndarray, ...], out: tuple = (None, None),
+               scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(u, dt u) of the free wave from (phi0, phi1) at the nodes of the
-    (cos, sin, sinc) ``tables``; phi1 None is zero velocity."""
+    (cos, sin, sinc) ``tables``, written into the pair ``out`` (or fresh
+    arrays) with a real ``scratch`` of the same shape; phi1 None is zero
+    velocity."""
     cos_t, sin_t, sinc_t = tables
-    u = cos_t * phi0_hat
-    dudt = -(grid.abs_xi[None, :, :] * sin_t) * phi0_hat
+    u = np.multiply(cos_t, phi0_hat, out=out[0])
+    speed = np.multiply(grid.abs_xi, sin_t, out=scratch)
+    dudt = np.multiply(np.negative(speed, out=speed), phi0_hat, out=out[1])
     if phi1_hat is not None:
         u += sinc_t * phi1_hat
         dudt += cos_t * phi1_hat
@@ -457,12 +498,14 @@ def _datum_hats(data: RandomizedData) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
-                    grid: Grid, d_choice: str) -> np.ndarray:
-    """d u from the pair (u, dt u): dt u itself, or i xi_d u (the multiplier
-    is 0 on the unpaired Nyquist line, as in :mod:`.multipliers`)."""
+                    grid: Grid, d_choice: str, out: np.ndarray | None = None) -> np.ndarray:
+    """d u from the pair (u, dt u): dt u itself, or i xi_d u written into
+    ``out`` (or a fresh array); the multiplier is 0 on the unpaired Nyquist
+    line, as in :mod:`.multipliers`."""
     if d_choice == "t":
         return dudt_hat
-    return symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid) * u_hat
+    sym = symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid)
+    return np.multiply(sym, u_hat, out=out)
 
 
 def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
@@ -519,29 +562,23 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
     return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1]))) ** (1.0 / q)
 
 
-def _add_duhamel(step: _DuhamelSums, src_hat: np.ndarray,
-                 start: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """start + (u, dt u) of the Duhamel integral of the next chunk of ``src_hat``."""
-    parts = step.advance(src_hat)
-    u, dudt = start[0].copy(), start[1].copy()
-    for part, out in zip(parts, (u, dudt)):
-        step.region.place(part, out, add=True)
-    return u, dudt
-
-
-def _march(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
-           keep: Collection[int]) -> tuple[np.ndarray, dict]:
-    """Per-node norms of iterates 0..n_max, and the (u, dt u) series of the
-    levels in ``keep``, all levels advancing together a chunk of nodes at a
-    time.
+def _march(n_max: int, datum: tuple[np.ndarray, np.ndarray | None], grid: Grid,
+           tg: TimeGrid, d_choice: str, keep: Collection[int]) -> tuple[np.ndarray, dict]:
+    """Per-node norms of iterates 0..n_max from the signed datum
+    (phi0_hat, phi1_hat or None), and the (u, dt u) series of the levels in
+    ``keep``, all levels advancing together a chunk of nodes at a time.
 
     Row n of the norms holds (H^1 of u, L^2 of dt u, L^4 of du) per node.
     Once a level is sure to fail the blow-up guard (a node's sup-norm term
     above it, or a non-finite term), the levels after it are dropped: the
     rows end at that level.
+
+    The levels of a chunk run one after another, so one workspace of
+    chunk-sized buffers, allocated here, serves every level of every chunk:
+    each stage writes into it instead of allocating.  Nothing in it outlives
+    the march; the kept series are copied out of it.
     """
-    grid = data.grid
-    phi0_hat, phi1_hat = _datum_hats(data)
+    phi0_hat, phi1_hat = datum
     # a box-supported datum keeps every du in the box, where the box inverse
     # transform of du equals the full one: one transform serves the L^4 norm
     # and the next level's product
@@ -552,10 +589,24 @@ def _march(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
     shape = (tg.n_nodes, grid.n_points, grid.n_points)
     kept = {n: (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
             for n in keep}
+    chunk = (min(_CHUNK, tg.n_nodes),) + shape[1:]
+    # the free pair, the level pair, du and the physical du; the real scratch
+    free_u, free_dt, level_u, level_dt, du_buf, phys_buf = (
+        np.empty(chunk, dtype=complex) for _ in range(6))
+    real_buf = np.empty(chunk)
+    work = _region(grid, True).buffers(chunk[0])
     top = n_max
     for nodes in _chunks(tg.n_nodes):
-        free = _free_hats(phi0_hat, phi1_hat, grid, tuple(t[nodes] for t in tables))
-        phys = None
+        k = nodes.stop - nodes.start
+        real, phys = real_buf[:k], phys_buf[:k]
+        free = _free_hats(phi0_hat, phi1_hat, grid, tuple(t[nodes] for t in tables),
+                          out=(free_u[:k], free_dt[:k]), scratch=real)
+        level = level_u[:k], level_dt[:k]
+        if top:
+            # outside the box every level is its free part: set once per chunk
+            for out, start in zip(level, free):
+                for lines in _gap_lines(grid):
+                    out[lines] = start[lines]
         for n in range(top + 1):
             if n == 0:
                 u, dudt = free
@@ -563,28 +614,28 @@ def _march(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
                 # free part plus the Duhamel integral of (du^(n-1))^2, the
                 # self-square of product_dealias taken in place
                 phys *= phys
-                u, dudt = _add_duhamel(sums[n - 1], _box_fft2(phys, grid), free)
-                phys = None
+                step = sums[n - 1]
+                for part, start, out in zip(step.advance(_box_fft2(phys, grid), work),
+                                            free, level):
+                    step.region.place(part, out, start)
+                u, dudt = level
             rows = per_node[n, :, nodes]
-            rows[0] = sobolev_nodes(u, grid, 1.0)
-            rows[1] = sobolev_nodes(dudt, grid, 0.0)
+            rows[0] = sobolev_nodes(u, grid, 1.0, scratch=real)
+            rows[1] = sobolev_nodes(dudt, grid, 0.0, scratch=real)
             if n in kept:
                 kept[n][0][nodes] = u
                 kept[n][1][nodes] = dudt
-            # each array is released once used, so a level holds few at a time
-            du = _derivative_hat(u, dudt, grid, d_choice)
-            u = dudt = None
+            du = _derivative_hat(u, dudt, grid, d_choice, out=du_buf[:k])
             if reuse:
-                phys = _box_ifft2(du, grid)
-                rows[2] = lp_nodes(phys, grid, 4.0)
+                rows[2] = lp_nodes(_box_ifft2(du, grid, out=phys), grid, 4.0, scratch=real)
             else:
-                rows[2] = lp_nodes(np.fft.ifft2(du, norm="ortho", axes=(-2, -1)), grid, 4.0)
-                phys = _box_ifft2(du, grid) if n < top else None
-            du = None
+                full = np.fft.ifft2(du, norm="ortho", axes=(-2, -1), out=phys)
+                rows[2] = lp_nodes(full, grid, 4.0, scratch=real)
+                if n < top:
+                    _box_ifft2(du, grid, out=phys)
             if not (np.all(rows[:2] <= BLOWUP_GUARD) and np.all(np.isfinite(rows[2]))):
                 top = n
                 break
-        free = phys = None  # only the running sums carry over to the next chunk
     return per_node[:top + 1], kept
 
 
@@ -597,7 +648,11 @@ def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
     _check_d_choice(d_choice)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    per_node, kept = _march(n_max, data, tg, d_choice, keep)
+    grid, datum = data.grid, _datum_hats(data)
+    # the march reads only the signed datum: dropping this reference frees
+    # the block projections during the march when the caller keeps none
+    data = None
+    per_node, kept = _march(n_max, datum, grid, tg, d_choice, keep)
     for n, (h1_u, l2_dudt, l4_du) in enumerate(per_node):
         norms = {
             "linf_h1_u": float(h1_u.max()),

@@ -27,12 +27,16 @@ products instead of 145).  A term that serves as a factor keeps its box
 inverse transform, so each distinct factor is transformed once; the product
 takes the cached arrays (the self-square path when both children share one
 key).  Each tuple's signed term is added to or subtracted from the total in
-place.  The values are the bits of the plain memo-free sum; only the signs
+place.  A term with more than 2^(n-1) leaves is never a factor at level n,
+so it leaves the memo once the last tuple of its swap class has read it (at
+n = 2 with 4 blocks, at most 57 entries are alive at once instead of 109).
+The values are the bits of the plain memo-free sum; only the signs
 of exact zeros can differ.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as cartesian_product
@@ -298,10 +302,10 @@ def _term_key(
     data: RandomizedData,
     tg: TimeGrid,
     d_choice: str,
-    memo: dict,
+    memo: dict | None,
 ) -> tuple[str, tuple]:
     """The memo key of the term of ``tree`` on ``blocks``, its entry computed
-    into ``memo`` first if absent.
+    into ``memo`` first if absent; with ``memo`` None, only the key.
 
     A key is (shape encoding, blocks) with the two children of every node
     put in the order of their own keys, so the trees and block tuples that
@@ -310,7 +314,7 @@ def _term_key(
     """
     if tree.is_leaf:
         key = ("o", blocks)
-        if key not in memo:
+        if memo is not None and key not in memo:
             memo[key] = _Term(free_derivative_hat(data.phi0_blocks[blocks[0]].values,
                                                   data.grid, tg, d_choice))
         return key
@@ -318,7 +322,7 @@ def _term_key(
     first, second = sorted((_term_key(tree.left, blocks[:split], data, tg, d_choice, memo),
                             _term_key(tree.right, blocks[split:], data, tg, d_choice, memo)))
     key = (f"({first[0]}{second[0]})", first[1] + second[1])
-    if key not in memo:
+    if memo is not None and key not in memo:
         grid = data.grid
         # equal keys share one entry, so a square takes the self-square path
         src = _physical_product_hat(memo[first].physical(grid), memo[second].physical(grid),
@@ -385,21 +389,36 @@ def reconstruct_iterate(
     if len(active) > max_blocks:
         raise ValueError(f"{len(active)} active blocks exceed the cap {max_blocks}")
 
+    def tuples():
+        for j in range(1, 2**n + 1):
+            trees = trees_at_level(j, n)
+            for tup in cartesian_product(active, repeat=j):
+                yield j, tup, trees
+
+    # a term with more than 2^(n-1) leaves is never a factor at level n: only
+    # the tuples of its own swap class read it, and it leaves the memo after
+    # the last of those reads
+    reads = Counter(_term_key(tree, tup, data, tg, d_choice, None)
+                    for j, tup, trees in tuples() if j > 2**n // 2 for tree in trees)
     grid = data.grid
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
     memo: dict = {}
-    for j in range(1, 2**n + 1):
-        trees = trees_at_level(j, n)
-        for tup in cartesian_product(active, repeat=j):
-            sign = 1
-            for k in tup:
-                sign *= data.draw.eps(k)
-            terms = [memo[_term_key(tree, tup, data, tg, d_choice, memo)].hat for tree in trees]
-            # the terms summed in tree order, a lone term not copied; adding
-            # it to zero and negating it are exact, so this is the signed sum
-            term = sum(terms[1:], terms[0])
-            if sign > 0:
-                total += term
-            else:
-                total -= term
+    for j, tup, trees in tuples():
+        sign = 1
+        for k in tup:
+            sign *= data.draw.eps(k)
+        keys = [_term_key(tree, tup, data, tg, d_choice, memo) for tree in trees]
+        terms = [memo[key].hat for key in keys]
+        # the terms summed in tree order, a lone term not copied; adding it
+        # to zero and negating it are exact, so this is the signed sum
+        term = sum(terms[1:], terms[0])
+        if sign > 0:
+            total += term
+        else:
+            total -= term
+        for key in keys:
+            if key in reads:
+                reads[key] -= 1
+                if not reads[key]:
+                    del memo[key]
     return _frozen_series(grid, tg, total, "du_reconstructed")

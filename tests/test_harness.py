@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from picardlab import (
     run_experiment,
     save_field,
 )
+import picardlab.harness as harness
+import picardlab.picard as picard
 from picardlab.cli import main
 from picardlab.harness import (
     ConfigError,
@@ -185,6 +188,29 @@ def test_one_reference_sample_holds_less_than_one_series_of_memory():
         tracemalloc.stop()
     assert [r.n for r in rows] == [0, 1, 2, 3] and all(r.finite for r in rows)
     assert peak < 65 * 128 * 128 * 16
+
+
+def test_a_sample_releases_its_block_projections_before_the_march(monkeypatch):
+    """The march reads only the signed datum, so the sample's RandomizedData,
+    one block Field per active block, is freed before the march starts."""
+    run = _prepare(replace(SMALL, samples=1))
+    data_refs, alive_in_march = [], []
+    sample_data, march = harness._sample_data, picard._march
+
+    def tracked_sample_data(*args):
+        data = sample_data(*args)
+        data_refs.append(weakref.ref(data))
+        return data
+
+    def checked_march(*args):
+        alive_in_march.append(data_refs[-1]() is not None)
+        return march(*args)
+
+    monkeypatch.setattr(harness, "_sample_data", tracked_sample_data)
+    monkeypatch.setattr(picard, "_march", checked_march)
+    rows = _run_one(run, 0)
+    assert [r.n for r in rows] == [0, 1] and all(r.finite for r in rows)
+    assert alive_in_march == [False]
 
 
 def _write_datum(path, scale=1.0):

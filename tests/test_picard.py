@@ -315,11 +315,15 @@ def test_product_equals_full_lattice_reference(n, lead, square):
 
 
 def _march_duhamel(src, grid, tg, start):
-    """start + the box Duhamel series, chunk by chunk as the march adds it."""
+    """start + the box Duhamel series, chunk by chunk as the march adds it:
+    one workspace for every chunk, and outside the box the start itself."""
     step = picard._DuhamelSums(grid, tg, box=True)
-    chunks = [picard._add_duhamel(step, src[nodes], (start[0][nodes], start[1][nodes]))
-              for nodes in picard._chunks(tg.n_nodes)]
-    return tuple(np.concatenate(part) for part in zip(*chunks))
+    work = step.region.buffers(DEFAULT_CHUNK)
+    out = tuple(part.copy() for part in start)
+    for nodes in picard._chunks(tg.n_nodes):
+        for part, begin, dest in zip(step.advance(src[nodes], work), start, out):
+            step.region.place(part, dest[nodes], begin[nodes])
+    return out
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -445,6 +449,39 @@ def test_march_equals_the_level_by_level_recursion(grid64, family, d_choice):
             "linf_l2_dudt": float(sobolev_nodes(dt_u, grid64, 0.0).max()),
             "l2t_l4_du": picard._time_norm(lp_nodes(du_phys, grid64, 4.0), 2.0, tg.dt),
         }
+
+
+def test_no_march_workspace_view_escapes(grid64):
+    """The march's workspace is reused across chunks and levels; every result
+    it hands out is its own memory, untouched by a later march."""
+    tg = TimeGrid(t_final=0.3, n_steps=13)
+
+    def results(data):
+        chain = picard_chain(2, data, tg)
+        levels = list(picard._levels(2, data, tg, "x1", keep=(1,)))
+        return chain, picard_iterate(2, data, tg), levels
+
+    def snapshot(chain, top, levels):
+        records = [*chain, top]
+        series = [s.values.copy() for rec in records for s in (rec.u, rec.du_dt, rec.du)]
+        kept = [part.copy() for _, _, pair in levels if pair is not None for part in pair]
+        norms = [dict(rec.norms) for rec in records] + [dict(n) for _, n, _ in levels]
+        return series, kept, norms
+
+    first = results(_random_data(grid64, seed=8))
+    before = snapshot(*first)
+    results(_random_data(grid64, seed=9, sample_index=5))
+    after = snapshot(*first)
+    for old, new in zip(before[0] + before[1], after[0] + after[1]):
+        assert np.array_equal(old, new)
+    assert before[2] == after[2]
+    chain, top, levels = first
+    arrays = [s.values for rec in (*chain, top) for s in (rec.u, rec.du_dt)]
+    arrays += [rec.du.values for rec in (*chain, top)]
+    arrays += [part for _, _, pair in levels if pair is not None for part in pair]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.filterwarnings("error")

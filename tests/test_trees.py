@@ -265,6 +265,31 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
                      "_physical_product_hat": 105, "_d_duhamel_hat": 105}
 
 
+def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
+    """A term with more than 2^(n-1) leaves is dropped after the last tuple
+    of its swap class has read it.  With 4 blocks, n = 1 holds the 4 leaves
+    and at most 4 pairs at once (not all 14 entries), and n = 2 the 14
+    factors and at most 43 of the 95 three- and four-leaf terms (not all
+    109); every entry is released when the sum returns."""
+    data, tg = small_oracle
+    alive = Counter()
+
+    class CountedTerm(trees._Term):
+        def __init__(self, hat):
+            super().__init__(hat)
+            alive["now"] += 1
+            alive["peak"] = max(alive["peak"], alive["now"])
+
+        def __del__(self):
+            alive["now"] -= 1
+
+    monkeypatch.setattr(trees, "_Term", CountedTerm)
+    for n, peak in ((0, 1), (1, 8), (2, 57)):
+        alive.clear()
+        reconstruct_iterate(n, data, tg)
+        assert alive["peak"] == peak and alive["now"] == 0, n
+
+
 def test_tree_term_validation(oracle_data, oracle_timegrid):
     with pytest.raises(ValueError):
         evaluate_tree_term(NODE2, ((1, 0),), oracle_data, oracle_timegrid)

@@ -283,7 +283,9 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ConfigError as exc:
-        print(f"[ERROR] {exc}", file=sys.stderr)
+        # a run configured by a file names the file in every config error
+        prefix = f"{args.config}: " if args.config and args.config not in str(exc) else ""
+        print(f"[ERROR] {prefix}{exc}", file=sys.stderr)
         return 2
 
 

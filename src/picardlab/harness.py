@@ -119,8 +119,8 @@ class ExperimentConfig:
             raise ConfigError("samples must be >= 1; empty experiments are rejected")
         if self.n_max < 0:
             raise ConfigError(f"n_max must be >= 0, got {self.n_max}")
-        if any(p < 2 or p % 2 for p in self.p_list):
-            raise ConfigError(f"p_list must contain even integers >= 2: {self.p_list}")
+        if not self.p_list or any(p < 2 or p % 2 for p in self.p_list):
+            raise ConfigError(f"p_list must be nonempty, of even integers >= 2: {self.p_list}")
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         object.__setattr__(self, "interval_list",
                            tuple(float(t) for t in self.interval_list))

@@ -476,25 +476,17 @@ def _physical_product_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid) -> np.ndar
 # Free evolution and the time-marching iterate engine
 # ---------------------------------------------------------------------------
 
-def _free_hats(phi0_hat: np.ndarray, phi1_hat: np.ndarray | None, grid: Grid,
-               tables: tuple[np.ndarray, ...], out: tuple = (None, None),
+def _free_hats(phi0_hat: np.ndarray, grid: Grid, tables: tuple[np.ndarray, ...],
+               out: tuple = (None, None),
                scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(u, dt u) of the free wave from (phi0, phi1) at the nodes of the
-    (cos, sin, sinc) ``tables``, written into the pair ``out`` (or fresh
-    arrays) with a real ``scratch`` of the same shape; phi1 None is zero
-    velocity."""
-    cos_t, sin_t, sinc_t = tables
+    """(u, dt u) of the free wave from (phi0, 0) at the nodes of the
+    (cos, sin, ...) ``tables``, written into the pair ``out`` (or fresh
+    arrays) with a real ``scratch`` of the same shape."""
+    cos_t, sin_t = tables[:2]
     u = np.multiply(cos_t, phi0_hat, out=out[0])
     speed = np.multiply(grid.abs_xi, sin_t, out=scratch)
     dudt = np.multiply(np.negative(speed, out=speed), phi0_hat, out=out[1])
-    if phi1_hat is not None:
-        u += sinc_t * phi1_hat
-        dudt += cos_t * phi1_hat
     return u, dudt
-
-
-def _datum_hats(data: RandomizedData) -> tuple[np.ndarray, np.ndarray | None]:
-    return data.phi0_rand.values, None if data.phi1_is_zero else data.phi1_rand.values
 
 
 def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
@@ -513,7 +505,7 @@ def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
     """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
     expansion's per-block brick, from the free pair the recursion starts at."""
     _check_d_choice(d_choice)
-    pair = _free_hats(phi0_hat, None, grid, _wave_tables(grid, tg))
+    pair = _free_hats(phi0_hat, grid, _wave_tables(grid, tg))
     return _derivative_hat(*pair, grid, d_choice)
 
 
@@ -523,14 +515,14 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
 
     Returns the series (u0, d/dt u0, d u0) with
 
-        u0(t) = cos(t|grad|) phi0 + sin(t|grad|)/|grad| phi1,
+        u0(t) = cos(t|grad|) phi0_rand       (zero velocity datum),
 
     all derivatives taken by exact multipliers.  The free energy
     ||grad u0||_2^2 + ||dt u0||_2^2 is conserved node-to-node to rounding.
     """
     _check_d_choice(d_choice)
     grid = data.grid
-    u0, dudt0 = _free_hats(*_datum_hats(data), grid, _wave_tables(grid, tg))
+    u0, dudt0 = _free_hats(data.phi0_rand.values, grid, _wave_tables(grid, tg))
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
         _frozen_series(grid, tg, u0, "u"),
@@ -562,10 +554,10 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
     return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1]))) ** (1.0 / q)
 
 
-def _march(n_max: int, datum: tuple[np.ndarray, np.ndarray | None], grid: Grid,
-           tg: TimeGrid, d_choice: str, keep: Collection[int]) -> tuple[np.ndarray, dict]:
-    """Per-node norms of iterates 0..n_max from the signed datum
-    (phi0_hat, phi1_hat or None), and the (u, dt u) series of the levels in
+def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
+           keep: Collection[int]) -> tuple[np.ndarray, dict]:
+    """Per-node norms of iterates 0..n_max from the signed datum ``phi0_hat``
+    (zero velocity), and the (u, dt u) series of the levels in
     ``keep``, all levels advancing together a chunk of nodes at a time.
 
     Row n of the norms holds (H^1 of u, L^2 of dt u, L^4 of du) per node.
@@ -578,11 +570,10 @@ def _march(n_max: int, datum: tuple[np.ndarray, np.ndarray | None], grid: Grid,
     each stage writes into it instead of allocating.  Nothing in it outlives
     the march; the kept series are copied out of it.
     """
-    phi0_hat, phi1_hat = datum
     # a box-supported datum keeps every du in the box, where the box inverse
     # transform of du equals the full one: one transform serves the L^4 norm
     # and the next level's product
-    reuse = _inside_box(phi0_hat, grid) and (phi1_hat is None or _inside_box(phi1_hat, grid))
+    reuse = _inside_box(phi0_hat, grid)
     tables = _wave_tables(grid, tg)
     sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_max)]
     per_node = np.zeros((n_max + 1, 3, tg.n_nodes))
@@ -599,7 +590,7 @@ def _march(n_max: int, datum: tuple[np.ndarray, np.ndarray | None], grid: Grid,
     for nodes in _chunks(tg.n_nodes):
         k = nodes.stop - nodes.start
         real, phys = real_buf[:k], phys_buf[:k]
-        free = _free_hats(phi0_hat, phi1_hat, grid, tuple(t[nodes] for t in tables),
+        free = _free_hats(phi0_hat, grid, tuple(t[nodes] for t in tables),
                           out=(free_u[:k], free_dt[:k]), scratch=real)
         level = level_u[:k], level_dt[:k]
         if top:
@@ -648,11 +639,7 @@ def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
     _check_d_choice(d_choice)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    grid, datum = data.grid, _datum_hats(data)
-    # the march reads only the signed datum: dropping this reference frees
-    # the block projections during the march when the caller keeps none
-    data = None
-    per_node, kept = _march(n_max, datum, grid, tg, d_choice, keep)
+    per_node, kept = _march(n_max, data.phi0_rand.values, data.grid, tg, d_choice, keep)
     for n, (h1_u, l2_dudt, l4_du) in enumerate(per_node):
         norms = {
             "linf_h1_u": float(h1_u.max()),

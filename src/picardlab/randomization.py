@@ -1,15 +1,15 @@
 """Rademacher block randomization of initial data.
 
-A draw assigns one independent sign to every (channel, block) pair, channel
-"eps" for the position datum phi0 and "nu" for the velocity datum phi1.  The
-randomized datum is the signed resummation of the unit-block projections,
+The lab's data space is H^1 x {0}: the velocity datum is zero, the case the
+tree oracle can check.  A draw assigns one independent sign eps_k to every
+block, and the randomized datum is the signed resummation of the unit-block
+projections,
 
-    phi0_rand = sum_k eps_k P_k phi0,      phi1_rand = sum_k nu_k P_k phi1.
+    phi0_rand = sum_k eps_k P_k phi0.
 
-Signs come from a counter-based generator keyed by (seed, sample_index), with
-both channels drawn for all blocks in sorted order, so a draw depends only on
-(seed, sample_index, block set) -- never on scheduling, worker count, or
-whether phi1 is present.
+Signs come from a counter-based generator keyed by (seed, sample_index), drawn
+for all blocks in sorted order, so a draw depends only on (seed, sample_index,
+block set) -- never on scheduling or worker count.
 
 Built-in data families: a Gaussian bump (physical-space, effectively compactly
 supported), a band-limited random field with prescribed homogeneous-H^1 norm
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, SPECTRAL, as_spectral, sobolev_nodes, sobolev_norm
-from .multipliers import UnitPartition, unit_projection
+from .multipliers import UnitPartition
 
 __all__ = [
     "RademacherDraw",
@@ -53,9 +53,6 @@ class RademacherDraw:
     def eps(self, k: tuple[int, int]) -> int:
         return self.values[("eps", k)]
 
-    def nu(self, k: tuple[int, int]) -> int:
-        return self.values[("nu", k)]
-
 
 def draw_rademacher(
     seed: int,
@@ -73,6 +70,8 @@ def draw_rademacher(
         raise ValueError("draw_rademacher needs a nonempty block set")
     bitgen = np.random.Philox(seed=np.random.SeedSequence((int(seed), int(sample_index))))
     rng = np.random.Generator(bitgen)
+    # the "nu" column (the velocity channel's signs) is still drawn: without
+    # it the stream, and so every eps sign, would change
     raw = rng.integers(0, 2, size=(len(block_list), len(CHANNELS))) * 2 - 1
     values = {
         (channel, k): int(raw[i, j])
@@ -101,82 +100,48 @@ def _spectral_bbox_blocks(phi_hat: np.ndarray, grid: Grid) -> list[tuple[int, in
     return [(k1, k2) for k1 in range(k1_lo, k1_hi + 1) for k2 in range(k2_lo, k2_hi + 1)]
 
 
-def active_blocks(phi0: Field, phi1: Field | None = None,
+def active_blocks(phi0: Field,
                   threshold: float = BLOCK_NORM_THRESHOLD) -> tuple[tuple[int, int], ...]:
-    """Blocks k with ||P_k phi0||_2 + ||P_k phi1||_2 above the sparsity threshold."""
+    """Blocks k with ||P_k phi0||_2 above the sparsity threshold."""
     g0 = as_spectral(phi0)
     grid = g0.grid
-    candidates = set(_spectral_bbox_blocks(g0.values, grid))
-    g1 = None
-    if phi1 is not None:
-        g1 = as_spectral(phi1)
-        if g1.grid != grid:
-            raise ValueError("phi0 and phi1 live on different grids")
-        candidates |= set(_spectral_bbox_blocks(g1.values, grid))
     part = UnitPartition(grid)
     out = []
-    for k in sorted(candidates):
-        w = part.weight(k)
-        total = sobolev_nodes(w * g0.values, grid, 0.0)
-        if g1 is not None:
-            total += sobolev_nodes(w * g1.values, grid, 0.0)
-        if total > threshold:
+    for k in sorted(_spectral_bbox_blocks(g0.values, grid)):
+        if sobolev_nodes(part.weight(k) * g0.values, grid, 0.0) > threshold:
             out.append(k)
     return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
 class RandomizedData:
-    """Block decomposition of (phi0, phi1) plus their signed resummation."""
+    """A draw, the spectral datum phi0 and its signed resummation
+    phi0_rand = sum_k eps_k P_k phi0 over the draw's blocks."""
 
     draw: RademacherDraw
-    phi0_blocks: dict[tuple[int, int], Field]
-    phi1_blocks: dict[tuple[int, int], Field]
+    phi0: Field
     phi0_rand: Field
-    phi1_rand: Field
 
     @property
     def grid(self) -> Grid:
         return self.phi0_rand.grid
 
-    @property
-    def phi1_is_zero(self) -> bool:
-        return not np.any(self.phi1_rand.values)
 
+def randomize(phi0: Field, phi1: None, draw: RademacherDraw) -> RandomizedData:
+    """Assemble the randomized datum for a given draw.
 
-def randomize(phi0: Field, phi1: Field | None, draw: RademacherDraw) -> RandomizedData:
-    """Assemble the randomized data for a given draw.
-
-    ``phi1=None`` means the zero velocity datum (the default throughout the
-    iterate machinery); all nu-channel content is then zero.
+    The velocity slot ``phi1`` must be None: the data lie in H^1 x {0}.  The
+    signed projections are added one at a time, in the draw's block order,
+    into one running sum.
     """
+    if phi1 is not None:
+        raise ValueError("the velocity datum is zero: data in H^1 x {0}")
     g0 = as_spectral(phi0)
-    grid = g0.grid
-    g1 = as_spectral(phi1) if phi1 is not None else None
-    if g1 is not None and g1.grid != grid:
-        raise ValueError("phi0 and phi1 live on different grids")
-
-    part = UnitPartition(grid)
-    phi0_blocks: dict[tuple[int, int], Field] = {}
-    phi1_blocks: dict[tuple[int, int], Field] = {}
-    sum0 = np.zeros_like(g0.values)
-    sum1 = np.zeros_like(g0.values)
+    part = UnitPartition(g0.grid)
+    total = np.zeros_like(g0.values)
     for k in draw.blocks:
-        w = part.weight(k)
-        b0 = Field(grid, w * g0.values, SPECTRAL)
-        phi0_blocks[k] = b0
-        sum0 += draw.eps(k) * b0.values
-        if g1 is not None:
-            b1 = Field(grid, w * g1.values, SPECTRAL)
-            phi1_blocks[k] = b1
-            sum1 += draw.nu(k) * b1.values
-    return RandomizedData(
-        draw=draw,
-        phi0_blocks=phi0_blocks,
-        phi1_blocks=phi1_blocks,
-        phi0_rand=Field(grid, sum0, SPECTRAL),
-        phi1_rand=Field(grid, sum1, SPECTRAL),
-    )
+        total += draw.eps(k) * (part.weight(k) * g0.values)
+    return RandomizedData(draw=draw, phi0=g0, phi0_rand=Field(g0.grid, total, SPECTRAL))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +151,8 @@ def randomize(phi0: Field, phi1: Field | None, draw: RademacherDraw) -> Randomiz
 def gaussian_bump(grid: Grid, sigma: float = 2.0, amplitude: float = 1.0,
                   center: tuple[float, float] | None = None) -> Field:
     """Gaussian bump exp(-|x - x0|^2 / (2 sigma^2)), centered in the box by default."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be a positive finite width, got {sigma}")
     if center is None:
         c = grid.box_length / 2.0
         center = (c, c)

@@ -54,6 +54,7 @@ from .picard import (
     _physical_product_hat,
     free_derivative_hat,
 )
+from .multipliers import unit_projection
 from .randomization import RandomizedData
 
 __all__ = [
@@ -315,7 +316,7 @@ def _term_key(
     if tree.is_leaf:
         key = ("o", blocks)
         if memo is not None and key not in memo:
-            memo[key] = _Term(free_derivative_hat(data.phi0_blocks[blocks[0]].values,
+            memo[key] = _Term(free_derivative_hat(unit_projection(data.phi0, blocks[0]).values,
                                                   data.grid, tg, d_choice))
         return key
     split = _leaves(tree.left)
@@ -329,11 +330,6 @@ def _term_key(
                                     grid)
         memo[key] = _Term(_d_duhamel_hat(src, grid, tg, d_choice, box=True))
     return key
-
-
-def _require_tree_data(data: RandomizedData) -> None:
-    if not data.phi1_is_zero:
-        raise ValueError("tree expansion is defined for zero velocity datum (phi1 = 0)")
 
 
 def evaluate_tree_term(
@@ -351,13 +347,12 @@ def evaluate_tree_term(
     dealiased product of its children -- the same product and kernel code the
     direct engine uses.  Rademacher signs are not applied here.
     """
-    _require_tree_data(data)
     _check_d_choice(d_choice)
     if len(blocks) != _leaves(tree):
         raise ValueError(f"tree has {_leaves(tree)} leaves but got {len(blocks)} blocks")
-    missing = [k for k in blocks if k not in data.phi0_blocks]
+    missing = [k for k in blocks if k not in data.draw.blocks]
     if missing:
-        raise ValueError(f"blocks {missing} carry no data (active set: {sorted(data.phi0_blocks)})")
+        raise ValueError(f"blocks {missing} carry no data (active set: {data.draw.blocks})")
     if memo is None:
         memo = {}
     norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
@@ -383,9 +378,8 @@ def reconstruct_iterate(
         raise ValueError(f"n must be >= 0, got {n}")
     if n > 2:
         raise ValueError("reconstruction is budgeted for n <= 2")
-    _require_tree_data(data)
     _check_d_choice(d_choice)
-    active = tuple(sorted(data.phi0_blocks))
+    active = tuple(sorted(data.draw.blocks))
     if len(active) > max_blocks:
         raise ValueError(f"{len(active)} active blocks exceed the cap {max_blocks}")
 

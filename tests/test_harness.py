@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from picardlab import (
     save_field,
 )
 import picardlab.harness as harness
-import picardlab.picard as picard
 from picardlab.cli import main
 from picardlab.harness import (
     ConfigError,
@@ -73,6 +71,8 @@ def test_config_validation():
         ExperimentConfig(n_max=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(p_list=(3,))
+    with pytest.raises(ConfigError, match="p_list"):
+        ExperimentConfig(p_list=())
     with pytest.raises(ConfigError, match="d_choice"):
         ExperimentConfig(d_choice="bogus")
     with pytest.raises(ConfigError, match="data_path"):
@@ -173,12 +173,15 @@ def test_blowup_rows_raise_no_warnings_past_the_failing_level(tmp_path, n_max):
     assert report.finite_fraction == 2 / 7
 
 
+# the criterion-9 config, one sample
+REF128 = ExperimentConfig(n_points=128, box_length=16.0 * math.pi, t_final=0.2,
+                          n_steps=64, n_max=3, samples=1, band=2.0)
+
+
 def test_one_reference_sample_holds_less_than_one_series_of_memory():
     """One 128^2, 65-node, n <= 3 sample, after a warm-up has built the cached
     tables: its traced peak stays below one 65 x 128^2 complex series."""
-    config = ExperimentConfig(n_points=128, box_length=16.0 * math.pi, t_final=0.2,
-                              n_steps=64, n_max=3, samples=1, band=2.0)
-    run = _prepare(config)
+    run = _prepare(REF128)
     _run_one(run, 0)
     tracemalloc.start()
     try:
@@ -190,27 +193,20 @@ def test_one_reference_sample_holds_less_than_one_series_of_memory():
     assert peak < 65 * 128 * 128 * 16
 
 
-def test_a_sample_releases_its_block_projections_before_the_march(monkeypatch):
-    """The march reads only the signed datum, so the sample's RandomizedData,
-    one block Field per active block, is freed before the march starts."""
-    run = _prepare(replace(SMALL, samples=1))
-    data_refs, alive_in_march = [], []
-    sample_data, march = harness._sample_data, picard._march
-
-    def tracked_sample_data(*args):
-        data = sample_data(*args)
-        data_refs.append(weakref.ref(data))
-        return data
-
-    def checked_march(*args):
-        alive_in_march.append(data_refs[-1]() is not None)
-        return march(*args)
-
-    monkeypatch.setattr(harness, "_sample_data", tracked_sample_data)
-    monkeypatch.setattr(picard, "_march", checked_march)
-    rows = _run_one(run, 0)
-    assert [r.n for r in rows] == [0, 1] and all(r.finite for r in rows)
-    assert alive_in_march == [False]
+def test_a_sample_datum_builds_no_block_projections():
+    """A sample's datum adds its signed block projections into one running
+    sum: at the reference config (25 blocks) its traced peak stays below
+    2 MB, where one stored 128^2 complex Field per block took 7.75 MB."""
+    run = _prepare(REF128)
+    harness._sample_data(run, 0)
+    tracemalloc.start()
+    try:
+        data = harness._sample_data(run, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data.draw.blocks) == 25
+    assert peak < 2_000_000
 
 
 def _write_datum(path, scale=1.0):
@@ -469,8 +465,10 @@ def test_cli_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, value):
     ("[experiment]\nrequire_small_regime = ture\n", "[experiment] require_small_regime"),
     ("[experiment]\nrequire_small_regime = 2\n", "[experiment] require_small_regime"),
     ("[experiment]\nrequire_small_regime =\n", "[experiment] require_small_regime"),
+    ("[experiment]\np_list =\n", "p_list"),
+    ("[data]\nfamily = gaussian\nsigma = 0\n", "sigma"),
 ], ids=["bad-int", "no-section", "duplicate-key", "bad-p-list", "interpolation", "not-utf8",
-        "bool-typo", "bool-number", "bool-empty"])
+        "bool-typo", "bool-number", "bool-empty", "empty-p-list", "gaussian-sigma-zero"])
 def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
     ini = tmp_path / "exp.ini"
     if isinstance(text, bytes):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from picardlab import Field, band_limited_field, gaussian_bump, sobolev_norm
+from picardlab import Field, band_limited_field, gaussian_bump, make_grid, sobolev_norm
 from picardlab.grid import as_spectral
+from picardlab.multipliers import unit_projection
 from picardlab.randomization import (
     RademacherDraw,
     active_blocks,
@@ -67,7 +68,7 @@ def test_all_plus_one_reproduces_datum(grid64):
     data = randomize(phi0, None, draw)
     diff = np.max(np.abs(data.phi0_rand.values - as_spectral(phi0).values))
     assert diff <= 1e-10
-    assert data.phi1_is_zero
+    assert np.array_equal(data.phi0.values, as_spectral(phi0).values)
 
 
 def test_single_sign_flip_moves_one_block(grid64):
@@ -80,7 +81,7 @@ def test_single_sign_flip_moves_one_block(grid64):
     d_plus = randomize(phi0, None, RademacherDraw(0, 0, tuple(blocks), plus))
     d_flip = randomize(phi0, None, RademacherDraw(0, 1, tuple(blocks), flipped))
     delta = d_flip.phi0_rand.values - d_plus.phi0_rand.values
-    expect = -2.0 * d_plus.phi0_blocks[flip_at].values
+    expect = -2.0 * unit_projection(phi0, flip_at).values
     assert np.max(np.abs(delta - expect)) <= 1e-12
 
 
@@ -99,7 +100,7 @@ def test_randomized_norm_triangle_inequality(grid64):
     blocks = active_blocks(phi0)
     draw = draw_rademacher(21, blocks, sample_index=3)
     data = randomize(phi0, None, draw)
-    total = sum(sobolev_norm(b, 1.0) for b in data.phi0_blocks.values())
+    total = sum(sobolev_norm(unit_projection(phi0, k), 1.0) for k in data.draw.blocks)
     assert sobolev_norm(data.phi0_rand, 1.0) <= total + 1e-12
 
 
@@ -119,13 +120,35 @@ def test_plateau_modes_keep_magnitude(grid64):
         )
 
 
-def test_randomize_rejects_mismatched_grids(grid64, grid_wide):
+def test_randomize_rejects_a_velocity_datum(grid64, grid_wide):
     phi0 = two_block_datum(grid64)
-    other = Field(grid_wide, np.zeros((64, 64)), "physical")
+    draw = draw_rademacher(1, active_blocks(phi0))
+    for phi1 in (Field(grid_wide, np.zeros((64, 64)), "physical"),
+                 Field(grid64, np.zeros((64, 64)), "physical"), phi0):
+        with pytest.raises(ValueError, match="velocity datum is zero"):
+            randomize(phi0, phi1, draw)
+
+
+@pytest.mark.parametrize("n_points", [64, 128])
+@pytest.mark.parametrize("family", ["band", "gaussian"])
+def test_signed_sum_is_the_blockwise_reference_bit_for_bit(n_points, family):
+    """phi0_rand equals the memo-free sum of eps_k P_k phi0 in block order."""
+    grid = make_grid(n_points, 16.0 * np.pi)
+    phi0 = (band_limited_field(grid, band=2.0, seed=7) if family == "band"
+            else gaussian_bump(grid, sigma=2.0))
     blocks = active_blocks(phi0)
-    draw = draw_rademacher(1, blocks)
-    with pytest.raises(ValueError):
-        randomize(phi0, other, draw)
+    for idx in (0, 1, 5, 17):
+        draw = draw_rademacher(2026, blocks, sample_index=idx)
+        expect = np.zeros((n_points, n_points), dtype=complex)
+        for k in draw.blocks:
+            expect += draw.eps(k) * unit_projection(phi0, k).values
+        assert np.array_equal(randomize(phi0, None, draw).phi0_rand.values, expect)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_gaussian_bump_rejects_a_bad_width(grid64, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_bump(grid64, sigma=sigma)
 
 
 def test_band_limited_field_contract(grid64):

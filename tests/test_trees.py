@@ -27,6 +27,7 @@ from picardlab import (
     reconstruct_iterate,
 )
 from picardlab import trees
+from picardlab.multipliers import unit_projection
 from picardlab.picard import FieldSeries, free_derivative_hat, product_dealias
 from picardlab.randomization import active_blocks, draw_rademacher, randomize
 from picardlab.trees import LEAF, _term_key, trees_at_level
@@ -51,7 +52,8 @@ def _reference_term(tree, blocks, data, tg, d_choice):
     the tree's own child order."""
     grid = data.grid
     if tree.is_leaf:
-        return free_derivative_hat(data.phi0_blocks[blocks[0]].values, grid, tg, d_choice)
+        leaf = unit_projection(data.phi0, blocks[0])
+        return free_derivative_hat(leaf.values, grid, tg, d_choice)
     split = tree.left.leaves
     left = _reference_term(tree.left, blocks[:split], data, tg, d_choice)
     right = _reference_term(tree.right, blocks[split:], data, tg, d_choice)
@@ -186,7 +188,7 @@ def _swap_class(tree, blocks):
 
 def test_term_key_is_canonical_under_child_swaps(small_oracle):
     data, tg = small_oracle
-    a, b, c = sorted(data.phi0_blocks)[:3]
+    a, b, c = data.draw.blocks[:3]
     memo = {}
 
     def key(tree, blocks):
@@ -223,7 +225,7 @@ def test_reconstruction_equals_the_memo_free_tree_sum(small_oracle, d_choice):
     in place change no value."""
     data, tg = small_oracle
     grid = data.grid
-    active = tuple(sorted(data.phi0_blocks))
+    active = data.draw.blocks
     for n in (0, 1, 2):
         total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
         for j in range(1, 2**n + 1):
@@ -305,7 +307,7 @@ def test_tree_entry_points_reject_unknown_d_choice(oracle_data, oracle_timegrid,
     with pytest.raises(ValueError, match="d_choice"):
         reconstruct_iterate(1, oracle_data, oracle_timegrid, d_choice=d_choice)
     with pytest.raises(ValueError, match="d_choice"):
-        free_derivative_hat(oracle_data.phi0_blocks[(1, 0)].values, oracle_data.grid,
+        free_derivative_hat(unit_projection(oracle_data.phi0, (1, 0)).values, oracle_data.grid,
                             oracle_timegrid, d_choice)
 
 
@@ -316,8 +318,8 @@ def test_two_leaf_term_is_duhamel_of_leaf_product(oracle_data, oracle_timegrid):
     tg = oracle_timegrid
     k1, k2 = (1, 0), (0, 1)
     term = evaluate_tree_term(NODE2, (k1, k2), oracle_data, tg)
-    leaf1 = free_derivative_hat(oracle_data.phi0_blocks[k1].values, grid, tg, "x1")
-    leaf2 = free_derivative_hat(oracle_data.phi0_blocks[k2].values, grid, tg, "x1")
+    leaf1 = free_derivative_hat(unit_projection(oracle_data.phi0, k1).values, grid, tg, "x1")
+    leaf2 = free_derivative_hat(unit_projection(oracle_data.phi0, k2).values, grid, tg, "x1")
     src = FieldSeries(grid, tg, product_dealias(leaf1, leaf2, grid), "spectral")
     direct = duhamel(src, tg, d_choice="x1")
     scale = max(float(np.max(np.abs(direct.values))), 1e-300)

@@ -339,9 +339,35 @@ def _plugin_moment(x: np.ndarray, p: int) -> float:
     return float(np.mean(x ** float(p)) ** (1.0 / p))
 
 
+def _quantile(x: np.ndarray, q: float | None) -> float:
+    """np.quantile(x, q) with numpy's default (linear) method, or np.median(x)
+    for q None, bit for bit on a nonempty array of finite floats none of
+    which is -0.0 (numpy may pick either zero of a tie of 0.0 and -0.0).
+
+    numpy 2.x reaches both through code that imports numpy.ma on first use
+    (some 14 ms); this sorts and follows numpy's arithmetic step by step.
+    """
+    s = np.sort(x)
+    n = s.size
+    if q is None:
+        # the mean of the middle one or two values
+        mid = n // 2
+        return float(s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0)
+    v = (n - 1) * q
+    lo = math.floor(v)
+    if v >= n - 1:
+        lo = hi = -1
+    else:
+        hi = lo + 1
+    t = v - lo
+    a, b = s[lo], s[hi]
+    diff = b - a
+    return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
+
+
 def _bootstrap_upper(x: np.ndarray, p: int, boot_idx: np.ndarray) -> float:
     boots = np.mean(x[boot_idx] ** float(p), axis=1) ** (1.0 / p)
-    return max(float(np.quantile(boots, BOOTSTRAP_QUANTILE)), _plugin_moment(x, p))
+    return max(_quantile(boots, BOOTSTRAP_QUANTILE), _plugin_moment(x, p))
 
 
 def _moment_bound(c_cal: float, n: int, p: int, phi0_h1: float, t_final: float) -> float:
@@ -407,9 +433,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if xf.size:
             level_stats[n] = {
                 "mean": float(np.mean(xf)),
-                "median": float(np.median(xf)),
-                "q05": float(np.quantile(xf, 0.05)),
-                "q95": float(np.quantile(xf, 0.95)),
+                "median": _quantile(xf, None),
+                "q05": _quantile(xf, 0.05),
+                "q95": _quantile(xf, 0.95),
                 "max": float(np.max(xf)),
                 "finite_fraction": float(xf.size / x.size),
             }
@@ -456,7 +482,7 @@ def interval_scaling_study(config: ExperimentConfig) -> ScalingResult:
         for n in range(config.n_max + 1):
             x = by_level[n]
             xf = x[np.isfinite(x)]
-            medians[n].append(float(np.median(xf)) if xf.size else math.inf)
+            medians[n].append(_quantile(xf, None) if xf.size else math.inf)
     slopes = {}
     for n, meds in medians.items():
         good = [(t, m) for t, m in zip(ts, meds) if math.isfinite(m) and m > 0]
@@ -501,7 +527,7 @@ def tail_study(config: ExperimentConfig, n: int,
         # the nonvacuous region; lam_vac is where the bound crosses 1
         lam_vac = math.e * mb.c * scale * mb.p0 ** (k / 2.0)
         hi = max(4.0 * float(np.max(xf)), 8.0 * lam_vac)
-        lam_grid = np.geomspace(0.5 * float(np.median(xf)), hi, 33)
+        lam_grid = np.geomspace(0.5 * _quantile(xf, None), hi, 33)
     lam = tuple(float(v) for v in lam_grid)
     empirical = tuple(float(np.mean(x > v)) for v in lam)
     bound = tuple(tail_from_moments(mb, v) for v in lam)

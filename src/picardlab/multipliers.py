@@ -1,8 +1,9 @@
 """Fourier multipliers of the half-wave calculus and unit-scale projections.
 
-The module owns the half-wave tables: :func:`halfwave_tables` is the one
-evaluation of cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi|, for the symbols
-below and for the Picard engine's per-node propagators.
+The module owns the half-wave tables: :func:`halfwave_profiles` is the one
+evaluation of cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi|, once per time and
+distinct |xi|, for the symbols below (spread over the lattice by
+:func:`halfwave_tables`) and for the Picard engine's per-node propagators.
 
 Symbols implemented, as functions of the lattice frequency xi:
 
@@ -28,7 +29,7 @@ supported in the open square (-1, 1)^2 and equals 1 on the block interior
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,28 +114,46 @@ def _nyquist_safe_xi(grid: Grid, axis: int) -> np.ndarray:
     return xi
 
 
-def halfwave_tables(grid: Grid, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi| (limit t at xi = 0), each of
-    shape (len(times), N, N).
+@lru_cache(maxsize=8)
+def abs_xi_levels(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of |xi| in ascending order, and per mode the index
+    of its value among them (shape (N, N)), both read-only:
+    ``levels[index]`` is ``grid.abs_xi`` bit for bit."""
+    levels, index = np.unique(grid.abs_xi, return_inverse=True)
+    index = index.reshape(grid.abs_xi.shape)
+    for arr in (levels, index):
+        arr.flags.writeable = False
+    return levels, index
 
-    Evaluated once per distinct |xi| (1825 of the 16384 modes at 128^2 with
-    L = 16 pi) and spread back over the lattice: the same bits as evaluating
-    every mode.
+
+def halfwave_profiles(grid: Grid, times) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi| (limit t at xi = 0) per
+    time and distinct |xi|, each of shape (len(times), len(levels)) (see
+    :func:`abs_xi_levels`), and the lattice index that spreads them: table
+    ``np.take(profile, index, axis=1)`` holds every mode.
+
+    One evaluation per distinct |xi|: 1825 of the 16384 modes at 128^2 with
+    L = 16 pi.
     """
     times = np.asarray(times, dtype=float)
-    n = grid.n_points
-    a, inverse = np.unique(grid.abs_xi, return_inverse=True)
-    targ = times[:, None] * a[None, :]
+    levels, index = abs_xi_levels(grid)
+    targ = times[:, None] * levels[None, :]
     cos_t = np.cos(targ)
     sin_t = np.sin(targ)
     sinc_t = np.empty_like(sin_t)
-    nz = a > 0.0
-    sinc_t[:, nz] = sin_t[:, nz] / a[nz]
+    nz = levels > 0.0
+    sinc_t[:, nz] = sin_t[:, nz] / levels[nz]
     sinc_t[:, ~nz] = times[:, None]
-    shape = (len(times), n, n)
-    inverse = inverse.ravel()
-    return tuple(np.take(table, inverse, axis=1).reshape(shape)
-                 for table in (cos_t, sin_t, sinc_t))
+    return (cos_t, sin_t, sinc_t), index
+
+
+def halfwave_tables(grid: Grid, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi| (limit t at xi = 0), each of
+    shape (len(times), N, N): the profiles of :func:`halfwave_profiles`
+    spread over the lattice, the same bits as evaluating every mode.
+    """
+    profiles, index = halfwave_profiles(grid, times)
+    return tuple(np.take(profile, index, axis=1) for profile in profiles)
 
 
 @lru_cache(maxsize=256)
@@ -220,12 +239,39 @@ class UnitPartition:
         lo, hi = self.k_range
         return lo <= k[0] <= hi and lo <= k[1] <= hi
 
-    def weight(self, k: tuple[int, int]) -> np.ndarray:
-        """psi(xi - k) evaluated on the frequency lattice."""
+    def window(self, k: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """psi(xi - k) on its support: the lattice indices (rows, cols) of
+        each axis where its factor eta(xi_i - k_i) is nonzero, and the
+        weight there, of shape (len(rows), len(cols)).
+
+        The indices ascend in numpy's unshifted order, so a block near
+        xi_i = 0 holds the first and the last indices of the axis.
+        """
         if not self.contains(k):
             raise ValueError(f"block {k} outside covered range {self.k_range}")
+        lo = self.k_range[0]
+        (rows, eta_1), (cols, eta_2) = (self._axis_windows[k_i - lo] for k_i in k)
+        return rows, cols, np.outer(eta_1, eta_2)
+
+    @cached_property
+    def _axis_windows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per covered k_i from k_min on: the indices of a lattice axis where
+        eta(xi_i - k_i) is nonzero, and its values there."""
+        lo, hi = self.k_range
         xi = self.grid.xi1[:, 0]
-        return np.outer(bump_profile(xi - k[0]), bump_profile(xi - k[1]))
+        windows = []
+        for factor in bump_profile(xi - np.arange(lo, hi + 1, dtype=float)[:, None]):
+            idx = np.flatnonzero(factor)
+            windows.append((idx, factor[idx]))
+        return tuple(windows)
+
+    def weight(self, k: tuple[int, int]) -> np.ndarray:
+        """psi(xi - k) evaluated on the frequency lattice: its window, zero
+        elsewhere."""
+        rows, cols, w = self.window(k)
+        full = np.zeros((self.grid.n_points,) * 2)
+        full[np.ix_(rows, cols)] = w
+        return full
 
 
 def unit_projection(f: Field, k: tuple[int, int]) -> Field:

@@ -61,14 +61,15 @@ are not advanced further.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Collection, Iterator
 
 import numpy as np
 
 from .grid import Grid, PHYSICAL, SPECTRAL, lp_nodes, sobolev_nodes
-from .multipliers import D_CHOICES, halfwave_tables, spatial_derivative, symbol_array
+from .multipliers import (D_CHOICES, abs_xi_levels, halfwave_profiles, spatial_derivative,
+                          symbol_array)
 from .randomization import RandomizedData
 
 __all__ = [
@@ -175,13 +176,15 @@ class BlowUpError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _wave_tables(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (cos, sin, sinc) tables at the nodes of ``tg``: the free
-    propagators and, split by angle addition, every Duhamel kernel's factors."""
-    tables = halfwave_tables(grid, tg.times)
-    for arr in tables:
+def _profiles(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (cos, sin, sinc) at the nodes of ``tg``, one column per
+    distinct |xi| (:func:`.multipliers.halfwave_profiles`): the free
+    propagators and, split by angle addition, every Duhamel kernel's
+    factors.  :meth:`_Region.spread` puts rows of them on the modes."""
+    profiles, _ = halfwave_profiles(grid, tg.times)
+    for arr in profiles:
         arr.flags.writeable = False
-    return tables
+    return profiles
 
 
 @lru_cache(maxsize=8)
@@ -226,18 +229,29 @@ def _chunks(n_nodes: int) -> Iterator[slice]:
     return (slice(m, min(m + _CHUNK, n_nodes)) for m in range(0, n_nodes, _CHUNK))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Region:
     """The modes a Duhamel sum runs on, held as one contiguous array: the
     whole lattice, or the box with its four quadrants side by side.
 
     ``pairs`` maps each (rows, cols) slice pair of the full lattice to its
     place in that compact array; every kernel is pointwise per mode, so the
-    layout changes no value.
+    layout changes no value.  ``index`` holds each mode's column of a
+    profile (:func:`_profiles`) and ``abs_xi`` its |xi|, both in the
+    compact layout.
     """
 
     pairs: tuple
     size: int
+    grid: Grid
+    index: np.ndarray = field(init=False, repr=False)
+    abs_xi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name, full in (("index", abs_xi_levels(self.grid)[1]), ("abs_xi", self.grid.abs_xi)):
+            compact = self.gather(full)
+            compact.flags.writeable = False
+            object.__setattr__(self, name, compact)
 
     def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The region's modes of ``full`` in the compact layout, written into
@@ -249,6 +263,15 @@ class _Region:
         for (rows, cols), (c_rows, c_cols) in self.pairs:
             out[..., c_rows, c_cols] = full[..., rows, cols]
         return out
+
+    def spread(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Profile ``rows`` (nodes x distinct |xi|) on the region's modes,
+        written into ``out`` (or a fresh array) of shape (nodes, size, size).
+
+        The indices are in range; mode "clip" writes into ``out`` without
+        the buffered copy of the default mode.
+        """
+        return np.take(rows, self.index, axis=1, out=out, mode="clip")
 
     def buffers(self, n_nodes: int) -> tuple[np.ndarray, ...]:
         """A Duhamel step's workspace for up to ``n_nodes`` nodes: scratch
@@ -273,21 +296,27 @@ def _region(grid: Grid, box: bool) -> _Region:
     n = grid.n_points
     if not box:
         whole = (slice(None), slice(None))
-        return _Region(((whole, whole),), n)
+        return _Region(((whole, whole),), n, grid)
     cut = n // 3
     bands = (slice(0, cut + 1), slice(cut + 1, 2 * cut + 1))
     compact = tuple((rows, cols) for rows in bands for cols in bands)
-    return _Region(tuple(zip(_box(grid), compact)), 2 * cut + 1)
+    return _Region(tuple(zip(_box(grid), compact)), 2 * cut + 1, grid)
 
 
-@lru_cache(maxsize=8)
-def _region_tables(grid: Grid, tg: TimeGrid, box: bool) -> tuple[np.ndarray, ...]:
-    """(cos, sin, sinc, |xi|) on the modes of ``_region(grid, box)``, read-only."""
-    region = _region(grid, box)
-    tables = tuple(region.gather(t) for t in (*_wave_tables(grid, tg), grid.abs_xi))
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
+@lru_cache(maxsize=32)
+def _series_table(grid: Grid, tg: TimeGrid, box: bool, which: int) -> np.ndarray:
+    """Profile ``which`` of (cos, sin, sinc) spread on the modes of
+    ``_region(grid, box)`` at every node, read-only: the tables of a caller
+    that computes a whole series at once.  The march spreads one chunk at a
+    time instead."""
+    table = _region(grid, box).spread(_profiles(grid, tg)[which])
+    table.flags.writeable = False
+    return table
+
+
+def _series_tables(grid: Grid, tg: TimeGrid, box: bool, count: int = 3) -> tuple[np.ndarray, ...]:
+    """The first ``count`` of (cos, sin, sinc) from :func:`_series_table`."""
+    return tuple(_series_table(grid, tg, box, which) for which in range(count))
 
 
 class _DuhamelSums:
@@ -304,7 +333,6 @@ class _DuhamelSums:
 
     def __init__(self, grid: Grid, tg: TimeGrid, box: bool):
         self.region = _region(grid, box)
-        self.cos, self.sin, self.sinc, self.abs_xi = _region_tables(grid, tg, box)
         self.dt = tg.dt
         self.node = 0
         self.run: list = [None, None]
@@ -329,18 +357,19 @@ class _DuhamelSums:
         f *= self.dt
 
     def advance(self, src_hat: np.ndarray, work: tuple[np.ndarray, ...],
-                want_u: bool = True, want_dt: bool = True
+                tables: tuple[np.ndarray, ...], want_u: bool = True, want_dt: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(u, dt u) on the region at the next ``len(src_hat)`` nodes, in the
         region's compact layout; a part not asked for is None.
 
-        Every intermediate and both parts live in ``work``
-        (:meth:`_Region.buffers`); the parts are views of it, valid until
-        the next call that uses it.
+        ``tables`` holds (cos, sin, sinc) at those nodes on the region's
+        modes (:meth:`_Region.spread`).  Every intermediate and both parts
+        live in ``work`` (:meth:`_Region.buffers`); the parts are views of
+        it, valid until the next call that uses it.
         """
         nodes = slice(self.node, self.node + len(src_hat))
         scratch, a, b, u, dt_u = (buf[:len(src_hat)] for buf in work)
-        c, sc = self.cos[nodes], self.sinc[nodes]
+        c, s, sc = tables
         src = self.region.gather(src_hat, out=scratch)
         np.multiply(c, src, out=a)
         np.multiply(sc, src, out=b)
@@ -352,9 +381,9 @@ class _DuhamelSums:
             np.multiply(sc, a, out=u)
             u -= np.multiply(c, b, out=scratch)
         if want_dt:
-            b *= self.abs_xi
+            b *= self.region.abs_xi
             np.multiply(c, a, out=dt_u)
-            dt_u += np.multiply(self.sin[nodes], b, out=scratch)
+            dt_u += np.multiply(s, b, out=scratch)
         return u if want_u else None, dt_u if want_dt else None
 
 
@@ -368,12 +397,15 @@ def _duhamel_series(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, box: bool 
     region the result is zero.  A part not asked for is returned as None.
     """
     sums = _DuhamelSums(grid, tg, box)
+    tables = _series_tables(grid, tg, box)
     work = sums.region.buffers(min(_CHUNK, tg.n_nodes))
     new = np.zeros if box else np.empty
     outs = [new(source_hat.shape, dtype=complex) if want else None
             for want in (want_u, want_dt)]
     for nodes in _chunks(tg.n_nodes):
-        for part, out in zip(sums.advance(source_hat[nodes], work, want_u, want_dt), outs):
+        parts = sums.advance(source_hat[nodes], work, tuple(t[nodes] for t in tables),
+                             want_u, want_dt)
+        for part, out in zip(parts, outs):
             if out is not None:
                 sums.region.place(part, out[nodes])
     return outs[0], outs[1]
@@ -480,9 +512,9 @@ def _free_hats(phi0_hat: np.ndarray, grid: Grid, tables: tuple[np.ndarray, ...],
                out: tuple = (None, None),
                scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(u, dt u) of the free wave from (phi0, 0) at the nodes of the
-    (cos, sin, ...) ``tables``, written into the pair ``out`` (or fresh
-    arrays) with a real ``scratch`` of the same shape."""
-    cos_t, sin_t = tables[:2]
+    whole-lattice (cos, sin) ``tables``, written into the pair ``out`` (or
+    fresh arrays) with a real ``scratch`` of the same shape."""
+    cos_t, sin_t = tables
     u = np.multiply(cos_t, phi0_hat, out=out[0])
     speed = np.multiply(grid.abs_xi, sin_t, out=scratch)
     dudt = np.multiply(np.negative(speed, out=speed), phi0_hat, out=out[1])
@@ -505,7 +537,7 @@ def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
     """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
     expansion's per-block brick, from the free pair the recursion starts at."""
     _check_d_choice(d_choice)
-    pair = _free_hats(phi0_hat, grid, _wave_tables(grid, tg))
+    pair = _free_hats(phi0_hat, grid, _series_tables(grid, tg, False, 2))
     return _derivative_hat(*pair, grid, d_choice)
 
 
@@ -522,7 +554,7 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     """
     _check_d_choice(d_choice)
     grid = data.grid
-    u0, dudt0 = _free_hats(data.phi0_rand.values, grid, _wave_tables(grid, tg))
+    u0, dudt0 = _free_hats(data.phi0_rand.values, grid, _series_tables(grid, tg, False, 2))
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
         _frozen_series(grid, tg, u0, "u"),
@@ -567,14 +599,18 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
 
     The levels of a chunk run one after another, so one workspace of
     chunk-sized buffers, allocated here, serves every level of every chunk:
-    each stage writes into it instead of allocating.  Nothing in it outlives
-    the march; the kept series are copied out of it.
+    each stage writes into it instead of allocating.  The propagator tables
+    are in it too: each chunk spreads its rows of the profiles once, cos
+    and sin on the lattice for the free pair and cos, sin and sinc on the
+    box for the Duhamel sums of every level.  Nothing in it outlives the
+    march; the kept series are copied out of it.
     """
     # a box-supported datum keeps every du in the box, where the box inverse
     # transform of du equals the full one: one transform serves the L^4 norm
     # and the next level's product
     reuse = _inside_box(phi0_hat, grid)
-    tables = _wave_tables(grid, tg)
+    profiles = _profiles(grid, tg)
+    lattice, box = _region(grid, False), _region(grid, True)
     sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_max)]
     per_node = np.zeros((n_max + 1, 3, tg.n_nodes))
     shape = (tg.n_nodes, grid.n_points, grid.n_points)
@@ -585,15 +621,20 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     free_u, free_dt, level_u, level_dt, du_buf, phys_buf = (
         np.empty(chunk, dtype=complex) for _ in range(6))
     real_buf = np.empty(chunk)
-    work = _region(grid, True).buffers(chunk[0])
+    work = box.buffers(chunk[0])
+    # the chunk's cos and sin on the lattice, and cos, sin and sinc on the box
+    free_tables = tuple(np.empty(chunk) for _ in range(2))
+    box_tables = tuple(np.empty((chunk[0], box.size, box.size)) for _ in range(3))
     top = n_max
     for nodes in _chunks(tg.n_nodes):
         k = nodes.stop - nodes.start
         real, phys = real_buf[:k], phys_buf[:k]
-        free = _free_hats(phi0_hat, grid, tuple(t[nodes] for t in tables),
-                          out=(free_u[:k], free_dt[:k]), scratch=real)
+        chunk_rows = tuple(profile[nodes] for profile in profiles)
+        cos_sin = tuple(lattice.spread(r, out=t[:k]) for r, t in zip(chunk_rows, free_tables))
+        free = _free_hats(phi0_hat, grid, cos_sin, out=(free_u[:k], free_dt[:k]), scratch=real)
         level = level_u[:k], level_dt[:k]
         if top:
+            tables = tuple(box.spread(r, out=t[:k]) for r, t in zip(chunk_rows, box_tables))
             # outside the box every level is its free part: set once per chunk
             for out, start in zip(level, free):
                 for lines in _gap_lines(grid):
@@ -606,7 +647,7 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
                 # self-square of product_dealias taken in place
                 phys *= phys
                 step = sums[n - 1]
-                for part, start, out in zip(step.advance(_box_fft2(phys, grid), work),
+                for part, start, out in zip(step.advance(_box_fft2(phys, grid), work, tables),
                                             free, level):
                     step.region.place(part, out, start)
                 u, dudt = level

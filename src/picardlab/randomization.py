@@ -43,7 +43,7 @@ BLOCK_NORM_THRESHOLD = 1e-14
 
 @dataclass(frozen=True)
 class RademacherDraw:
-    """Signs for every (channel, block): values[(channel, k)] in {-1, +1}."""
+    """The sign of every block: values[("eps", k)] in {-1, +1}."""
 
     seed: int
     sample_index: int
@@ -59,7 +59,7 @@ def draw_rademacher(
     blocks: "set[tuple[int, int]] | tuple[tuple[int, int], ...] | list[tuple[int, int]]",
     sample_index: int = 0,
 ) -> RademacherDraw:
-    """Independent +-1 per (block, channel) from a counter-based stream.
+    """Independent +-1 per block from a counter-based stream.
 
     Identical (seed, sample_index, blocks) reproduce the draw exactly; distinct
     sample indices give disjoint Philox streams, so Monte Carlo samples can be
@@ -70,14 +70,10 @@ def draw_rademacher(
         raise ValueError("draw_rademacher needs a nonempty block set")
     bitgen = np.random.Philox(seed=np.random.SeedSequence((int(seed), int(sample_index))))
     rng = np.random.Generator(bitgen)
-    # the "nu" column (the velocity channel's signs) is still drawn: without
-    # it the stream, and so every eps sign, would change
+    # the "nu" column (the velocity channel's signs) is still drawn, and not
+    # kept: without it the stream, and so every eps sign, would change
     raw = rng.integers(0, 2, size=(len(block_list), len(CHANNELS))) * 2 - 1
-    values = {
-        (channel, k): int(raw[i, j])
-        for i, k in enumerate(block_list)
-        for j, channel in enumerate(CHANNELS)
-    }
+    values = {("eps", k): int(raw[i, 0]) for i, k in enumerate(block_list)}
     return RademacherDraw(int(seed), int(sample_index), block_list, values)
 
 
@@ -132,7 +128,9 @@ def randomize(phi0: Field, phi1: None, draw: RademacherDraw) -> RandomizedData:
 
     The velocity slot ``phi1`` must be None: the data lie in H^1 x {0}.  The
     signed projections are added one at a time, in the draw's block order,
-    into one running sum.
+    into one running sum, each on the window of its weight (11 x 11 modes at
+    frequency spacing 1/8): outside it the full-lattice term is zero and
+    adding it changes no bit.
     """
     if phi1 is not None:
         raise ValueError("the velocity datum is zero: data in H^1 x {0}")
@@ -140,7 +138,9 @@ def randomize(phi0: Field, phi1: None, draw: RademacherDraw) -> RandomizedData:
     part = UnitPartition(g0.grid)
     total = np.zeros_like(g0.values)
     for k in draw.blocks:
-        total += draw.eps(k) * (part.weight(k) * g0.values)
+        rows, cols, w = part.window(k)
+        win = np.ix_(rows, cols)
+        total[win] += draw.eps(k) * (w * g0.values[win])
     return RandomizedData(draw=draw, phi0=g0, phi0_rand=Field(g0.grid, total, SPECTRAL))
 
 

@@ -193,6 +193,68 @@ def test_one_reference_sample_holds_less_than_one_series_of_memory():
     assert peak < 65 * 128 * 128 * 16
 
 
+def _run_python(code: str, timeout: float = 120) -> str:
+    """Run ``code`` in a fresh interpreter with this checkout's ``src`` first
+    on the path; its standard output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop(harness.WORKERS_ENV, None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_cold_reference_sample_keeps_only_the_profiles():
+    """One 128^2, 65-node, n <= 3 sample in a fresh process, every table
+    cache empty: the march spreads each chunk's propagator rows into its
+    workspace, so the traced peak stays below one 65 x 128^2 complex series
+    (where tables over the whole lattice took 45.9 MB), and what the call
+    keeps, mostly the per-|xi| profiles, stays below half of one 65 x 128^2
+    real table (where the cached lattices took 37.2 MB)."""
+    out = _run_python(
+        "import json, math, tracemalloc\n"
+        "from picardlab.harness import ExperimentConfig, _prepare, _run_one\n"
+        f"run = _prepare({REF128!r})\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "rows = _run_one(run, 0)\n"
+        "current, peak = tracemalloc.get_traced_memory()\n"
+        "print(json.dumps([[r.n for r in rows], all(r.finite for r in rows),\n"
+        "                  peak - before, current - before]))\n")
+    levels, finite, peak, held = json.loads(out)
+    assert levels == [0, 1, 2, 3] and finite
+    assert peak < 65 * 128 * 128 * 16
+    assert held < 65 * 128 * 128 * 8 / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 64, 200, 511])
+def test_quantile_helper_is_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    cases = [rng.standard_normal(n), rng.exponential(size=n) * 1e-200,
+             rng.integers(0, 3, n).astype(float), np.sort(rng.random(n)),
+             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)]
+    for x in cases:
+        for q in (0.0, 0.05, 0.5, 0.95, 1.0, *rng.random(8)):
+            assert np.float64(harness._quantile(x, float(q))).tobytes() == \
+                np.quantile(x, float(q)).tobytes()
+        assert np.float64(harness._quantile(x, None)).tobytes() == np.median(x).tobytes()
+
+
+def test_a_run_and_its_report_do_not_import_numpy_ma(tmp_path):
+    """numpy's quantile and median import numpy.ma on first use; the harness's
+    own quantile keeps it out of a run."""
+    config = replace(SMALL, samples=4)
+    out = _run_python(
+        "import sys\n"
+        "from picardlab import ExperimentConfig, emit_report, run_experiment\n"
+        f"emit_report(run_experiment({config!r}), {str(tmp_path)!r})\n"
+        "print('numpy.ma' in sys.modules)\n")
+    assert out.strip() == "False"
+    assert (tmp_path / "summary.json").is_file()
+
+
 def test_a_sample_datum_builds_no_block_projections():
     """A sample's datum adds its signed block projections into one running
     sum: at the reference config (25 blocks) its traced peak stays below

@@ -7,11 +7,13 @@ import pytest
 
 from picardlab import BERNSTEIN_C0, Field, apply_multiplier, lp_norm, make_grid, unit_projection
 from picardlab.grid import as_physical, as_spectral
+from picardlab.picard import _region
 from picardlab.multipliers import (
     UnitPartition,
     bump_profile,
     cos_halfwave,
     gradient_magnitude,
+    halfwave_profiles,
     halfwave_tables,
     m01,
     sinc_halfwave,
@@ -203,3 +205,36 @@ def test_halfwave_tables_equal_direct_evaluation(n, length, times):
     assert np.array_equal(sin_t, sin_direct)
     assert np.array_equal(sinc_t, sinc_direct)
     assert np.array_equal(symbol_array(cos_halfwave(0.3), grid), np.cos(0.3 * a))
+    # the engine's spreads of the profiles: the whole lattice, and the box in
+    # its compact layout, each also written into a buffer
+    profiles, _ = halfwave_profiles(grid, times)
+    for box in (False, True):
+        region = _region(grid, box)
+        for profile, table in zip(profiles, (cos_t, sin_t, sinc_t)):
+            expect = region.gather(table)
+            assert np.array_equal(region.spread(profile), expect)
+            out = np.full(expect.shape, np.nan)
+            assert region.spread(profile, out=out) is out
+            assert np.array_equal(out, expect)
+        assert np.array_equal(region.abs_xi, region.gather(a))
+
+
+@pytest.mark.parametrize("n, length", [(128, 16.0 * math.pi), (64, 8.0 * math.pi),
+                                       (32, 2.0 * math.pi)])
+def test_block_weight_is_its_window_and_the_outer_product_of_its_factors(n, length):
+    """Each weight, evaluated on its support window, equals the full-lattice
+    outer product of the two 1-D bumps, which is zero off the window."""
+    grid = make_grid(n, length)
+    part = UnitPartition(grid)
+    xi = grid.xi1[:, 0]
+    for k in part.blocks:
+        outer = np.outer(bump_profile(xi - k[0]), bump_profile(xi - k[1]))
+        rows, cols, w = part.window(k)
+        assert np.array_equal(part.weight(k), outer)
+        assert np.array_equal(w, outer[np.ix_(rows, cols)])
+        off = np.ones_like(outer, dtype=bool)
+        off[np.ix_(rows, cols)] = False
+        assert not outer[off].any()
+    lo, hi = part.k_range
+    with pytest.raises(ValueError):
+        part.window((hi + 1, 0))

@@ -316,12 +316,15 @@ def test_product_equals_full_lattice_reference(n, lead, square):
 
 def _march_duhamel(src, grid, tg, start):
     """start + the box Duhamel series, chunk by chunk as the march adds it:
-    one workspace for every chunk, and outside the box the start itself."""
+    one workspace for every chunk, each chunk's rows of the profiles spread
+    on the box, and outside the box the start itself."""
     step = picard._DuhamelSums(grid, tg, box=True)
     work = step.region.buffers(DEFAULT_CHUNK)
+    profiles = picard._profiles(grid, tg)
     out = tuple(part.copy() for part in start)
     for nodes in picard._chunks(tg.n_nodes):
-        for part, begin, dest in zip(step.advance(src[nodes], work), start, out):
+        tables = tuple(step.region.spread(profile[nodes]) for profile in profiles)
+        for part, begin, dest in zip(step.advance(src[nodes], work, tables), start, out):
             step.region.place(part, dest[nodes], begin[nodes])
     return out
 

@@ -21,7 +21,7 @@ def test_draw_values_are_signs():
     blocks = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
     draw = draw_rademacher(7, blocks, sample_index=2)
     assert set(draw.values.values()) <= {-1, 1}
-    assert len(draw.values) == 2 * len(blocks)
+    assert len(draw.values) == len(blocks)
 
 
 def test_draw_deterministic_and_order_free():

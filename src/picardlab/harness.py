@@ -34,7 +34,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -317,6 +316,9 @@ def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
     workers = _worker_count(samples)
     runs, indices = repeat(run, samples), range(samples)
     if workers > 1:
+        # the pool loads multiprocessing and socket; a serial run never needs them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_sample = list(pool.map(_run_one, runs, indices))
     else:

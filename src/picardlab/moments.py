@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -181,6 +180,8 @@ class DecoupledMomentResult:
 def _term_coefficient_identity(j: int, ks: tuple[int, ...]) -> bool:
     """(2j)!/prod(2k_i)! == [j!/prod k_i!] * [(2j)!/j!] * prod[k_i!/(2k_i)!],
     and the middle factor bound prod[k_i!/(2k_i)!] <= 1."""
+    from fractions import Fraction
+
     best1 = Fraction(math.factorial(2 * j))
     for k in ks:
         best1 /= math.factorial(2 * k)
@@ -271,6 +272,8 @@ def surjection_count(n_items: int, r: int) -> int:
     count = math.factorial(r) * stirling2(n_items, r)
     if count > r**n_items:
         raise AssertionError(f"surjection count {count} exceeds r^N = {r**n_items}")
+    from fractions import Fraction
+
     if Fraction(count, r ** (n_items - r)) > r**r:
         raise AssertionError(
             f"surjection count / r^(N-r) exceeds r^r for N={n_items}, r={r}")

@@ -23,20 +23,22 @@ symmetric bit for bit, so a tree term does not change when the two children
 of any node swap places together with their blocks; the memo key orders the
 children of every node by their own (shape encoding, blocks) keys, and a
 whole class of swapped terms is computed once (at n = 2 with 4 blocks, 105
-products instead of 145).  A term that serves as a factor keeps its box
-inverse transform, so each distinct factor is transformed once; the product
-takes the cached arrays (the self-square path when both children share one
-key).  Each tuple's signed term is added to or subtracted from the total in
-place.  A term with more than 2^(n-1) leaves is never a factor at level n,
-so it leaves the memo once the last tuple of its swap class has read it (at
-n = 2 with 4 blocks, at most 57 entries are alive at once instead of 109).
-The values are the bits of the plain memo-free sum; only the signs
-of exact zeros can differ.
+products instead of 145).  A tuple's sign is the product of its blocks'
+Rademacher signs, which child swaps keep, so the sum runs over swap classes:
+each class term is computed once and added once, scaled by its sign times
+the number of (tree, tuple) pairs in the class.  A term serves as a factor
+at level n only if its height is at most n - 1; such a term stays in the
+memo with its box inverse transform, so each distinct factor is transformed
+once and the product takes the cached arrays (the self-square path when both
+children share one key).  Every other term is dropped as soon as it has been
+added, so the memo holds only the factors plus the term at hand (at n = 2
+with 4 blocks, 15 entries at most).  The sum is capped by its (tree, tuple)
+term count, MAX_TREE_TERMS: n = 3 is within reach for up to 3 blocks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as cartesian_product
@@ -73,6 +75,7 @@ __all__ = [
 ]
 
 MAX_LEAVES = 14
+MAX_TREE_TERMS = 25_000
 ORACLE_NODES = 32
 
 
@@ -371,48 +374,52 @@ def reconstruct_iterate(
 
     Sums, over j = 1..2^n, every j-tuple of active blocks and every tree
     realizable at level n, the term G^tau weighted by the product of the
-    tuple's Rademacher signs.  Resource-capped: the tuple count is
-    |blocks|^j, so the active set is limited to ``max_blocks`` and n <= 2.
+    tuple's Rademacher signs.  The sum is taken once per swap class, as
+    (sign x multiplicity) x term, in the order the classes first appear in
+    the (j, tuple, tree) walk.  Resource-capped: at most ``max_blocks``
+    active blocks and MAX_TREE_TERMS (tree, tuple) terms.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > 2:
-        raise ValueError("reconstruction is budgeted for n <= 2")
     _check_d_choice(d_choice)
     active = tuple(sorted(data.draw.blocks))
     if len(active) > max_blocks:
         raise ValueError(f"{len(active)} active blocks exceed the cap {max_blocks}")
+    # sum_j len(trees_at_level(j, h)) * b^j: a tree of height <= h is a leaf
+    # or a node over two trees of height <= h - 1, so it is b + (its value at
+    # h - 1)^2; the loop stops once it passes the cap
+    terms = len(active)
+    for _ in range(n):
+        if terms > MAX_TREE_TERMS:
+            break
+        terms = len(active) + terms * terms
+    if terms > MAX_TREE_TERMS:
+        raise ValueError(f"level {n} over {len(active)} active blocks sums at least {terms} "
+                         f"(tree, tuple) terms, above the cap {MAX_TREE_TERMS}")
 
-    def tuples():
-        for j in range(1, 2**n + 1):
-            trees = trees_at_level(j, n)
-            for tup in cartesian_product(active, repeat=j):
-                yield j, tup, trees
-
-    # a term with more than 2^(n-1) leaves is never a factor at level n: only
-    # the tuples of its own swap class read it, and it leaves the memo after
-    # the last of those reads
-    reads = Counter(_term_key(tree, tup, data, tg, d_choice, None)
-                    for j, tup, trees in tuples() if j > 2**n // 2 for tree in trees)
+    # each swap class with its first (tree, tuple) and its coefficient: the
+    # tuple's sign, constant on the class, times the class's size
+    classes: dict = {}
+    for j in range(1, 2**n + 1):
+        trees = trees_at_level(j, n)
+        for tup in cartesian_product(active, repeat=j):
+            sign = math.prod(data.draw.eps(k) for k in tup)
+            for tree in trees:
+                key = _term_key(tree, tup, data, tg, d_choice, None)
+                classes.setdefault(key, [tree, tup, 0])[2] += sign
     grid = data.grid
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
+    scratch = np.empty_like(total)
     memo: dict = {}
-    for j, tup, trees in tuples():
-        sign = 1
-        for k in tup:
-            sign *= data.draw.eps(k)
-        keys = [_term_key(tree, tup, data, tg, d_choice, memo) for tree in trees]
-        terms = [memo[key].hat for key in keys]
-        # the terms summed in tree order, a lone term not copied; adding it
-        # to zero and negating it are exact, so this is the signed sum
-        term = sum(terms[1:], terms[0])
-        if sign > 0:
+    for key, (tree, tup, coef) in classes.items():
+        term = memo[_term_key(tree, tup, data, tg, d_choice, memo)].hat
+        if coef == 1:
             total += term
-        else:
+        elif coef == -1:
             total -= term
-        for key in keys:
-            if key in reads:
-                reads[key] -= 1
-                if not reads[key]:
-                    del memo[key]
+        else:
+            total += np.multiply(coef, term, out=scratch)
+        # a term of height n is no factor at level n
+        if tree.height == n:
+            del memo[key]
     return _frozen_series(grid, tg, total, "du_reconstructed")

@@ -255,6 +255,20 @@ def test_a_run_and_its_report_do_not_import_numpy_ma(tmp_path):
     assert (tmp_path / "summary.json").is_file()
 
 
+def test_a_serial_run_does_not_import_the_process_pool(tmp_path):
+    """The process pool (with multiprocessing and socket) is imported only by
+    a run with more than one worker."""
+    config = replace(SMALL, samples=2)
+    out = _run_python(
+        "import sys\n"
+        "import picardlab\n"
+        "from picardlab import ExperimentConfig, emit_report, run_experiment\n"
+        f"emit_report(run_experiment({config!r}), {str(tmp_path)!r})\n"
+        "print('concurrent.futures.process' in sys.modules)\n")
+    assert out.strip() == "False"
+    assert (tmp_path / "summary.json").is_file()
+
+
 def test_a_sample_datum_builds_no_block_projections():
     """A sample's datum adds its signed block projections into one running
     sum: at the reference config (25 blocks) its traced peak stays below

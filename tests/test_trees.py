@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import two_block_datum
 from picardlab import (
     BinaryTree,
+    Field,
     TimeGrid,
     b_index_set,
     c_star,
@@ -217,26 +218,78 @@ def test_term_key_is_canonical_under_child_swaps(small_oracle):
     assert len(set().union(*classes.values())) == len(classes)
 
 
+def _swap_classes(n, data):
+    """Each swap class of the level-n sum, in the order of its first (j, tuple,
+    tree) in the walk: that (tree, tuple) and the class's sign times its size."""
+    classes = {}
+    for j in range(1, 2**n + 1):
+        for tup in cartesian_product(sorted(data.draw.blocks), repeat=j):
+            sign = math.prod(data.draw.eps(k) for k in tup)
+            for tree in trees_at_level(j, n):
+                classes.setdefault(_swap_class(tree, tup), [tree, tup, 0])[2] += sign
+    return list(classes.values())
+
+
+def _tuple_order_sum(n, data, tg, d_choice):
+    """The plain tree sum: per tuple, its trees' terms in tree order, signed
+    and added from zero."""
+    grid = data.grid
+    total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
+    for j in range(1, 2**n + 1):
+        for tup in cartesian_product(sorted(data.draw.blocks), repeat=j):
+            sign = math.prod(data.draw.eps(k) for k in tup)
+            term = np.zeros_like(total)
+            for tree in trees_at_level(j, n):
+                term += _reference_term(tree, tup, data, tg, d_choice)
+            total += sign * term
+    return total
+
+
 @pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
 def test_reconstruction_equals_the_memo_free_tree_sum(small_oracle, d_choice):
-    """Third reference for the tree sum: every tuple and tree recomputed from
-    public pieces in reconstruct_iterate's order, each signed term summed
-    from zero.  Merging swapped terms, caching factor transforms and adding
+    """Third reference for the tree sum: each swap class recomputed from
+    public pieces, in reconstruct_iterate's order and scaled and added the
+    same way.  Merging swapped terms, caching factor transforms and adding
     in place change no value."""
     data, tg = small_oracle
     grid = data.grid
-    active = data.draw.blocks
     for n in (0, 1, 2):
         total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
-        for j in range(1, 2**n + 1):
-            for tup in cartesian_product(active, repeat=j):
-                sign = math.prod(data.draw.eps(k) for k in tup)
-                term = np.zeros_like(total)
-                for tree in trees_at_level(j, n):
-                    term += _reference_term(tree, tup, data, tg, d_choice)
-                total += sign * term
+        for tree, tup, coef in _swap_classes(n, data):
+            term = _reference_term(tree, tup, data, tg, d_choice)
+            if coef == 1:
+                total += term
+            elif coef == -1:
+                total -= term
+            else:
+                total += np.multiply(coef, term)
         got = reconstruct_iterate(n, data, tg, d_choice).values
         assert np.array_equal(got, total), n
+
+
+@pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
+def test_reconstruction_is_the_tuple_order_sum_to_rounding(small_oracle, d_choice):
+    """Summing by swap class instead of by tuple moves the total by rounding
+    only."""
+    data, tg = small_oracle
+    for n in (0, 1, 2):
+        got = reconstruct_iterate(n, data, tg, d_choice).values
+        ref = _tuple_order_sum(n, data, tg, d_choice)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+
+def _count_calls(monkeypatch, *names):
+    """A Counter of the calls, by name, that trees makes to these functions."""
+    calls = Counter()
+    for name in names:
+        original = getattr(trees, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(trees, name, wrapper)
+    return calls
 
 
 def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monkeypatch):
@@ -244,20 +297,8 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
     four-leaf terms up to child swaps: 105 products, each one Duhamel sum,
     and one box inverse transform per factor (the leaves and the pairs)."""
     data, tg = small_oracle
-    calls = Counter()
-
-    def counting(name):
-        original = getattr(trees, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(trees, name, wrapper)
-
-    for name in ("free_derivative_hat", "_box_ifft2", "_physical_product_hat",
-                 "_d_duhamel_hat"):
-        counting(name)
+    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_ifft2",
+                         "_physical_product_hat", "_d_duhamel_hat")
     reconstruct_iterate(1, data, tg)
     assert calls == {"free_derivative_hat": 4, "_box_ifft2": 4,
                      "_physical_product_hat": 10, "_d_duhamel_hat": 10}
@@ -268,11 +309,11 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
-    """A term with more than 2^(n-1) leaves is dropped after the last tuple
-    of its swap class has read it.  With 4 blocks, n = 1 holds the 4 leaves
-    and at most 4 pairs at once (not all 14 entries), and n = 2 the 14
-    factors and at most 43 of the 95 three- and four-leaf terms (not all
-    109); every entry is released when the sum returns."""
+    """A term of height n is never a factor at level n and leaves the memo as
+    soon as it has been added.  With 4 blocks, n = 0 holds one leaf at a
+    time, n = 1 the 4 leaves and one pair, and n = 2 the 14 factors (leaves
+    and pairs) and one three- or four-leaf term, not all 109 entries; every
+    entry is released when the sum returns."""
     data, tg = small_oracle
     alive = Counter()
 
@@ -286,10 +327,36 @@ def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeyp
             alive["now"] -= 1
 
     monkeypatch.setattr(trees, "_Term", CountedTerm)
-    for n, peak in ((0, 1), (1, 8), (2, 57)):
+    for n, peak in ((0, 1), (1, 5), (2, 15)):
         alive.clear()
         reconstruct_iterate(n, data, tg)
         assert alive["peak"] == peak and alive["now"] == 0, n
+
+
+def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatch):
+    """A 2-block datum, the (4,0), (4,1) and (4,N-1) modes of the oracle datum
+    with their conjugates (blocks (+-1, 0)): its level-3 tree sum, 1,446
+    (tree, tuple) terms in 155 swap classes, does 153 products and 153
+    Duhamel sums and agrees with the direct recursion to rounding."""
+    n_pts = grid64.n_points
+    full = two_block_datum(grid64).values
+    keep = np.zeros(full.shape, dtype=bool)
+    for i, j in ((4, 0), (4, 1), (4, n_pts - 1)):
+        keep[i, j] = keep[-i % n_pts, -j % n_pts] = True
+    phi0 = Field(grid64, np.where(keep, full, 0.0), "spectral")
+    blocks = active_blocks(phi0)
+    assert blocks == ((-1, 0), (1, 0))
+    data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
+    tg = TimeGrid(t_final=0.5, n_steps=16)
+    calls = _count_calls(monkeypatch, "free_derivative_hat", "_physical_product_hat",
+                         "_d_duhamel_hat")
+    rec = reconstruct_iterate(3, data, tg)
+    assert calls == {"free_derivative_hat": 2, "_physical_product_hat": 153,
+                     "_d_duhamel_hat": 153}
+    direct = picard_iterate(3, data, tg)
+    rel = _rel_linf_l2(rec.values, direct.du.values, grid64)
+    print(f"\nn=3 tree-vs-direct relative Linf-L2 discrepancy: {rel:.3e}")
+    assert rel <= 1e-12
 
 
 def test_tree_term_validation(oracle_data, oracle_timegrid):
@@ -348,9 +415,25 @@ def test_reconstruction_matches_direct_iterate_n1(oracle_data, oracle_timegrid):
 
 
 def test_reconstruction_budget_errors(oracle_data, oracle_timegrid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"at least 163220 .* cap 25000"):
         reconstruct_iterate(3, oracle_data, oracle_timegrid)
     with pytest.raises(ValueError):
         reconstruct_iterate(-1, oracle_data, oracle_timegrid)
     with pytest.raises(ValueError):
         reconstruct_iterate(1, oracle_data, oracle_timegrid, max_blocks=2)
+
+
+def test_reconstruction_term_cap_counts_trees_times_tuples(small_oracle, monkeypatch):
+    """The cap applies to sum_j len(trees_at_level(j, n)) * blocks^j, 404 at
+    n = 2 with 4 blocks, and refuses even a level whose trees outnumber any
+    enumeration."""
+    data, tg = small_oracle
+    count = sum(len(trees_at_level(j, 2)) * 4**j for j in range(1, 5))
+    assert count == 404
+    monkeypatch.setattr(trees, "MAX_TREE_TERMS", count)
+    reconstruct_iterate(2, data, tg)
+    monkeypatch.setattr(trees, "MAX_TREE_TERMS", count - 1)
+    with pytest.raises(ValueError, match="at least 404 "):
+        reconstruct_iterate(2, data, tg)
+    with pytest.raises(ValueError, match="cap 403"):
+        reconstruct_iterate(60, data, tg)

@@ -61,6 +61,7 @@ are not advanced further.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Collection, Iterator
@@ -424,6 +425,15 @@ def _check_d_choice(d_choice: str) -> None:
         raise ValueError(f"d_choice must be one of {D_CHOICES}, got {d_choice!r}")
 
 
+def _check_level(n: int, name: str) -> None:
+    """An iterate level is a non-negative Python or numpy integer; a bool, a
+    float or a string is refused even when it equals one."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+
+
 def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSeries:
     """A0 applied to a source series: out(t) = int_0^t M(t-t') source(t') dt'.
 
@@ -496,12 +506,23 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     return _physical_product_hat(fa, fb, grid)
 
 
+def _pointwise_product(fa: np.ndarray, fb: np.ndarray, out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+    """The pointwise product of two physical factors, written into ``out``
+    (or a fresh array): fa * fa when ``fb is fa``, else the symmetric average
+    0.5 * (fa * fb + fb * fa), with fb * fa held in ``scratch`` (or a fresh
+    array)."""
+    if fb is fa:
+        return np.multiply(fa, fa, out=out)
+    out = np.multiply(fa, fb, out=out)
+    out += np.multiply(fb, fa, out=scratch)
+    return np.multiply(0.5, out, out=out)
+
+
 def _physical_product_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid) -> np.ndarray:
     """The tail of :func:`product_dealias` from the box inverse transforms of
-    its factors: the pointwise square when ``fb is fa``, else the symmetric
-    average, then the box forward transform."""
-    pointwise = fa * fa if fb is fa else 0.5 * (fa * fb + fb * fa)
-    return _box_fft2(pointwise, grid)
+    its factors: their pointwise product, then the box forward transform."""
+    return _box_fft2(_pointwise_product(fa, fb), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +699,7 @@ def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
     harness.  The first level whose norm fails the guard raises
     :class:`BlowUpError`, norms checked in key order."""
     _check_d_choice(d_choice)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_level(n_max, "n_max")
     per_node, kept = _march(n_max, data.phi0_rand.values, data.grid, tg, d_choice, keep)
     for n, (h1_u, l2_dudt, l4_du) in enumerate(per_node):
         norms = {
@@ -709,6 +729,7 @@ def _record(n: int, norms: dict[str, float], series: tuple, data: RandomizedData
 def picard_chain(n_max: int, data: RandomizedData, tg: TimeGrid,
                  d_choice: str = "x1") -> list[IterateRecord]:
     """Iterates 0..n_max by the recursion, sharing the free-evolution work."""
+    _check_level(n_max, "n_max")
     return [_record(n, norms, series, data, tg, d_choice)
             for n, norms, series in _levels(n_max, data, tg, d_choice, range(n_max + 1))]
 
@@ -716,6 +737,7 @@ def picard_chain(n_max: int, data: RandomizedData, tg: TimeGrid,
 def picard_iterate(n: int, data: RandomizedData, tg: TimeGrid,
                    d_choice: str = "x1") -> IterateRecord:
     """The n-th Picard iterate; only its own series are kept."""
+    _check_level(n, "n")
     for level in _levels(n, data, tg, d_choice, keep=(n,)):
         pass
     return _record(*level, data, tg, d_choice)

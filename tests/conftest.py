@@ -36,6 +36,14 @@ def two_block_datum(grid, seed: int = 42) -> Field:
                  representation="spectral")
 
 
+def box_mask(n: int) -> np.ndarray:
+    """The modes the 2/3 rule keeps on an n x n lattice, |m_1|, |m_2| <= n/3,
+    as a boolean mask in numpy's unshifted layout."""
+    m = np.rint(np.fft.fftfreq(n) * n)
+    keep = np.abs(m) <= n // 3
+    return np.outer(keep, keep)
+
+
 @pytest.fixture(scope="session")
 def oracle_data(grid64):
     """Randomized 4-block datum shared by the tree-vs-direct comparisons."""

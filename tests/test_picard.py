@@ -1,6 +1,7 @@
 """Free evolution, Duhamel integrals, and the Picard iterate recursion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from picardlab import (
     make_grid,
     picard_chain,
     picard_iterate,
+    reconstruct_iterate,
     sobolev_norm,
     space_time_norm,
 )
@@ -32,7 +34,7 @@ from picardlab.randomization import (
     randomize,
 )
 
-from conftest import two_block_datum
+from conftest import box_mask, two_block_datum
 
 DEFAULT_CHUNK = picard._CHUNK
 
@@ -288,13 +290,7 @@ def test_product_is_bilinear_and_exactly_symmetric(seed, n_nodes, coeffs):
 # Duhamel sum.
 # ---------------------------------------------------------------------------
 
-def _box_mask(n):
-    m = np.rint(np.fft.fftfreq(n) * n)
-    keep = np.abs(m) <= n // 3
-    return np.outer(keep, keep)
-
-
-@pytest.mark.parametrize("n", [8, 16, 64, 128])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
 @pytest.mark.parametrize("square", [True, False], ids=["square", "distinct"])
 def test_product_equals_full_lattice_reference(n, lead, square):
@@ -304,7 +300,7 @@ def test_product_equals_full_lattice_reference(n, lead, square):
     a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
     if square:
         b = a
-    mask = _box_mask(n)
+    mask = box_mask(n)
     fa = np.fft.ifft2(a * mask, norm="ortho", axes=(-2, -1))
     fb = np.fft.ifft2(b * mask, norm="ortho", axes=(-2, -1))
     pointwise = fa * fa if square else 0.5 * (fa * fb + fb * fa)
@@ -312,6 +308,21 @@ def test_product_equals_full_lattice_reference(n, lead, square):
     got = product_dealias(a, b, grid)
     assert got.shape == shape
     assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "distinct"])
+def test_pointwise_product_into_buffers_is_the_plain_expression(square):
+    """The one pointwise-product body gives the same bits written into a
+    caller's buffers as the plain numpy expression."""
+    rng = np.random.default_rng(11)
+    shape = (3, 32, 32)
+    fa, fb = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    if square:
+        fb = fa
+    out, scratch = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    got = picard._pointwise_product(fa, fb, out=out, scratch=scratch)
+    assert got is out
+    assert np.array_equal(got, fa * fa if square else 0.5 * (fa * fb + fb * fa))
 
 
 def _march_duhamel(src, grid, tg, start):
@@ -333,7 +344,7 @@ def _march_duhamel(src, grid, tg, start):
 def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     grid = make_grid(n, 4.0 * math.pi)
     tg = TimeGrid(t_final=0.9, n_steps=12)
-    mask = _box_mask(n)
+    mask = box_mask(n)
     src = _random_source(grid, tg, seed=n) * mask
     from_box = np.zeros((n, n), dtype=bool)
     for rows, cols in _box(grid):
@@ -582,6 +593,27 @@ def test_chain_validation(grid64):
         picard_chain(1, data, tg, d_choice="bogus")
     with pytest.raises(ValueError):
         picard_iterate(-1, data, tg)
+
+
+@pytest.mark.parametrize("level", [True, False, 1.5, 2.0, np.float64(1.0), "1"],
+                         ids=["True", "False", "1.5", "2.0", "float64", "str"])
+def test_iterate_levels_must_be_integers(oracle_data, level):
+    """A bool, a float or a string is no iterate level, even when it equals
+    one; every entry point names the value instead of running level 1 for
+    True or failing inside range()."""
+    tg = TimeGrid(0.5, 4)
+    for entry in (picard_chain, picard_iterate, reconstruct_iterate):
+        with pytest.raises(ValueError, match=re.escape(repr(level))):
+            entry(level, oracle_data, tg)
+
+
+def test_iterate_levels_accept_numpy_integers(oracle_data):
+    tg = TimeGrid(0.5, 4)
+    level = np.int64(1)
+    assert len(picard_chain(level, oracle_data, tg)) == 2
+    assert picard_iterate(level, oracle_data, tg).n == 1
+    assert np.array_equal(reconstruct_iterate(level, oracle_data, tg).values,
+                          reconstruct_iterate(1, oracle_data, tg).values)
 
 
 def test_zero_data_gives_zero_iterates(grid64):

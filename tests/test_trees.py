@@ -1,6 +1,7 @@
 """Full binary tree combinatorics, integral constants, and reconstruction."""
 
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product as cartesian_product
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import two_block_datum
+from conftest import box_mask, two_block_datum
 from picardlab import (
     BinaryTree,
     Field,
@@ -47,19 +48,35 @@ def small_oracle():
     return data, TimeGrid(t_final=0.5, n_steps=5)
 
 
+def _reference_product(tree, blocks, data, tg, d_choice):
+    """The physical pointwise product of the two children of the node ``tree``
+    without a memo, from numpy's full inverse transforms of the children
+    truncated to the box, in the tree's own child order.  For a square the
+    symmetric average is the plain square bit for bit: 0.5 * (x + x) == x."""
+    mask = box_mask(data.grid.n_points)
+    split = tree.left.leaves
+    fa, fb = (np.fft.ifft2(_reference_term(sub, part, data, tg, d_choice) * mask,
+                           norm="ortho", axes=(-2, -1))
+              for sub, part in ((tree.left, blocks[:split]), (tree.right, blocks[split:])))
+    return 0.5 * (fa * fb + fb * fa)
+
+
+def _reference_duhamel(pointwise, data, tg, d_choice):
+    """The public whole-lattice duhamel of a physical product truncated to
+    the box by numpy's full forward transform."""
+    hat = np.fft.fft2(pointwise, norm="ortho", axes=(-2, -1)) * box_mask(data.grid.n_points)
+    return duhamel(FieldSeries(data.grid, tg, hat, "spectral"), tg, d_choice).values
+
+
 def _reference_term(tree, blocks, data, tg, d_choice):
     """G^tau without a memo: the leaf's free derivative series, and at a node
-    the public whole-lattice duhamel of product_dealias(left, right) taken in
-    the tree's own child order."""
-    grid = data.grid
+    the Duhamel term of its children's product, from public pieces and
+    numpy's full transforms only."""
     if tree.is_leaf:
         leaf = unit_projection(data.phi0, blocks[0])
-        return free_derivative_hat(leaf.values, grid, tg, d_choice)
-    split = tree.left.leaves
-    left = _reference_term(tree.left, blocks[:split], data, tg, d_choice)
-    right = _reference_term(tree.right, blocks[split:], data, tg, d_choice)
-    src = FieldSeries(grid, tg, product_dealias(left, right, grid), "spectral")
-    return duhamel(src, tg, d_choice).values
+        return free_derivative_hat(leaf.values, data.grid, tg, d_choice)
+    return _reference_duhamel(_reference_product(tree, blocks, data, tg, d_choice),
+                              data, tg, d_choice)
 
 
 def test_tree_shape_validation():
@@ -248,21 +265,30 @@ def _tuple_order_sum(n, data, tg, d_choice):
 @pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
 def test_reconstruction_equals_the_memo_free_tree_sum(small_oracle, d_choice):
     """Third reference for the tree sum: each swap class recomputed from
-    public pieces, in reconstruct_iterate's order and scaled and added the
-    same way.  Merging swapped terms, caching factor transforms and adding
-    in place change no value."""
+    public pieces and numpy's full transforms, in reconstruct_iterate's
+    order and scaled and added the same way.  A class of height n (n >= 1)
+    adds its children's physical product to a top sum, which is transformed,
+    put through duhamel() once and added last.  Merging swapped terms,
+    caching factor transforms, adding in place and the box-restricted
+    kernels change no value."""
     data, tg = small_oracle
     grid = data.grid
     for n in (0, 1, 2):
         total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
+        top = np.zeros_like(total)
         for tree, tup, coef in _swap_classes(n, data):
-            term = _reference_term(tree, tup, data, tg, d_choice)
-            if coef == 1:
-                total += term
-            elif coef == -1:
-                total -= term
+            if n and tree.height == n:
+                term, acc = _reference_product(tree, tup, data, tg, d_choice), top
             else:
-                total += np.multiply(coef, term)
+                term, acc = _reference_term(tree, tup, data, tg, d_choice), total
+            if coef == 1:
+                acc += term
+            elif coef == -1:
+                acc -= term
+            else:
+                acc += np.multiply(coef, term)
+        if n:
+            total += _reference_duhamel(top, data, tg, d_choice)
         got = reconstruct_iterate(n, data, tg, d_choice).values
         assert np.array_equal(got, total), n
 
@@ -294,26 +320,32 @@ def _count_calls(monkeypatch, *names):
 
 def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monkeypatch):
     """With 4 blocks, n = 2 has 4 leaves, 10 pairs, 40 three-leaf and 55
-    four-leaf terms up to child swaps: 105 products, each one Duhamel sum,
-    and one box inverse transform per factor (the leaves and the pairs)."""
+    four-leaf terms up to child swaps.  Each factor (the leaves and the
+    pairs) has one box inverse transform: 14.  Each pair is one product
+    with its own forward transform and Duhamel sum: 10.  The 95 three- and
+    four-leaf terms have height 2, so each is one pointwise product added
+    into the top sum, which takes one forward transform and one Duhamel
+    sum: 11 Duhamel sums in all.  At n = 1 the 10 pairs are the top terms:
+    4 inverse transforms, 10 pointwise products, one Duhamel sum."""
     data, tg = small_oracle
-    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_ifft2",
-                         "_physical_product_hat", "_d_duhamel_hat")
+    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_ifft2", "_box_fft2",
+                         "_physical_product_hat", "_pointwise_product", "_d_duhamel_hat")
     reconstruct_iterate(1, data, tg)
-    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 4,
-                     "_physical_product_hat": 10, "_d_duhamel_hat": 10}
+    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 4, "_box_fft2": 1,
+                     "_pointwise_product": 10, "_d_duhamel_hat": 1}
     calls.clear()
     reconstruct_iterate(2, data, tg)
-    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 14,
-                     "_physical_product_hat": 105, "_d_duhamel_hat": 105}
+    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 14, "_box_fft2": 1,
+                     "_physical_product_hat": 10, "_pointwise_product": 95,
+                     "_d_duhamel_hat": 11}
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
-    """A term of height n is never a factor at level n and leaves the memo as
-    soon as it has been added.  With 4 blocks, n = 0 holds one leaf at a
-    time, n = 1 the 4 leaves and one pair, and n = 2 the 14 factors (leaves
-    and pairs) and one three- or four-leaf term, not all 109 entries; every
-    entry is released when the sum returns."""
+    """A term of height n is never a factor at level n and never enters the
+    memo (at n = 0, a leaf leaves it as soon as it has been added).  With 4
+    blocks, n = 0 holds one leaf at a time, n = 1 the 4 leaves and n = 2 the
+    14 factors (leaves and pairs), not all 109 entries; every entry is
+    released when the sum returns."""
     data, tg = small_oracle
     alive = Counter()
 
@@ -327,17 +359,40 @@ def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeyp
             alive["now"] -= 1
 
     monkeypatch.setattr(trees, "_Term", CountedTerm)
-    for n, peak in ((0, 1), (1, 5), (2, 15)):
+    for n, peak in ((0, 1), (1, 4), (2, 14)):
         alive.clear()
         reconstruct_iterate(n, data, tg)
         assert alive["peak"] == peak and alive["now"] == 0, n
 
 
+def test_reconstruction_at_level_2_stays_within_25_series(oracle_data):
+    """Memory guard on the benchmark's oracle datum (64^2, 4 blocks, 17
+    nodes): the n = 2 sum holds the result, the top sum, the product at
+    hand, one scratch and the 14 factors' physical series, 18 series of
+    17 x 64^2 complex values, plus the transients of one term.  Measured
+    after a warm-up call, so the cached propagator tables are not counted."""
+    tg = TimeGrid(t_final=0.5, n_steps=16)
+    grid = oracle_data.grid
+    series_bytes = tg.n_nodes * grid.n_points**2 * np.dtype(complex).itemsize
+    reconstruct_iterate(1, oracle_data, tg)
+    tracemalloc.start()
+    try:
+        reconstruct_iterate(2, oracle_data, tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"\nn=2 traced peak: {peak / 1e6:.1f} MB ({peak / series_bytes:.1f} series)")
+    assert peak < 25 * series_bytes
+
+
 def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatch):
     """A 2-block datum, the (4,0), (4,1) and (4,N-1) modes of the oracle datum
     with their conjugates (blocks (+-1, 0)): its level-3 tree sum, 1,446
-    (tree, tuple) terms in 155 swap classes, does 153 products and 153
-    Duhamel sums and agrees with the direct recursion to rounding."""
+    (tree, tuple) terms in 155 swap classes, agrees with the direct
+    recursion to rounding.  Up to swaps there are 3 pairs, 6 three-leaf
+    terms (leaf and pair) and 6 balanced four-leaf terms (two pairs) of
+    height at most 2: 15 products, each with its Duhamel sum.  The other
+    138 classes have height 3 and share one Duhamel sum: 16 in all."""
     n_pts = grid64.n_points
     full = two_block_datum(grid64).values
     keep = np.zeros(full.shape, dtype=bool)
@@ -349,10 +404,10 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     tg = TimeGrid(t_final=0.5, n_steps=16)
     calls = _count_calls(monkeypatch, "free_derivative_hat", "_physical_product_hat",
-                         "_d_duhamel_hat")
+                         "_pointwise_product", "_d_duhamel_hat")
     rec = reconstruct_iterate(3, data, tg)
-    assert calls == {"free_derivative_hat": 2, "_physical_product_hat": 153,
-                     "_d_duhamel_hat": 153}
+    assert calls == {"free_derivative_hat": 2, "_physical_product_hat": 15,
+                     "_pointwise_product": 138, "_d_duhamel_hat": 16}
     direct = picard_iterate(3, data, tg)
     rel = _rel_linf_l2(rec.values, direct.du.values, grid64)
     print(f"\nn=3 tree-vs-direct relative Linf-L2 discrepancy: {rel:.3e}")

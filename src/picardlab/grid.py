@@ -14,6 +14,8 @@ L^2 norm is ``dx * ||fhat||_2``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -35,6 +37,14 @@ __all__ = [
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
+
+
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer; a bool, a float
+    or a string is refused, naming the field, even when it equals one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -65,10 +75,12 @@ class Grid:
     abs_xi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n_points
+        n = _check_integer(self.n_points, "n_points")
         length = float(self.box_length)
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 8, got {n}")
+        if not math.isfinite(length):
+            raise ValueError(f"box_length must be finite, got {length}")
         if not length > 0.0:
             raise ValueError(f"box_length must be positive, got {length}")
         if 2.0 * np.pi / length > 1.0 + 1e-12:
@@ -76,6 +88,7 @@ class Grid:
                 f"frequency spacing 2*pi/L = {2.0 * np.pi / length:.4g} exceeds 1; "
                 "unit-scale blocks need L >= 2*pi"
             )
+        object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "box_length", length)
 
         x = np.arange(n) * (length / n)
@@ -139,8 +152,9 @@ class Field:
 
 
 def make_grid(n_points: int, box_length: float) -> Grid:
-    """Build a periodic grid; rejects non-power-of-two or non-positive input."""
-    return Grid(int(n_points), float(box_length))
+    """Build a periodic grid; rejects a non-integer or non-power-of-two
+    ``n_points`` and a non-finite or non-positive ``box_length``."""
+    return Grid(n_points, box_length)
 
 
 def transform(f: Field, direction: str) -> Field:
@@ -181,42 +195,67 @@ def as_physical(f: Field) -> Field:
     return f if f.is_physical else transform(f, "inverse")
 
 
+def _squared_modulus(values: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """|f|^2 as re^2 + im^2 (f^2 for real f), in plane 0 of a real ``scratch``
+    of shape (2,) + values.shape (or a fresh array): no hypot, whose square
+    root the square would undo."""
+    if scratch is None:
+        scratch = np.empty((2,) + values.shape)
+    sq = np.square(values.real, out=scratch[0])
+    if np.iscomplexobj(values):
+        sq += np.square(values.imag, out=scratch[1])
+    return sq
+
+
 def lp_nodes(values: np.ndarray, grid: Grid, p: float,
              scratch: np.ndarray | None = None) -> np.ndarray:
     """Continuum L^p norm over the trailing two axes, one per leading index:
-    (sum |f|^p dx^2)^(1/p), or max |f| for p = inf.  A real ``scratch`` of
-    the shape of ``values`` holds |f|^p instead of a fresh array."""
-    a = np.abs(values, out=scratch)
-    if p == np.inf:
-        return a.max(axis=(-2, -1))
-    a **= p
+    (sum |f|^p dx^2)^(1/p), or max |f| for p = inf.  |f|^2 is re^2 + im^2
+    and |f|^4 its square, with no libm pow; other p take |f| ** p.  A real
+    ``scratch`` of shape (2,) + values.shape holds the terms instead of
+    fresh arrays."""
+    if p in (2.0, 4.0):
+        a = _squared_modulus(values, scratch)
+        if p == 4.0:
+            a *= a
+    else:
+        a = np.abs(values, out=None if scratch is None else scratch[0])
+        if p == np.inf:
+            return a.max(axis=(-2, -1))
+        a **= p
     return (np.sum(a, axis=(-2, -1)) * grid.dx**2) ** (1.0 / p)
 
 
 @lru_cache(maxsize=16)
-def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """Read-only |xi|^(2s), with xi = 0 dropped for s != 0."""
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray | None:
+    """Read-only |xi|^(2s) with xi = 0 dropped, or None for s = 0: the
+    weight would be all ones, and x * 1.0 is x."""
+    if s == 0.0:
+        return None
     w = grid.abs_xi ** (2.0 * s)
-    if s != 0.0:
-        w[0, 0] = 0.0
+    w[0, 0] = 0.0
     w.flags.writeable = False
     return w
+
+
+def _sobolev_sums(hat: np.ndarray, weight: np.ndarray | None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """sum weight |fhat|^2 over the trailing two axes, one per leading index
+    (``weight`` None means 1), with a ``scratch`` as in :func:`lp_nodes`.
+    Each leading index is reduced on its own over its contiguous block, so a
+    node's value does not depend on how many nodes are passed with it."""
+    sq = _squared_modulus(hat, scratch)
+    if weight is not None:
+        sq *= weight
+    return np.sum(sq, axis=(-2, -1))
 
 
 def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float,
                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Homogeneous H^s norm of spectral values over the trailing two axes,
-    dx (sum |xi|^(2s) |fhat|^2)^(1/2); xi = 0 is dropped for s != 0.
-
-    Each leading index is reduced on its own over its contiguous N x N
-    block, as in :func:`lp_nodes`, so a node's value does not depend on how
-    many nodes are passed with it.  A real ``scratch`` of the shape of
-    ``hat`` holds the weighted squares instead of a fresh array.
-    """
-    sq = np.abs(hat, out=scratch)
-    sq **= 2
-    sq *= _sobolev_weight(grid, s)
-    return grid.dx * np.sqrt(np.sum(sq, axis=(-2, -1)))
+    dx (sum |xi|^(2s) |fhat|^2)^(1/2) from :func:`_sobolev_sums`; xi = 0 is
+    dropped for s != 0."""
+    return grid.dx * np.sqrt(_sobolev_sums(hat, _sobolev_weight(grid, s), scratch))
 
 
 def lp_norm(f: Field, p: float) -> float:

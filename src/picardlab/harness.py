@@ -298,8 +298,10 @@ def _run_one(run: PreparedRun, idx: int) -> list[SampleRow]:
 
 
 def _worker_count(samples: int) -> int:
-    """PICARDLAB_WORKERS (an integer >= 1, unset means 1) capped at the sample and
-    CPU counts: a fork pool starts all its workers on the first task."""
+    """PICARDLAB_WORKERS (an integer >= 1, unset means 1) capped at the sample
+    count and at the CPUs this process may run on (its affinity set under
+    taskset or a cpuset, where the platform reports one): a fork pool starts
+    all its workers on the first task."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(raw)
@@ -307,7 +309,11 @@ def _worker_count(samples: int) -> int:
         workers = 0
     if workers < 1:
         raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    return min(workers, samples, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, samples, cpus)
 
 
 def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:

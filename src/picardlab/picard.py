@@ -30,9 +30,9 @@ product's inverse transforms run their first pass only on the box rows (the
 others are zero) and its forward transform runs its second pass only on the
 box columns (the others are discarded).  Every Duhamel source is a product,
 zero outside the box, so the recursion and the tree terms form the
-cumulative sums on the box only; outside it an iterate is its free part.
-The public :func:`duhamel` takes arbitrary sources and keeps the whole
-lattice.
+cumulative sums on the box only, with its modes held side by side in one
+compact array.  The public :func:`duhamel` takes arbitrary sources and keeps
+the whole lattice.
 
 The iterates are computed by one time march.  Duhamel is causal and the
 product is pointwise in time, so du^(n) at the nodes up to t_m needs only
@@ -45,12 +45,16 @@ chunk-sized buffers, allocated when the march starts, serves all of them:
 every stage writes into it with ufunc ``out=`` arguments, the same
 operations in the same order, and the march maps no fresh memory per chunk.
 The Monte Carlo harness keeps only per-node norms; the chain, single
-iterates, :func:`duhamel` and the tree terms store every node.  When the
-datum's spectrum is exactly zero outside the box (every band-limited datum,
-but not a Gaussian bump), every du lies in the box too, and the
-box inverse transform of du equals the full one: that single physical du
-gives the L^4 norm and is squared for the next level's product, two
-transforms per level instead of three.
+iterates, :func:`duhamel` and the tree terms store every node.
+
+Every spectral stage of the march stays in the compact box: the free pair,
+each level's u and dt u, their Sobolev sums and du.  The only lattice-sized
+stage is the physical du, one box inverse transform per level that gives
+the L^4 norm and is squared for the next level's product.  A datum with
+modes outside the box (a Gaussian bump, say) runs the same march: outside
+the box every iterate is its free part, the same at every level, so that
+part's Sobolev sums and its physical du (one full inverse transform) are
+formed once per chunk and added to every level's.
 
 Iterates can grow factorially outside the small-interval regime, so every
 norm is checked against a blow-up guard and :class:`BlowUpError` carries the
@@ -61,14 +65,15 @@ are not advanced further.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Collection, Iterator
 
 import numpy as np
 
-from .grid import Grid, PHYSICAL, SPECTRAL, lp_nodes, sobolev_nodes
+from .grid import (Grid, PHYSICAL, SPECTRAL, _check_integer, _sobolev_sums, _sobolev_weight,
+                   lp_nodes)
 from .multipliers import (D_CHOICES, abs_xi_levels, halfwave_profiles, spatial_derivative,
                           symbol_array)
 from .randomization import RandomizedData
@@ -100,10 +105,14 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        steps = _check_integer(self.n_steps, "n_steps")
+        if not math.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if not self.t_final > 0.0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {steps}")
+        object.__setattr__(self, "n_steps", steps)
 
     @property
     def dt(self) -> float:
@@ -238,8 +247,8 @@ class _Region:
     ``pairs`` maps each (rows, cols) slice pair of the full lattice to its
     place in that compact array; every kernel is pointwise per mode, so the
     layout changes no value.  ``index`` holds each mode's column of a
-    profile (:func:`_profiles`) and ``abs_xi`` its |xi|, both in the
-    compact layout.
+    profile (:func:`_profiles`), ``abs_xi`` its |xi| and ``h1_weight`` its
+    H^1 weight, all in the compact layout.
     """
 
     pairs: tuple
@@ -247,9 +256,11 @@ class _Region:
     grid: Grid
     index: np.ndarray = field(init=False, repr=False)
     abs_xi: np.ndarray = field(init=False, repr=False)
+    h1_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, full in (("index", abs_xi_levels(self.grid)[1]), ("abs_xi", self.grid.abs_xi)):
+        for name, full in (("index", abs_xi_levels(self.grid)[1]), ("abs_xi", self.grid.abs_xi),
+                           ("h1_weight", _sobolev_weight(self.grid, 1.0))):
             compact = self.gather(full)
             compact.flags.writeable = False
             object.__setattr__(self, name, compact)
@@ -280,16 +291,11 @@ class _Region:
         return tuple(np.empty((n_nodes, self.size, self.size), dtype=complex)
                      for _ in range(5))
 
-    def place(self, part: np.ndarray, out: np.ndarray, start: np.ndarray | None = None) -> None:
-        """Write ``part`` into its modes of ``out``, or start + part there
-        with ``start`` of the shape of ``out``; the other modes of ``out``
-        are left as they are."""
+    def place(self, part: np.ndarray, out: np.ndarray) -> None:
+        """Write the compact ``part`` into its modes of ``out``; the other
+        modes of ``out`` are left as they are."""
         for (rows, cols), (c_rows, c_cols) in self.pairs:
-            if start is None:
-                out[..., rows, cols] = part[..., c_rows, c_cols]
-            else:
-                np.add(start[..., rows, cols], part[..., c_rows, c_cols],
-                       out=out[..., rows, cols])
+            out[..., rows, cols] = part[..., c_rows, c_cols]
 
 
 @lru_cache(maxsize=8)
@@ -357,21 +363,22 @@ class _DuhamelSums:
             np.subtract(scratch, row, out=row)
         f *= self.dt
 
-    def advance(self, src_hat: np.ndarray, work: tuple[np.ndarray, ...],
+    def advance(self, src: np.ndarray, work: tuple[np.ndarray, ...],
                 tables: tuple[np.ndarray, ...], want_u: bool = True, want_dt: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(u, dt u) on the region at the next ``len(src_hat)`` nodes, in the
-        region's compact layout; a part not asked for is None.
+        """(u, dt u) on the region at the next ``len(src)`` nodes from the
+        source ``src`` there, both in the region's compact layout; a part
+        not asked for is None.
 
         ``tables`` holds (cos, sin, sinc) at those nodes on the region's
         modes (:meth:`_Region.spread`).  Every intermediate and both parts
-        live in ``work`` (:meth:`_Region.buffers`); the parts are views of
-        it, valid until the next call that uses it.
+        live in ``work`` (:meth:`_Region.buffers`), whose scratch may hold
+        ``src``; the parts are views of it, valid until the next call that
+        uses it.
         """
-        nodes = slice(self.node, self.node + len(src_hat))
-        scratch, a, b, u, dt_u = (buf[:len(src_hat)] for buf in work)
+        nodes = slice(self.node, self.node + len(src))
+        scratch, a, b, u, dt_u = (buf[:len(src)] for buf in work)
         c, s, sc = tables
-        src = self.region.gather(src_hat, out=scratch)
         np.multiply(c, src, out=a)
         np.multiply(sc, src, out=b)
         # A and B hold all the source is needed for: the scratch is free
@@ -404,8 +411,8 @@ def _duhamel_series(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, box: bool 
     outs = [new(source_hat.shape, dtype=complex) if want else None
             for want in (want_u, want_dt)]
     for nodes in _chunks(tg.n_nodes):
-        parts = sums.advance(source_hat[nodes], work, tuple(t[nodes] for t in tables),
-                             want_u, want_dt)
+        src = sums.region.gather(source_hat[nodes], out=work[0][:nodes.stop - nodes.start])
+        parts = sums.advance(src, work, tuple(t[nodes] for t in tables), want_u, want_dt)
         for part, out in zip(parts, outs):
             if out is not None:
                 sums.region.place(part, out[nodes])
@@ -428,9 +435,7 @@ def _check_d_choice(d_choice: str) -> None:
 def _check_level(n: int, name: str) -> None:
     """An iterate level is a non-negative Python or numpy integer; a bool, a
     float or a string is refused even when it equals one."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 0:
+    if _check_integer(n, name) < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
 
 
@@ -454,9 +459,11 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
 # Dealiased products
 # ---------------------------------------------------------------------------
 
-def _box_ifft2(hat: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+def _box_ifft2(hat: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+               compact: bool = False) -> np.ndarray:
     """ifft2 of ``hat`` truncated to the box, over the trailing two axes,
-    written into ``out`` (or a fresh array).
+    written into ``out`` (or a fresh array); a ``compact`` hat holds only
+    the box, in the layout of ``_region(grid, True)``.
 
     numpy's ifft2 is one 1-D pass per axis, last axis first, and each line
     is transformed on its own, so skipping the last-axis pass on rows that
@@ -464,25 +471,33 @@ def _box_ifft2(hat: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np
     """
     box = _box(grid)
     if out is None:
-        out = np.empty(hat.shape, dtype=complex)
+        n = grid.n_points
+        out = np.empty(hat.shape[:-2] + (n, n), dtype=complex)
     for lines in _gap_lines(grid):
         out[lines] = 0.0
-    for rows, cols in box:
-        out[..., rows, cols] = hat[..., rows, cols]
+    if compact:
+        _region(grid, True).place(hat, out)
+    else:
+        for rows, cols in box:
+            out[..., rows, cols] = hat[..., rows, cols]
     for rows, _ in box[::2]:  # each row band once
         band = out[..., rows, :]
         np.fft.ifft(band, axis=-1, norm="ortho", out=band)
     return np.fft.ifft(out, axis=-2, norm="ortho", out=out)
 
 
-def _box_fft2(phys: np.ndarray, grid: Grid) -> np.ndarray:
-    """fft2 of ``phys`` over the trailing two axes, truncated to the box, in
-    place: the second pass runs only on the box columns (see _box_ifft2)."""
+def _box_fft2(phys: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """fft2 of ``phys`` over the trailing two axes, truncated to the box: in
+    place, or gathered into ``out`` in the compact layout of
+    ``_region(grid, True)``.  The second pass runs only on the box columns
+    (see _box_ifft2)."""
     box = _box(grid)
     np.fft.fft(phys, axis=-1, norm="ortho", out=phys)
     for _, cols in box[:2]:  # each column band once
         band = phys[..., :, cols]
         np.fft.fft(band, axis=-2, norm="ortho", out=band)
+    if out is not None:
+        return _region(grid, True).gather(phys, out=out)
     for lines in _gap_lines(grid):
         phys[lines] = 0.0
     return phys
@@ -529,28 +544,39 @@ def _physical_product_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid) -> np.ndar
 # Free evolution and the time-marching iterate engine
 # ---------------------------------------------------------------------------
 
-def _free_hats(phi0_hat: np.ndarray, grid: Grid, tables: tuple[np.ndarray, ...],
+def _free_hats(phi0_hat: np.ndarray, abs_xi: np.ndarray, tables: tuple[np.ndarray, ...],
                out: tuple = (None, None),
                scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(u, dt u) of the free wave from (phi0, 0) at the nodes of the
-    whole-lattice (cos, sin) ``tables``, written into the pair ``out`` (or
-    fresh arrays) with a real ``scratch`` of the same shape."""
+    (cos, sin) ``tables``, with phi0, |xi| and the tables on the same modes
+    (the lattice, or a region's compact layout), written into the pair
+    ``out`` (or fresh arrays) with a real ``scratch`` of the same shape."""
     cos_t, sin_t = tables
     u = np.multiply(cos_t, phi0_hat, out=out[0])
-    speed = np.multiply(grid.abs_xi, sin_t, out=scratch)
+    speed = np.multiply(abs_xi, sin_t, out=scratch)
     dudt = np.multiply(np.negative(speed, out=speed), phi0_hat, out=out[1])
     return u, dudt
 
 
+@lru_cache(maxsize=16)
+def _derivative_symbol(grid: Grid, d_choice: str, box: bool) -> np.ndarray:
+    """Read-only i xi_d on the modes of ``_region(grid, box)``."""
+    full = symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid)
+    sym = _region(grid, box).gather(full)
+    sym.flags.writeable = False
+    return sym
+
+
 def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
-                    grid: Grid, d_choice: str, out: np.ndarray | None = None) -> np.ndarray:
-    """d u from the pair (u, dt u): dt u itself, or i xi_d u written into
-    ``out`` (or a fresh array); the multiplier is 0 on the unpaired Nyquist
-    line, as in :mod:`.multipliers`."""
+                    grid: Grid, d_choice: str, out: np.ndarray | None = None,
+                    box: bool = False) -> np.ndarray:
+    """d u from the pair (u, dt u) on the lattice or, with ``box``, in the
+    box's compact layout: dt u itself, or i xi_d u written into ``out`` (or
+    a fresh array); the multiplier is 0 on the unpaired Nyquist line, as in
+    :mod:`.multipliers`."""
     if d_choice == "t":
         return dudt_hat
-    sym = symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid)
-    return np.multiply(sym, u_hat, out=out)
+    return np.multiply(_derivative_symbol(grid, d_choice, box), u_hat, out=out)
 
 
 def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
@@ -558,7 +584,7 @@ def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
     """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
     expansion's per-block brick, from the free pair the recursion starts at."""
     _check_d_choice(d_choice)
-    pair = _free_hats(phi0_hat, grid, _series_tables(grid, tg, False, 2))
+    pair = _free_hats(phi0_hat, grid.abs_xi, _series_tables(grid, tg, False, 2))
     return _derivative_hat(*pair, grid, d_choice)
 
 
@@ -575,7 +601,7 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     """
     _check_d_choice(d_choice)
     grid = data.grid
-    u0, dudt0 = _free_hats(data.phi0_rand.values, grid, _series_tables(grid, tg, False, 2))
+    u0, dudt0 = _free_hats(data.phi0_rand.values, grid.abs_xi, _series_tables(grid, tg, False, 2))
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
         _frozen_series(grid, tg, u0, "u"),
@@ -618,48 +644,54 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     above it, or a non-finite term), the levels after it are dropped: the
     rows end at that level.
 
+    Every spectral stage runs on the box, in the compact layout of the
+    Duhamel sums: the free pair from the chunk's box tables, a level as
+    free + part, its Sobolev sums and its du.  The product's forward
+    transform is gathered straight into the box, and the compact du is
+    scattered only into the input of the box inverse transform, whose
+    physical du gives the L^4 norm and is squared for the next level.  A
+    datum with modes outside the box adds its free part there (the gap
+    part), the same at every level: its Sobolev sums and its physical du
+    (one full inverse transform) are formed once per chunk and added to
+    every level's.
+
     The levels of a chunk run one after another, so one workspace of
     chunk-sized buffers, allocated here, serves every level of every chunk:
-    each stage writes into it instead of allocating.  The propagator tables
-    are in it too: each chunk spreads its rows of the profiles once, cos
-    and sin on the lattice for the free pair and cos, sin and sinc on the
-    box for the Duhamel sums of every level.  Nothing in it outlives the
-    march; the kept series are copied out of it.
+    each stage writes into it instead of allocating.  Nothing in it
+    outlives the march; the kept series are copied out of it.
     """
-    # a box-supported datum keeps every du in the box, where the box inverse
-    # transform of du equals the full one: one transform serves the L^4 norm
-    # and the next level's product
-    reuse = _inside_box(phi0_hat, grid)
     profiles = _profiles(grid, tg)
-    lattice, box = _region(grid, False), _region(grid, True)
+    box = _region(grid, True)
     sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_max)]
     per_node = np.zeros((n_max + 1, 3, tg.n_nodes))
     shape = (tg.n_nodes, grid.n_points, grid.n_points)
     kept = {n: (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
             for n in keep}
     chunk = (min(_CHUNK, tg.n_nodes),) + shape[1:]
-    # the free pair, the level pair, du and the physical du; the real scratch
-    free_u, free_dt, level_u, level_dt, du_buf, phys_buf = (
-        np.empty(chunk, dtype=complex) for _ in range(6))
-    real_buf = np.empty(chunk)
+    compact = chunk[:1] + (box.size, box.size)
+    # on the box: the free pair and the chunk's cos, sin and sinc; on the
+    # lattice: the physical du; the norms' real planes, whose front also
+    # serves the box
+    free_u, free_dt = (np.empty(compact, dtype=complex) for _ in range(2))
+    box_tables = tuple(np.empty(compact) for _ in range(3))
+    phys_buf = np.empty(chunk, dtype=complex)
+    planes = np.empty((2,) + chunk)
+    box_planes = planes.reshape(-1)[:2 * math.prod(compact)].reshape((2,) + compact)
     work = box.buffers(chunk[0])
-    # the chunk's cos and sin on the lattice, and cos, sin and sinc on the box
-    free_tables = tuple(np.empty(chunk) for _ in range(2))
-    box_tables = tuple(np.empty((chunk[0], box.size, box.size)) for _ in range(3))
+    phi0_box = box.gather(phi0_hat)
+    if _inside_box(phi0_hat, grid):
+        gaps, total_buf = repeat(((0.0, 0.0), 0.0, 0.0, None)), None
+    else:
+        gaps = _gap_chunks(phi0_hat, grid, tg, d_choice, planes)
+        total_buf = np.empty(chunk, dtype=complex)
     top = n_max
-    for nodes in _chunks(tg.n_nodes):
+    for nodes, (gap_pair, gap_h1, gap_l2, gap_phys) in zip(_chunks(tg.n_nodes), gaps):
         k = nodes.stop - nodes.start
-        real, phys = real_buf[:k], phys_buf[:k]
-        chunk_rows = tuple(profile[nodes] for profile in profiles)
-        cos_sin = tuple(lattice.spread(r, out=t[:k]) for r, t in zip(chunk_rows, free_tables))
-        free = _free_hats(phi0_hat, grid, cos_sin, out=(free_u[:k], free_dt[:k]), scratch=real)
-        level = level_u[:k], level_dt[:k]
-        if top:
-            tables = tuple(box.spread(r, out=t[:k]) for r, t in zip(chunk_rows, box_tables))
-            # outside the box every level is its free part: set once per chunk
-            for out, start in zip(level, free):
-                for lines in _gap_lines(grid):
-                    out[lines] = start[lines]
+        phys, real, real_box = phys_buf[:k], planes[:, :k], box_planes[:, :k]
+        tables = tuple(box.spread(profile[nodes], out=t[:k])
+                       for profile, t in zip(profiles, box_tables))
+        free = _free_hats(phi0_box, box.abs_xi, tables[:2], out=(free_u[:k], free_dt[:k]),
+                          scratch=real_box[0])
         for n in range(top + 1):
             if n == 0:
                 u, dudt = free
@@ -667,29 +699,56 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
                 # free part plus the Duhamel integral of (du^(n-1))^2, the
                 # self-square of product_dealias taken in place
                 phys *= phys
-                step = sums[n - 1]
-                for part, start, out in zip(step.advance(_box_fft2(phys, grid), work, tables),
-                                            free, level):
-                    step.region.place(part, out, start)
-                u, dudt = level
+                src = _box_fft2(phys, grid, out=work[0][:k])
+                u, dudt = sums[n - 1].advance(src, work, tables)
+                np.add(free[0], u, out=u)
+                np.add(free[1], dudt, out=dudt)
             rows = per_node[n, :, nodes]
-            rows[0] = sobolev_nodes(u, grid, 1.0, scratch=real)
-            rows[1] = sobolev_nodes(dudt, grid, 0.0, scratch=real)
-            if n in kept:
-                kept[n][0][nodes] = u
-                kept[n][1][nodes] = dudt
-            du = _derivative_hat(u, dudt, grid, d_choice, out=du_buf[:k])
-            if reuse:
-                rows[2] = lp_nodes(_box_ifft2(du, grid, out=phys), grid, 4.0, scratch=real)
-            else:
-                full = np.fft.ifft2(du, norm="ortho", axes=(-2, -1), out=phys)
-                rows[2] = lp_nodes(full, grid, 4.0, scratch=real)
-                if n < top:
-                    _box_ifft2(du, grid, out=phys)
+            rows[0] = grid.dx * np.sqrt(_sobolev_sums(u, box.h1_weight, real_box) + gap_h1)
+            rows[1] = grid.dx * np.sqrt(_sobolev_sums(dudt, None, real_box) + gap_l2)
+            for part, out, start in zip((u, dudt), kept.get(n, ()), gap_pair):
+                out[nodes] = start
+                box.place(part, out[nodes])
+            # du in the Duhamel scratch, free until the next level's source
+            du = _derivative_hat(u, dudt, grid, d_choice, out=work[0][:k], box=True)
+            _box_ifft2(du, grid, out=phys, compact=True)
+            full = phys if gap_phys is None else np.add(phys, gap_phys, out=total_buf[:k])
+            rows[2] = lp_nodes(full, grid, 4.0, scratch=real)
             if not (np.all(rows[:2] <= BLOWUP_GUARD) and np.all(np.isfinite(rows[2]))):
                 top = n
                 break
     return per_node[:top + 1], kept
+
+
+def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
+                planes: np.ndarray) -> Iterator[tuple]:
+    """Chunk by chunk, the free wave from the modes of ``phi0_hat`` outside
+    the box: the part of every iterate there, since each Duhamel sum lies in
+    the box.
+
+    Yields, per chunk of :func:`_chunks`, the pair (u, dt u) on the lattice
+    with the box zero, the H^1 sums of u and the L^2 sums of dt u
+    (:func:`.grid._sobolev_sums`), and the physical du (one full inverse
+    transform).  The arrays are views of buffers reused from chunk to
+    chunk; ``planes`` is the sums' real scratch, free between chunks.
+    """
+    phi0 = phi0_hat.copy()
+    for rows, cols in _box(grid):
+        phi0[rows, cols] = 0.0
+    lattice = _region(grid, False)
+    chunk = planes.shape[1:]
+    tables = tuple(np.empty(chunk) for _ in range(2))
+    u_buf, dt_buf, phys_buf = (np.empty(chunk, dtype=complex) for _ in range(3))
+    for nodes in _chunks(tg.n_nodes):
+        k = nodes.stop - nodes.start
+        cos_sin = tuple(lattice.spread(profile[nodes], out=t[:k])
+                        for profile, t in zip(_profiles(grid, tg), tables))
+        pair = _free_hats(phi0, grid.abs_xi, cos_sin, out=(u_buf[:k], dt_buf[:k]),
+                          scratch=planes[0, :k])
+        du = _derivative_hat(*pair, grid, d_choice, out=phys_buf[:k])
+        yield (pair, _sobolev_sums(pair[0], _sobolev_weight(grid, 1.0), planes[:, :k]),
+               _sobolev_sums(pair[1], None, planes[:, :k]),
+               np.fft.ifft2(du, norm="ortho", axes=(-2, -1), out=phys_buf[:k]))
 
 
 def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardlab import Field, load_field, lp_norm, make_grid, save_field, sobolev_norm, transform
+from picardlab import (Field, Grid, load_field, lp_norm, make_grid, save_field, sobolev_norm,
+                       transform)
 from picardlab.grid import as_physical, as_spectral, lp_nodes, sobolev_nodes
 
 
@@ -24,6 +25,23 @@ def test_make_grid_frequency_spacing():
 def test_make_grid_rejects(bad):
     with pytest.raises(ValueError):
         make_grid(*bad)
+
+
+@pytest.mark.parametrize("n_points, box_length, field", [
+    (64, math.inf, "box_length"), (64, math.nan, "box_length"),
+    (64.0, 16.0 * math.pi, "n_points"), (64.5, 16.0 * math.pi, "n_points"),
+    (True, 16.0 * math.pi, "n_points"), ("64", 16.0 * math.pi, "n_points"),
+], ids=["inf", "nan", "64.0", "64.5", "True", "str"])
+def test_grid_rejects_non_finite_length_and_non_integer_points(n_points, box_length, field):
+    for build in (Grid, make_grid):
+        with pytest.raises(ValueError, match=field):
+            build(n_points, box_length)
+
+
+def test_grid_accepts_numpy_integer_points():
+    grid = make_grid(np.int64(64), 16.0 * math.pi)
+    assert type(grid.n_points) is int
+    assert grid == make_grid(64, 16.0 * math.pi)
 
 
 def test_make_grid_rejects_coarse_frequency():
@@ -140,6 +158,39 @@ def test_per_node_norms_do_not_depend_on_the_leading_shape(n, s):
         assert sobolev_nodes(x[j:j + 1], grid, s)[0] == whole[j]
         assert sobolev_nodes(x[j], grid, s) == whole[j]
     assert np.array_equal(sobolev_nodes(x.reshape(5, 13, n, n), grid, s).ravel(), whole)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "zero"])
+def test_norm_kernels_match_the_abs_and_pow_forms(kind):
+    """|f|^2 as re^2 + im^2 and |f|^4 as its square give the norms of the
+    np.abs (hypot) and pow forms to rounding, from 1e-100 to 1e60; a
+    caller's scratch planes change no bit."""
+    grid = make_grid(32, 4.0 * math.pi)
+    rng = np.random.default_rng(5)
+    shape = (3, 32, 32)
+    for exponent in (-100, -50, -20, -5, 0, 5, 20, 40, 60):
+        scale = 10.0 ** exponent
+        if kind == "complex":
+            x = scale * rng.uniform(0.5, 2.0, shape) * np.exp(2j * np.pi * rng.random(shape))
+        elif kind == "real":
+            x = scale * rng.standard_normal(shape)
+        else:
+            x = np.zeros(shape, dtype=complex)
+        planes = np.empty((2,) + shape)
+        for s in (0.0, 1.0):
+            weight = grid.abs_xi ** (2.0 * s)
+            if s:
+                weight[0, 0] = 0.0
+            expect = grid.dx * np.sqrt(np.sum(weight * np.abs(x) ** 2, axis=(-2, -1)))
+            got = sobolev_nodes(x, grid, s)
+            assert np.array_equal(sobolev_nodes(x, grid, s, scratch=planes), got)
+            assert np.allclose(got, expect, rtol=1e-14, atol=0.0), (exponent, s)
+        expect = (np.sum(np.abs(x) ** 4.0, axis=(-2, -1)) * grid.dx**2) ** 0.25
+        got = lp_nodes(x, grid, 4.0)
+        assert np.array_equal(lp_nodes(x, grid, 4.0, scratch=planes), got)
+        assert np.allclose(got, expect, rtol=1e-14, atol=0.0), exponent
+        if kind == "zero":
+            assert not got.any()
 
 
 @settings(max_examples=25, deadline=None)

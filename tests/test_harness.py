@@ -229,6 +229,31 @@ def test_a_cold_reference_sample_keeps_only_the_profiles():
     assert held < 65 * 128 * 128 * 8 / 2
 
 
+def test_a_warm_reference_march_works_in_box_sized_buffers():
+    """A warm 128^2, 65-node, n <= 3 march in a fresh process: every spectral
+    stage runs on the 85^2 box, so its traced peak, the workspace with the
+    running Duhamel sums, stays below nine 3-node chunks of the 128^2
+    lattice (7.1 MB), where the march on the whole lattice took 9.8 MB."""
+    out = _run_python(
+        "import json, tracemalloc\n"
+        "import numpy as np\n"
+        "from picardlab.harness import ExperimentConfig, _prepare, _sample_data\n"
+        "from picardlab.picard import _CHUNK, _march\n"
+        f"run = _prepare({REF128!r})\n"
+        "data = _sample_data(run, 0)\n"
+        "args = (3, data.phi0_rand.values, data.grid, run.tg, 'x1', ())\n"
+        "_march(*args)\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "per_node, kept = _march(*args)\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "print(json.dumps([per_node.shape, bool(np.isfinite(per_node).all()), _CHUNK,\n"
+        "                  peak - before]))\n")
+    shape, finite, chunk, peak = json.loads(out)
+    assert shape == [4, 3, 65] and finite
+    assert peak < 9 * chunk * 128 * 128 * 16
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 64, 200, 511])
 def test_quantile_helper_is_numpy_bit_for_bit(n):
     rng = np.random.default_rng(n)
@@ -488,18 +513,27 @@ def test_cli_simulate_reports_past_the_float_range_of_the_bound(tmp_path):
 
 
 def test_worker_pool_capped_at_samples_and_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """The cap is the affinity set where the platform has one: under taskset
+    or a cpuset it is smaller than the machine's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("PICARDLAB_WORKERS", "64")
     assert _worker_count(2) == 2
     assert _worker_count(64) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
     monkeypatch.setenv("PICARDLAB_WORKERS", "3")
     assert _worker_count(2) == 2
     assert _worker_count(64) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _worker_count(64) == 1
     monkeypatch.delenv("PICARDLAB_WORKERS")
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert _worker_count(64) == 1
+
+
+def test_worker_pool_without_affinity_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("PICARDLAB_WORKERS", "64")
+    assert _worker_count(64) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _worker_count(64) == 1
 
 
@@ -543,8 +577,13 @@ def test_cli_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, value):
     ("[experiment]\nrequire_small_regime =\n", "[experiment] require_small_regime"),
     ("[experiment]\np_list =\n", "p_list"),
     ("[data]\nfamily = gaussian\nsigma = 0\n", "sigma"),
+    ("[time]\nt_final = inf\n", "t_final"),
+    ("[time]\nt_final = nan\n", "t_final"),
+    ("[time]\nn_steps = 2.5\n", "[time] n_steps"),
+    ("[grid]\nbox_length = inf\n", "box_length"),
 ], ids=["bad-int", "no-section", "duplicate-key", "bad-p-list", "interpolation", "not-utf8",
-        "bool-typo", "bool-number", "bool-empty", "empty-p-list", "gaussian-sigma-zero"])
+        "bool-typo", "bool-number", "bool-empty", "empty-p-list", "gaussian-sigma-zero",
+        "t-final-inf", "t-final-nan", "n-steps-fraction", "box-length-inf"])
 def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
     ini = tmp_path / "exp.ini"
     if isinstance(text, bytes):

@@ -25,7 +25,7 @@ from picardlab import (
     sobolev_norm,
     space_time_norm,
 )
-from picardlab.grid import as_spectral, lp_nodes, sobolev_nodes
+from picardlab.grid import _sobolev_sums, _sobolev_weight, as_spectral, lp_nodes
 from picardlab.picard import _box, _duhamel_series, product_dealias, series_to_physical
 from picardlab.randomization import (
     RademacherDraw,
@@ -67,6 +67,25 @@ def test_timegrid_validation():
     assert tg.dt == 0.25
     assert tg.n_nodes == 5
     assert np.allclose(tg.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("t_final, n_steps, field", [
+    (math.inf, 4, "t_final"), (-math.inf, 4, "t_final"), (math.nan, 4, "t_final"),
+    (0.2, 2.5, "n_steps"), (0.2, 4.0, "n_steps"), (0.2, True, "n_steps"), (0.2, "4", "n_steps"),
+], ids=["inf", "-inf", "nan", "2.5", "4.0", "True", "str"])
+def test_timegrid_rejects_non_finite_times_and_non_integer_steps(t_final, n_steps, field):
+    """Refused when built, naming the field: an infinite T used to fill the
+    propagator tables with NaN, 2.5 steps to fail in ``times`` and True to
+    run one step."""
+    with pytest.raises(ValueError, match=field):
+        TimeGrid(t_final, n_steps)
+
+
+def test_timegrid_accepts_numpy_integer_steps():
+    tg = TimeGrid(0.2, np.int64(4))
+    assert type(tg.n_steps) is int
+    assert tg == TimeGrid(0.2, 4) and hash(tg) == hash(TimeGrid(0.2, 4))
+    assert np.array_equal(tg.times, TimeGrid(0.2, 4).times)
 
 
 def test_free_evolution_closed_form(grid64):
@@ -328,15 +347,18 @@ def test_pointwise_product_into_buffers_is_the_plain_expression(square):
 def _march_duhamel(src, grid, tg, start):
     """start + the box Duhamel series, chunk by chunk as the march adds it:
     one workspace for every chunk, each chunk's rows of the profiles spread
-    on the box, and outside the box the start itself."""
+    on the box, the sum formed in the box's compact layout, and outside the
+    box the start itself."""
     step = picard._DuhamelSums(grid, tg, box=True)
-    work = step.region.buffers(DEFAULT_CHUNK)
+    region = step.region
+    work = region.buffers(DEFAULT_CHUNK)
     profiles = picard._profiles(grid, tg)
     out = tuple(part.copy() for part in start)
     for nodes in picard._chunks(tg.n_nodes):
-        tables = tuple(step.region.spread(profile[nodes]) for profile in profiles)
-        for part, begin, dest in zip(step.advance(src[nodes], work, tables), start, out):
-            step.region.place(part, dest[nodes], begin[nodes])
+        tables = tuple(region.spread(profile[nodes]) for profile in profiles)
+        parts = step.advance(region.gather(src[nodes]), work, tables)
+        for part, begin, dest in zip(parts, start, out):
+            region.place(np.add(region.gather(begin[nodes]), part, out=part), dest[nodes])
     return out
 
 
@@ -422,7 +444,9 @@ def test_march_is_bit_identical_for_every_chunk_length(monkeypatch, grid64, fami
 @pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
 def test_reused_physical_du_gives_the_bits_of_the_full_transform(monkeypatch, grid64, d_choice):
     """On a box-supported datum one inverse transform serves the L^4 norm and
-    the next product; forcing the full-transform branch changes no bit."""
+    the next product.  Forcing the path of a datum with modes outside the
+    box changes no bit: its gap sums are exact zeros here, and its one full
+    inverse transform per chunk, shared by every level, is of zeros."""
     data = _random_data(grid64)
     tg = TimeGrid(t_final=0.3, n_steps=20)
     full_transforms = []
@@ -438,17 +462,26 @@ def test_reused_physical_du_gives_the_bits_of_the_full_transform(monkeypatch, gr
     monkeypatch.setattr(picard, "_inside_box", lambda hat, grid: False)
     _assert_same_chain(_chain_values(picard_chain(3, data, tg, d_choice)), reused)
     chunks = -(-tg.n_nodes // DEFAULT_CHUNK)
-    assert len(full_transforms) == 4 * chunks
+    assert len(full_transforms) == chunks
 
 
 @pytest.mark.parametrize("family, d_choice", [("band", "x1"), ("gaussian", "t")])
 def test_march_equals_the_level_by_level_recursion(grid64, family, d_choice):
     """Each level from the whole previous level: the product of its du, the
-    box Duhamel series from the free pair, and the norms of whole series."""
+    box Duhamel series from the free pair, and the norms of whole series as
+    the march sums them: the box in its compact layout plus the modes
+    outside it, and the physical du as the box part plus the outside part."""
     data = _random_data(grid64) if family == "band" else _gaussian_data(grid64)
     tg = TimeGrid(t_final=0.3, n_steps=24)
     chain = picard_chain(3, data, tg, d_choice)
     free_u, free_dt, _ = free_evolution(data, tg, d_choice)
+    box, inside = picard._region(grid64, True), box_mask(64)
+
+    def sobolev(hat, s):
+        sums = _sobolev_sums(box.gather(hat), box.h1_weight if s else None)
+        sums = sums + _sobolev_sums(hat * ~inside, _sobolev_weight(grid64, s))
+        return float((grid64.dx * np.sqrt(sums)).max())
+
     for prev, rec in zip([None] + chain, chain):
         if prev is None:
             u, dt_u = free_u.values, free_dt.values
@@ -457,12 +490,39 @@ def test_march_equals_the_level_by_level_recursion(grid64, family, d_choice):
             part_u, part_dt = _duhamel_series(src, grid64, tg, box=True)
             u, dt_u = free_u.values + part_u, free_dt.values + part_dt
         assert np.array_equal(rec.u.values, u) and np.array_equal(rec.du_dt.values, dt_u)
-        du_phys = np.fft.ifft2(rec.du.values, norm="ortho", axes=(-2, -1))
+        du_phys = sum(np.fft.ifft2(rec.du.values * part, norm="ortho", axes=(-2, -1))
+                      for part in (inside, ~inside))
         assert rec.norms == {
-            "linf_h1_u": float(sobolev_nodes(u, grid64, 1.0).max()),
-            "linf_l2_dudt": float(sobolev_nodes(dt_u, grid64, 0.0).max()),
+            "linf_h1_u": sobolev(u, 1.0),
+            "linf_l2_dudt": sobolev(dt_u, 0.0),
             "l2t_l4_du": picard._time_norm(lp_nodes(du_phys, grid64, 4.0), 2.0, tg.dt),
         }
+
+
+def _plain_norms(rec, grid, tg):
+    """The tracked norms of a record from plain numpy on the whole lattice:
+    np.abs(.)**2 and np.abs(.)**4 sums, np.fft.ifft2 for the physical du,
+    and the time trapezoid written out."""
+    h1 = grid.dx * np.sqrt(np.sum(grid.abs_xi**2 * np.abs(rec.u.values)**2, axis=(1, 2)))
+    l2 = grid.dx * np.sqrt(np.sum(np.abs(rec.du_dt.values)**2, axis=(1, 2)))
+    phys = np.fft.ifft2(rec.du.values, norm="ortho", axes=(1, 2))
+    l4_squared = np.sqrt(np.sum(np.abs(phys)**4, axis=(1, 2)) * grid.dx**2)
+    l2t = math.sqrt(tg.dt * (l4_squared.sum() - 0.5 * (l4_squared[0] + l4_squared[-1])))
+    return {"linf_h1_u": float(h1.max()), "linf_l2_dudt": float(l2.max()), "l2t_l4_du": l2t}
+
+
+@pytest.mark.parametrize("family", ["band", "gaussian"])
+@pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
+def test_march_norms_match_plain_full_lattice_sums(grid64, family, d_choice):
+    """Third reference for the norms, which the march sums on the box (plus
+    the modes outside it) with re^2 + im^2 kernels: the same norms of its
+    series by plain numpy over the whole lattice, to rounding."""
+    data = _random_data(grid64) if family == "band" else _gaussian_data(grid64)
+    tg = TimeGrid(t_final=0.3, n_steps=24)
+    for rec in picard_chain(3, data, tg, d_choice):
+        expect = _plain_norms(rec, grid64, tg)
+        for name, value in rec.norms.items():
+            assert value == pytest.approx(expect[name], rel=1e-14, abs=0.0), (rec.n, name)
 
 
 def test_no_march_workspace_view_escapes(grid64):

@@ -118,6 +118,9 @@ class ExperimentConfig:
             raise ConfigError("samples must be >= 1; empty experiments are rejected")
         if self.n_max < 0:
             raise ConfigError(f"n_max must be >= 0, got {self.n_max}")
+        for name in ("base_seed", "data_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.p_list or any(p < 2 or p % 2 for p in self.p_list):
             raise ConfigError(f"p_list must be nonempty, of even integers >= 2: {self.p_list}")
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
@@ -256,14 +259,21 @@ def _prepare(config: ExperimentConfig) -> PreparedRun:
     raw, data_sha256 = _data_digest(config)
     try:
         grid = make_grid(config.n_points, config.box_length)
-        phi0 = _build_phi0(config, grid, raw)
+        # overflow or a zero width may make phi0 non-finite; that is
+        # reported below as a config error, not as a numpy warning
+        with np.errstate(all="ignore"):
+            phi0 = _build_phi0(config, grid, raw)
+            phi0_h1 = sobolev_norm(phi0, 1.0)
         tg = TimeGrid(t_final=config.t_final, n_steps=config.n_steps)
     except ConfigError:
         raise
     except ValueError as exc:
         # grid/band/time constructor rejections are configuration mistakes
         raise ConfigError(str(exc)) from exc
-    phi0_h1 = sobolev_norm(phi0, 1.0)
+    if not (np.all(np.isfinite(phi0.values)) and math.isfinite(phi0_h1)):
+        source = f" ({config.data_path!r})" if config.family == "file" else ""
+        raise ConfigError(f"data family {config.family!r}{source} gives a datum with "
+                          f"non-finite values or H^1 norm ({phi0_h1})")
     blocks = active_blocks(phi0) if phi0_h1 > 0 else ()
     if config.family == "gaussian" and phi0_h1 > 0:
         # compactly supported (to rounding) datum: solution must not wrap
@@ -478,6 +488,8 @@ def interval_scaling_study(config: ExperimentConfig) -> ScalingResult:
     ts = tuple(sorted(config.interval_list, reverse=True))
     if len(ts) < 4:
         raise ConfigError(f"need >= 4 interval values, got {len(ts)}")
+    if not all(math.isfinite(t) and t > 0 for t in ts):
+        raise ConfigError(f"interval_list values must be positive and finite: {ts}")
     for a, b in zip(ts, ts[1:]):
         if abs(b / a - 0.5) > 1e-6:
             raise ConfigError(f"intervals must halve: {a} -> {b}")

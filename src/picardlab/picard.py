@@ -310,22 +310,6 @@ def _region(grid: Grid, box: bool) -> _Region:
     return _Region(tuple(zip(_box(grid), compact)), 2 * cut + 1, grid)
 
 
-@lru_cache(maxsize=32)
-def _series_table(grid: Grid, tg: TimeGrid, box: bool, which: int) -> np.ndarray:
-    """Profile ``which`` of (cos, sin, sinc) spread on the modes of
-    ``_region(grid, box)`` at every node, read-only: the tables of a caller
-    that computes a whole series at once.  The march spreads one chunk at a
-    time instead."""
-    table = _region(grid, box).spread(_profiles(grid, tg)[which])
-    table.flags.writeable = False
-    return table
-
-
-def _series_tables(grid: Grid, tg: TimeGrid, box: bool, count: int = 3) -> tuple[np.ndarray, ...]:
-    """The first ``count`` of (cos, sin, sinc) from :func:`_series_table`."""
-    return tuple(_series_table(grid, tg, box, which) for which in range(count))
-
-
 class _DuhamelSums:
     """The Duhamel integral of a source that arrives a chunk of nodes at a
     time: the one Duhamel body of the engine.
@@ -403,19 +387,26 @@ def _duhamel_series(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, box: bool 
 
     The sums run on the box (``box``) or the whole lattice; outside the
     region the result is zero.  A part not asked for is returned as None.
+    As in the march, each chunk spreads its rows of the propagator profiles
+    into chunk-sized tables and works in chunk-sized buffers; only the
+    returned series span every node.
     """
     sums = _DuhamelSums(grid, tg, box)
-    tables = _series_tables(grid, tg, box)
-    work = sums.region.buffers(min(_CHUNK, tg.n_nodes))
+    region = sums.region
+    work = region.buffers(min(_CHUNK, tg.n_nodes))
+    chunk_tables = tuple(np.empty(work[0].shape) for _ in range(3))
     new = np.zeros if box else np.empty
     outs = [new(source_hat.shape, dtype=complex) if want else None
             for want in (want_u, want_dt)]
     for nodes in _chunks(tg.n_nodes):
-        src = sums.region.gather(source_hat[nodes], out=work[0][:nodes.stop - nodes.start])
-        parts = sums.advance(src, work, tuple(t[nodes] for t in tables), want_u, want_dt)
+        k = nodes.stop - nodes.start
+        src = region.gather(source_hat[nodes], out=work[0][:k])
+        tables = tuple(region.spread(profile[nodes], out=t[:k])
+                       for profile, t in zip(_profiles(grid, tg), chunk_tables))
+        parts = sums.advance(src, work, tables, want_u, want_dt)
         for part, out in zip(parts, outs):
             if out is not None:
-                sums.region.place(part, out[nodes])
+                region.place(part, out[nodes])
     return outs[0], outs[1]
 
 
@@ -518,7 +509,7 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     """
     fa = _box_ifft2(a_hat, grid)
     fb = fa if b_hat is a_hat else _box_ifft2(b_hat, grid)
-    return _physical_product_hat(fa, fb, grid)
+    return _box_fft2(_pointwise_product(fa, fb), grid)
 
 
 def _pointwise_product(fa: np.ndarray, fb: np.ndarray, out: np.ndarray | None = None,
@@ -532,12 +523,6 @@ def _pointwise_product(fa: np.ndarray, fb: np.ndarray, out: np.ndarray | None = 
     out = np.multiply(fa, fb, out=out)
     out += np.multiply(fb, fa, out=scratch)
     return np.multiply(0.5, out, out=out)
-
-
-def _physical_product_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid) -> np.ndarray:
-    """The tail of :func:`product_dealias` from the box inverse transforms of
-    its factors: their pointwise product, then the box forward transform."""
-    return _box_fft2(_pointwise_product(fa, fb), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +564,19 @@ def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
     return np.multiply(_derivative_symbol(grid, d_choice, box), u_hat, out=out)
 
 
+def _free_series(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(u, dt u) of the free wave from (phi0, 0) at every node of ``tg`` on
+    the lattice, with cos and sin spread over it for this call only."""
+    cos_t, sin_t = (_region(grid, False).spread(profile) for profile in _profiles(grid, tg)[:2])
+    return _free_hats(phi0_hat, grid.abs_xi, (cos_t, sin_t), scratch=sin_t)
+
+
 def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
                         d_choice: str) -> np.ndarray:
     """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
     expansion's per-block brick, from the free pair the recursion starts at."""
     _check_d_choice(d_choice)
-    pair = _free_hats(phi0_hat, grid.abs_xi, _series_tables(grid, tg, False, 2))
-    return _derivative_hat(*pair, grid, d_choice)
+    return _derivative_hat(*_free_series(phi0_hat, grid, tg), grid, d_choice)
 
 
 def free_evolution(data: RandomizedData, tg: TimeGrid,
@@ -601,7 +592,7 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     """
     _check_d_choice(d_choice)
     grid = data.grid
-    u0, dudt0 = _free_hats(data.phi0_rand.values, grid.abs_xi, _series_tables(grid, tg, False, 2))
+    u0, dudt0 = _free_series(data.phi0_rand.values, grid, tg)
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
         _frozen_series(grid, tg, u0, "u"),

@@ -27,11 +27,13 @@ products instead of 145).  A tuple's sign is the product of its blocks'
 Rademacher signs, which child swaps keep, so the sum runs over swap classes:
 each class term is computed once and added once, scaled by its sign times
 the number of (tree, tuple) pairs in the class.  A term serves as a factor
-at level n only if its height is at most n - 1; such a term stays in the
-memo with its box inverse transform, so each distinct factor is transformed
-once and the product takes the cached arrays (the self-square path when both
-children share one key); once a factor has been added, its spectral series
-is dropped.  A term of height n (a top term) is never a factor, and
+at level n only if its height is at most n - 1.  The memo is a plain dict
+from key to a factor's box inverse transform and holds nothing else: the
+classes are visited with j ascending, so a factor's class has been added,
+and its transform stored, before any product reads it.  Each distinct
+factor is thus transformed once, and a product takes the stored arrays (the
+self-square path when both children share one key); no spectral series is
+kept.  A term of height n (a top term) is never a factor, and
 everything after its product -- the forward transform, the Duhamel sum and
 the derivative -- is linear.  So the top terms never enter the memo: their
 children's pointwise products are summed in physical space, scaled by the
@@ -61,7 +63,6 @@ from .picard import (
     _check_level,
     _d_duhamel_hat,
     _frozen_series,
-    _physical_product_hat,
     _pointwise_product,
     free_derivative_hat,
 )
@@ -293,67 +294,46 @@ def i_tau_oracle(tree: BinaryTree, t: float) -> float:
 # Tree terms on field data
 # ---------------------------------------------------------------------------
 
-class _Term:
-    """A memo entry: the spectral series of one term and, once the term has
-    been a factor, its box inverse transform.  A factor the tree sum has
-    added keeps only the latter (``hat`` None)."""
-
-    __slots__ = ("hat", "phys")
-
-    def __init__(self, hat: np.ndarray):
-        self.hat = hat
-        self.phys = None
-
-    def physical(self, grid) -> np.ndarray:
-        if self.phys is None:
-            self.phys = _box_ifft2(self.hat, grid)
-        return self.phys
-
-    def keep_physical(self, grid) -> None:
-        self.physical(grid)
-        self.hat = None
-
-
-def _term_key(
-    tree: BinaryTree,
-    blocks: tuple[tuple[int, int], ...],
-    data: RandomizedData,
-    tg: TimeGrid,
-    d_choice: str,
-    memo: dict | None,
-) -> tuple[str, tuple]:
-    """The memo key of the term of ``tree`` on ``blocks``, its entry computed
-    into ``memo`` first if absent; with ``memo`` None, only the key.
-
-    A key is (shape encoding, blocks) with the two children of every node
-    put in the order of their own keys, so the trees and block tuples that
-    differ by swaps of children share one key, and distinct classes keep
-    distinct keys.
-    """
+def _term_key(tree: BinaryTree, blocks: tuple[tuple[int, int], ...]) -> tuple[str, tuple]:
+    """The memo key of the term of ``tree`` on ``blocks``: (shape encoding,
+    blocks) with the two children of every node put in the order of their
+    own keys, so the trees and block tuples that differ by swaps of children
+    share one key, and distinct classes keep distinct keys."""
     if tree.is_leaf:
-        key = ("o", blocks)
-        if memo is not None and key not in memo:
-            memo[key] = _Term(free_derivative_hat(unit_projection(data.phi0, blocks[0]).values,
-                                                  data.grid, tg, d_choice))
-        return key
-    first, second = _child_keys(tree, blocks, data, tg, d_choice, memo)
-    key = (f"({first[0]}{second[0]})", first[1] + second[1])
-    if memo is not None and key not in memo:
-        grid = data.grid
-        # equal keys share one entry, so a square takes the self-square path
-        src = _physical_product_hat(memo[first].physical(grid), memo[second].physical(grid),
-                                    grid)
-        memo[key] = _Term(_d_duhamel_hat(src, grid, tg, d_choice, box=True))
-    return key
-
-
-def _child_keys(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
-                tg: TimeGrid, d_choice: str, memo: dict | None) -> list[tuple]:
-    """The keys of the two children of the node ``tree`` on ``blocks``, in
-    key order, their entries computed into ``memo`` first if absent."""
+        return ("o", blocks)
     split = _leaves(tree.left)
-    return sorted((_term_key(tree.left, blocks[:split], data, tg, d_choice, memo),
-                   _term_key(tree.right, blocks[split:], data, tg, d_choice, memo)))
+    first, second = sorted((_term_key(tree.left, blocks[:split]),
+                            _term_key(tree.right, blocks[split:])))
+    return (f"({first[0]}{second[0]})", first[1] + second[1])
+
+
+def _factors(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
+             tg: TimeGrid, d_choice: str, memo: dict) -> list[np.ndarray]:
+    """The box inverse transforms of the two children of the node ``tree``
+    on ``blocks``, from ``memo`` (keyed by :func:`_term_key`); a missing one
+    is computed into it.  Equal keys give one array, so a square takes the
+    self-square path of the product."""
+    split = _leaves(tree.left)
+    out = []
+    for sub, part in ((tree.left, blocks[:split]), (tree.right, blocks[split:])):
+        key = _term_key(sub, part)
+        if key not in memo:
+            memo[key] = _box_ifft2(_term_hat(sub, part, data, tg, d_choice, memo), data.grid)
+        out.append(memo[key])
+    return out
+
+
+def _term_hat(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
+              tg: TimeGrid, d_choice: str, memo: dict) -> np.ndarray:
+    """The spectral series of the term of ``tree`` on ``blocks``: a leaf's
+    free derivative series, or the Duhamel term of the dealiased product of
+    the node's factors (:func:`_factors`)."""
+    grid = data.grid
+    if tree.is_leaf:
+        return free_derivative_hat(unit_projection(data.phi0, blocks[0]).values, grid, tg,
+                                   d_choice)
+    src = _box_fft2(_pointwise_product(*_factors(tree, blocks, data, tg, d_choice, memo)), grid)
+    return _d_duhamel_hat(src, grid, tg, d_choice, box=True)
 
 
 def evaluate_tree_term(
@@ -362,7 +342,6 @@ def evaluate_tree_term(
     data: RandomizedData,
     tg: TimeGrid,
     d_choice: str = "x1",
-    memo: dict | None = None,
 ) -> FieldSeries:
     """The unsigned term G^tau for one tree and one tuple of unit blocks.
 
@@ -377,11 +356,9 @@ def evaluate_tree_term(
     missing = [k for k in blocks if k not in data.draw.blocks]
     if missing:
         raise ValueError(f"blocks {missing} carry no data (active set: {data.draw.blocks})")
-    if memo is None:
-        memo = {}
     norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
-    key = _term_key(tree, norm_blocks, data, tg, d_choice, memo)
-    return _frozen_series(data.grid, tg, memo[key].hat, "tree_term")
+    return _frozen_series(data.grid, tg, _term_hat(tree, norm_blocks, data, tg, d_choice, {}),
+                          "tree_term")
 
 
 def reconstruct_iterate(
@@ -429,31 +406,31 @@ def reconstruct_iterate(
         for tup in cartesian_product(active, repeat=j):
             sign = math.prod(data.draw.eps(k) for k in tup)
             for tree in trees:
-                key = _term_key(tree, tup, data, tg, d_choice, None)
+                key = _term_key(tree, tup)
                 classes.setdefault(key, [tree, tup, 0])[2] += sign
     grid = data.grid
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
     # the physical sum of the top products, the product at hand, and scratch
     top, product, scratch = np.zeros_like(total), np.empty_like(total), np.empty_like(total)
+    # the classes come with j ascending, so a factor's class is added, and
+    # its box inverse transform stored, before any term that reads it
     memo: dict = {}
     for key, (tree, tup, coef) in classes.items():
         if n and tree.height == n:
             # a term of height n is no factor at level n, and the transform,
             # Duhamel sum and derivative after its product are linear: only
             # the product enters the sum, and the tail is applied once below
-            first, second = _child_keys(tree, tup, data, tg, d_choice, memo)
-            _pointwise_product(memo[first].physical(grid), memo[second].physical(grid),
+            _pointwise_product(*_factors(tree, tup, data, tg, d_choice, memo),
                                out=product, scratch=scratch)
             _add_scaled(top, coef, product, scratch)
             continue
-        _term_key(tree, tup, data, tg, d_choice, memo)
-        _add_scaled(total, coef, memo[key].hat, scratch)
+        term = _term_hat(tree, tup, data, tg, d_choice, memo)
+        _add_scaled(total, coef, term, scratch)
         if n:
-            # a factor: later products read only its box inverse transform
-            memo[key].keep_physical(grid)
-        else:
-            # at n = 0 a leaf is no factor
-            del memo[key]
+            # a factor (at n = 0 a leaf is none): later products read only
+            # its box inverse transform
+            memo[key] = _box_ifft2(term, grid)
+        del term  # not held while the next term is formed
     if n:
         total += _d_duhamel_hat(_box_fft2(top, grid), grid, tg, d_choice, box=True)
     return _frozen_series(grid, tg, total, "du_reconstructed")

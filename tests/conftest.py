@@ -1,11 +1,16 @@
 """Shared fixtures: small grids and canonical data instances."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from picardlab import Field, TimeGrid, band_limited_field, make_grid, sobolev_norm
+from picardlab.harness import WORKERS_ENV
 from picardlab.randomization import active_blocks, draw_rademacher, randomize
 
 
@@ -56,3 +61,16 @@ def oracle_data(grid64):
 @pytest.fixture(scope="session")
 def oracle_timegrid():
     return TimeGrid(t_final=0.5, n_steps=128)
+
+
+def run_python(code: str, timeout: float = 120) -> str:
+    """Run ``code`` in a fresh interpreter with this checkout's ``src`` first
+    on the path; its standard output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop(WORKERS_ENV, None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_python
 from picardlab import (
     ExperimentConfig,
     Field,
@@ -77,6 +78,9 @@ def test_config_validation():
         ExperimentConfig(d_choice="bogus")
     with pytest.raises(ConfigError, match="data_path"):
         ExperimentConfig(family="file")
+    for name in ("base_seed", "data_seed"):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{name: -1})
 
 
 def test_bad_grid_and_band_surface_as_config_errors():
@@ -193,19 +197,6 @@ def test_one_reference_sample_holds_less_than_one_series_of_memory():
     assert peak < 65 * 128 * 128 * 16
 
 
-def _run_python(code: str, timeout: float = 120) -> str:
-    """Run ``code`` in a fresh interpreter with this checkout's ``src`` first
-    on the path; its standard output."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    env.pop(harness.WORKERS_ENV, None)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=timeout)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def test_a_cold_reference_sample_keeps_only_the_profiles():
     """One 128^2, 65-node, n <= 3 sample in a fresh process, every table
     cache empty: the march spreads each chunk's propagator rows into its
@@ -213,7 +204,7 @@ def test_a_cold_reference_sample_keeps_only_the_profiles():
     (where tables over the whole lattice took 45.9 MB), and what the call
     keeps, mostly the per-|xi| profiles, stays below half of one 65 x 128^2
     real table (where the cached lattices took 37.2 MB)."""
-    out = _run_python(
+    out = run_python(
         "import json, math, tracemalloc\n"
         "from picardlab.harness import ExperimentConfig, _prepare, _run_one\n"
         f"run = _prepare({REF128!r})\n"
@@ -234,7 +225,7 @@ def test_a_warm_reference_march_works_in_box_sized_buffers():
     stage runs on the 85^2 box, so its traced peak, the workspace with the
     running Duhamel sums, stays below nine 3-node chunks of the 128^2
     lattice (7.1 MB), where the march on the whole lattice took 9.8 MB."""
-    out = _run_python(
+    out = run_python(
         "import json, tracemalloc\n"
         "import numpy as np\n"
         "from picardlab.harness import ExperimentConfig, _prepare, _sample_data\n"
@@ -271,7 +262,7 @@ def test_a_run_and_its_report_do_not_import_numpy_ma(tmp_path):
     """numpy's quantile and median import numpy.ma on first use; the harness's
     own quantile keeps it out of a run."""
     config = replace(SMALL, samples=4)
-    out = _run_python(
+    out = run_python(
         "import sys\n"
         "from picardlab import ExperimentConfig, emit_report, run_experiment\n"
         f"emit_report(run_experiment({config!r}), {str(tmp_path)!r})\n"
@@ -284,7 +275,7 @@ def test_a_serial_run_does_not_import_the_process_pool(tmp_path):
     """The process pool (with multiprocessing and socket) is imported only by
     a run with more than one worker."""
     config = replace(SMALL, samples=2)
-    out = _run_python(
+    out = run_python(
         "import sys\n"
         "import picardlab\n"
         "from picardlab import ExperimentConfig, emit_report, run_experiment\n"
@@ -363,15 +354,20 @@ _HEADER = (b'{"n_points": 32, "box_length": 50.26548245743669, '
 
 
 @pytest.mark.parametrize("content", [None, "dir", b"", b"not json\n", b'{"n_points": 32}\n',
-                                     _HEADER + b"\0" * 8, "grid"],
+                                     _HEADER + b"\0" * 8, "grid", "nan"],
                          ids=["missing", "directory", "empty", "not-json", "no-box-length",
-                              "short-payload", "grid-mismatch"])
+                              "short-payload", "grid-mismatch", "nan-sample"])
 def test_cli_bad_data_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "phi0.field"
     if content == "dir":
         path.mkdir()
     elif content == "grid":
         _write_datum(path)
+    elif content == "nan":
+        grid = make_grid(64, ExperimentConfig().box_length)
+        values = np.ones((64, 64))
+        values[3, 5] = np.nan
+        save_field(Field(grid, values, "physical"), str(path))
     elif content is not None:
         path.write_bytes(content)
     ini = tmp_path / "exp.ini"
@@ -410,6 +406,9 @@ def test_scaling_validation():
         interval_scaling_study(replace(SMALL, interval_list=(0.2, 0.1, 0.05)))
     with pytest.raises(ConfigError, match="halve"):
         interval_scaling_study(replace(SMALL, interval_list=(0.2, 0.1, 0.06, 0.03)))
+    for bad in ((0.0,) * 4, (0.2, 0.1, 0.05, -0.025), (math.inf, 0.1, 0.05, 0.025)):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            interval_scaling_study(replace(SMALL, interval_list=bad))
 
 
 def test_scaling_medians_monotone_and_amplitude_linearity():
@@ -581,9 +580,18 @@ def test_cli_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, value):
     ("[time]\nt_final = nan\n", "t_final"),
     ("[time]\nn_steps = 2.5\n", "[time] n_steps"),
     ("[grid]\nbox_length = inf\n", "box_length"),
+    ("[data]\nfamily = gaussian\namplitude = nan\n", "family 'gaussian'"),
+    ("[data]\nfamily = gaussian\namplitude = inf\n", "family 'gaussian'"),
+    ("[data]\nfamily = gaussian\namplitude = 1e200\n", "family 'gaussian'"),
+    ("[data]\nfamily = gaussian\nsigma = 1e-300\n", "family 'gaussian'"),
+    ("[data]\nh1_norm = nan\n", "family 'band_limited'"),
+    ("[experiment]\nbase_seed = -1\n", "base_seed"),
+    ("[data]\ndata_seed = -1\n", "data_seed"),
 ], ids=["bad-int", "no-section", "duplicate-key", "bad-p-list", "interpolation", "not-utf8",
         "bool-typo", "bool-number", "bool-empty", "empty-p-list", "gaussian-sigma-zero",
-        "t-final-inf", "t-final-nan", "n-steps-fraction", "box-length-inf"])
+        "t-final-inf", "t-final-nan", "n-steps-fraction", "box-length-inf",
+        "gaussian-amplitude-nan", "gaussian-amplitude-inf", "gaussian-amplitude-huge",
+        "gaussian-sigma-underflow", "h1-norm-nan", "base-seed-negative", "data-seed-negative"])
 def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
     ini = tmp_path / "exp.ini"
     if isinstance(text, bytes):
@@ -594,6 +602,27 @@ def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
     err = capsys.readouterr().err
     assert err.startswith("[ERROR] ") and "Traceback" not in err
     assert str(ini) in err and where in err
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["simulate", "--seed", "-1", "--grid", "32", "--samples", "2", "--steps", "8",
+                 "--n-max", "0", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and "Traceback" not in err and "base_seed" in err
+
+
+@pytest.mark.parametrize("intervals", ["0 0 0 0", "0.2 0.1 0.05 -0.025", "inf 0.1 0.05 0.025",
+                                       "0.2 0.1 0.05 nan"],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_cli_scaling_bad_intervals_exit_2(tmp_path, capsys, intervals):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\ninterval_list = {intervals}\n")
+    code = main(["scaling", "--config", str(ini), "--grid", "32", "--samples", "2",
+                 "--steps", "8", "--n-max", "0", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and "Traceback" not in err and "interval_list" in err
 
 
 def test_ini_boolean_accepts_configparser_words(tmp_path):

@@ -1,16 +1,19 @@
 """Full binary tree combinatorics, integral constants, and reconstruction."""
 
+import json
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import product as cartesian_product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_mask, two_block_datum
+from conftest import box_mask, run_python, two_block_datum
 from picardlab import (
     BinaryTree,
     Field,
@@ -28,7 +31,7 @@ from picardlab import (
     picard_iterate,
     reconstruct_iterate,
 )
-from picardlab import trees
+from picardlab import picard, trees
 from picardlab.multipliers import unit_projection
 from picardlab.picard import FieldSeries, free_derivative_hat, product_dealias
 from picardlab.randomization import active_blocks, draw_rademacher, randomize
@@ -207,10 +210,7 @@ def _swap_class(tree, blocks):
 def test_term_key_is_canonical_under_child_swaps(small_oracle):
     data, tg = small_oracle
     a, b, c = data.draw.blocks[:3]
-    memo = {}
-
-    def key(tree, blocks):
-        return _term_key(tree, blocks, data, tg, "x1", memo)
+    key = _term_key
 
     # same-shape halves swapped, at the top and inside
     balanced = BinaryTree(NODE2, NODE2)
@@ -321,45 +321,45 @@ def _count_calls(monkeypatch, *names):
 def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monkeypatch):
     """With 4 blocks, n = 2 has 4 leaves, 10 pairs, 40 three-leaf and 55
     four-leaf terms up to child swaps.  Each factor (the leaves and the
-    pairs) has one box inverse transform: 14.  Each pair is one product
-    with its own forward transform and Duhamel sum: 10.  The 95 three- and
-    four-leaf terms have height 2, so each is one pointwise product added
-    into the top sum, which takes one forward transform and one Duhamel
-    sum: 11 Duhamel sums in all.  At n = 1 the 10 pairs are the top terms:
-    4 inverse transforms, 10 pointwise products, one Duhamel sum."""
+    pairs) has one box inverse transform: 14.  Each pair is one pointwise
+    product with its own forward transform and Duhamel sum: 10.  The 95
+    three- and four-leaf terms have height 2, so each is one pointwise
+    product added into the top sum, which takes one forward transform and
+    one Duhamel sum: 105 pointwise products, 11 forward transforms and 11
+    Duhamel sums in all.  At n = 1 the 10 pairs are the top terms: 4
+    inverse transforms, 10 pointwise products, one forward transform and
+    one Duhamel sum."""
     data, tg = small_oracle
     calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_ifft2", "_box_fft2",
-                         "_physical_product_hat", "_pointwise_product", "_d_duhamel_hat")
+                         "_pointwise_product", "_d_duhamel_hat")
     reconstruct_iterate(1, data, tg)
     assert calls == {"free_derivative_hat": 4, "_box_ifft2": 4, "_box_fft2": 1,
                      "_pointwise_product": 10, "_d_duhamel_hat": 1}
     calls.clear()
     reconstruct_iterate(2, data, tg)
-    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 14, "_box_fft2": 1,
-                     "_physical_product_hat": 10, "_pointwise_product": 95,
-                     "_d_duhamel_hat": 11}
+    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 14, "_box_fft2": 11,
+                     "_pointwise_product": 105, "_d_duhamel_hat": 11}
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
-    """A term of height n is never a factor at level n and never enters the
-    memo (at n = 0, a leaf leaves it as soon as it has been added).  With 4
-    blocks, n = 0 holds one leaf at a time, n = 1 the 4 leaves and n = 2 the
-    14 factors (leaves and pairs), not all 109 entries; every entry is
-    released when the sum returns."""
+    """The memo holds the box inverse transforms of factors only.  A term of
+    height n is never a factor at level n and never enters it; at n = 0 no
+    leaf does.  With 4 blocks, n = 0 holds no transform, n = 1 the 4 leaves'
+    and n = 2 the 14 factors' (leaves and pairs), not all 109 terms'; every
+    one is released when the sum returns."""
     data, tg = small_oracle
     alive = Counter()
+    original = trees._box_ifft2
 
-    class CountedTerm(trees._Term):
-        def __init__(self, hat):
-            super().__init__(hat)
-            alive["now"] += 1
-            alive["peak"] = max(alive["peak"], alive["now"])
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        alive["now"] += 1
+        alive["peak"] = max(alive["peak"], alive["now"])
+        weakref.finalize(out, alive.update, {"now": -1})
+        return out
 
-        def __del__(self):
-            alive["now"] -= 1
-
-    monkeypatch.setattr(trees, "_Term", CountedTerm)
-    for n, peak in ((0, 1), (1, 4), (2, 14)):
+    monkeypatch.setattr(trees, "_box_ifft2", counted)
+    for n, peak in ((0, 0), (1, 4), (2, 14)):
         alive.clear()
         reconstruct_iterate(n, data, tg)
         assert alive["peak"] == peak and alive["now"] == 0, n
@@ -385,6 +385,66 @@ def test_reconstruction_at_level_2_stays_within_25_series(oracle_data):
     assert peak < 25 * series_bytes
 
 
+def test_oracle_calls_keep_no_whole_series_tables():
+    """The tree sum at n = 1 and 2, the direct iterate, duhamel() and
+    free_evolution on the benchmark's oracle datum (64^2, 17 nodes), in a
+    fresh process: every table is spread at call time or one chunk at a
+    time, and the tree memo lives only within its call, so what the calls
+    keep (the cached per-|xi| profiles and symbols) stays below one
+    17 x 64^2 complex series.  Whole-series tables cached beside the
+    profiles kept 2.8 MB."""
+    tests = str(Path(__file__).resolve().parent)
+    out = run_python(
+        "import json, math, sys, tracemalloc\n"
+        "import numpy as np\n"
+        f"sys.path.insert(0, {tests!r})\n"
+        "from conftest import two_block_datum\n"
+        "from picardlab import (TimeGrid, duhamel, free_evolution, make_grid,\n"
+        "                       picard_iterate, reconstruct_iterate)\n"
+        "from picardlab.randomization import active_blocks, draw_rademacher, randomize\n"
+        "phi0 = two_block_datum(make_grid(64, 8.0 * math.pi))\n"
+        "data = randomize(phi0, None, draw_rademacher(99, active_blocks(phi0), sample_index=1))\n"
+        "tg = TimeGrid(t_final=0.5, n_steps=16)\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "direct = picard_iterate(2, data, tg)\n"
+        "out = [reconstruct_iterate(n, data, tg).values for n in (1, 2)]\n"
+        "out += [direct.du.values, duhamel(direct.du, tg).values]\n"
+        "out += [series.values for series in free_evolution(data, tg)]\n"
+        "finite = all(bool(np.isfinite(v).all()) for v in out)\n"
+        "del out, direct\n"
+        "held = tracemalloc.get_traced_memory()[0] - before\n"
+        "print(json.dumps([finite, held]))\n")
+    finite, held = json.loads(out)
+    assert finite
+    print(f"\nkept after the oracle calls: {held / 1e6:.2f} MB")
+    assert held < 17 * 64 * 64 * 16
+
+
+def test_whole_series_duhamel_and_tree_sum_are_bit_identical_for_every_chunk_length(
+        monkeypatch, oracle_data):
+    """duhamel() and the tree sum spread the propagator profiles one chunk of
+    nodes at a time, as the march does, so any chunk length gives the same
+    bits; the source of duhamel() fills the whole lattice."""
+    grid = oracle_data.grid
+    tg = TimeGrid(t_final=0.5, n_steps=16)
+    rng = np.random.default_rng(5)
+    shape = (tg.n_nodes, grid.n_points, grid.n_points)
+    source = FieldSeries(grid, tg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         "spectral")
+
+    def outputs():
+        return ([duhamel(source, tg, d).values for d in ("x1", "x2", "t")]
+                + [reconstruct_iterate(2, oracle_data, tg).values])
+
+    monkeypatch.setattr(picard, "_CHUNK", tg.n_nodes)
+    expect = outputs()
+    for chunk in (1, 3, 4):
+        monkeypatch.setattr(picard, "_CHUNK", chunk)
+        for got, want in zip(outputs(), expect):
+            assert np.array_equal(got, want), chunk
+
+
 def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatch):
     """A 2-block datum, the (4,0), (4,1) and (4,N-1) modes of the oracle datum
     with their conjugates (blocks (+-1, 0)): its level-3 tree sum, 1,446
@@ -392,7 +452,9 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     recursion to rounding.  Up to swaps there are 3 pairs, 6 three-leaf
     terms (leaf and pair) and 6 balanced four-leaf terms (two pairs) of
     height at most 2: 15 products, each with its Duhamel sum.  The other
-    138 classes have height 3 and share one Duhamel sum: 16 in all."""
+    138 classes have height 3: each is one pointwise product added into the
+    top sum, which takes one forward transform and one Duhamel sum.  That is
+    16 forward transforms, 153 pointwise products and 16 Duhamel sums."""
     n_pts = grid64.n_points
     full = two_block_datum(grid64).values
     keep = np.zeros(full.shape, dtype=bool)
@@ -403,11 +465,11 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     assert blocks == ((-1, 0), (1, 0))
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     tg = TimeGrid(t_final=0.5, n_steps=16)
-    calls = _count_calls(monkeypatch, "free_derivative_hat", "_physical_product_hat",
+    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_fft2",
                          "_pointwise_product", "_d_duhamel_hat")
     rec = reconstruct_iterate(3, data, tg)
-    assert calls == {"free_derivative_hat": 2, "_physical_product_hat": 15,
-                     "_pointwise_product": 138, "_d_duhamel_hat": 16}
+    assert calls == {"free_derivative_hat": 2, "_box_fft2": 16,
+                     "_pointwise_product": 153, "_d_duhamel_hat": 16}
     direct = picard_iterate(3, data, tg)
     rel = _rel_linf_l2(rec.values, direct.du.values, grid64)
     print(f"\nn=3 tree-vs-direct relative Linf-L2 discrepancy: {rel:.3e}")

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (
+    SLOPE_RANGE,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -146,6 +147,19 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
+def _out_dir(args) -> Path | None:
+    """The ``--out`` directory of a run, checked before the run starts: if it,
+    or the nearest of its parents that exists, is not a directory, writing
+    the results could only fail once the run is done."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {args.out!r}: {str(existing)!r} is not a directory")
+    return out
+
+
 def _dump_fields(report: ExperimentReport, out: Path) -> None:
     """Save the run's fixed datum and its sample-0 iterate snapshot at t = T."""
     from .grid import Field, save_field
@@ -166,6 +180,7 @@ def _dump_fields(report: ExperimentReport, out: Path) -> None:
 
 def _run_simulate(args) -> int:
     config = _config_from_args(args)
+    out = _out_dir(args)
     report = run_experiment(config)
     print(f"config {report.run.config_hash}: M={config.samples}, n_max={config.n_max}, "
           f"grid {config.n_points}^2, T={config.t_final}")
@@ -177,8 +192,7 @@ def _run_simulate(args) -> int:
     ok &= _verdict_line("moment ratios <= 1 (calibrated bound)",
                         report.verdicts["moment_ratios"], f"worst ratio {worst:.4f}")
     ok &= _verdict_line("small-interval regime", report.verdicts["small_regime"])
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         paths = emit_report(report, out)
         if args.partial:
             _dump_fields(report, out)
@@ -188,33 +202,36 @@ def _run_simulate(args) -> int:
 
 def _run_scaling(args) -> int:
     config = _config_from_args(args)
+    out = _out_dir(args)
     if not config.interval_list:
         t = config.t_final
         config = replace(config, interval_list=(t, t / 2, t / 4, t / 8))
     scaling = interval_scaling_study(config)
+    lo, hi = SLOPE_RANGE
     ok = True
     for n in sorted(scaling.slopes):
         detail = f"slope {scaling.slopes[n]:.4f}"
         if n <= 1:
-            ok &= _verdict_line(f"n={n} scaling slope in [0.4, 0.6]",
+            ok &= _verdict_line(f"n={n} scaling slope in [{lo}, {hi}]",
                                 scaling.slope_ok(n), detail)
         else:
             print(f"[INFO] n={n} {detail}")
-    if args.out:
-        emit_scaling(scaling, Path(args.out))
+    if out is not None:
+        emit_scaling(scaling, out)
     return 0 if ok else 1
 
 
 def _run_tails(args) -> int:
     config = _config_from_args(args)
+    out = _out_dir(args)
     n = args.n_max if args.n_max is not None else 1
     tail = tail_study(replace(config, n_max=n), n)
     n_checked = sum(tail.checked)
     ok = _verdict_line(
         f"empirical tail <= calibrated bound at n={n}", tail.passed,
         f"{n_checked}/{len(tail.lam)} nonvacuous grid points")
-    if args.out:
-        emit_tail(tail, Path(args.out))
+    if out is not None:
+        emit_tail(tail, out)
     return 0 if ok else 1
 
 
@@ -240,9 +257,6 @@ def _run_report(args) -> int:
     ok = True
     for name, verdict in sorted(payload["verdicts"].items()):
         ok &= _verdict_line(name, bool(verdict))
-    for extra in ("scaling", "tail"):
-        if extra in payload:
-            print(f"[INFO] {extra} study attached")
     return 0 if ok and payload["all_pass"] else 1
 
 

@@ -310,22 +310,23 @@ def load_field(path: str) -> Field:
 
 
 def parse_field(data: bytes) -> Field:
-    """The field whose :func:`save_field` file holds exactly these bytes."""
+    """The field whose :func:`save_field` file holds exactly these bytes.
+
+    The header's n_points (an integer) and the payload size are checked
+    before the grid is built, so a corrupt header allocates nothing.
+    """
     head, _, raw = data.partition(b"\n")
     header = json.loads(head.decode("ascii"))
-    n = int(header["n_points"])
-    grid = make_grid(n, float(header["box_length"]))
+    n = _check_integer(header["n_points"], "n_points")
     rep = header["representation"]
+    if rep not in (PHYSICAL, SPECTRAL):
+        raise ValueError(f"unknown representation {rep!r} in header")
+    expect = n * n * (8 if rep == PHYSICAL else 16)
+    if len(raw) != expect:
+        raise ValueError(f"payload has {len(raw)} bytes, expected {expect}")
+    grid = make_grid(n, float(header["box_length"]))
+    vals = np.frombuffer(raw, dtype="<f8")
     if rep == PHYSICAL:
-        expect = n * n * 8
-        if len(raw) != expect:
-            raise ValueError(f"payload has {len(raw)} bytes, expected {expect}")
-        vals = np.frombuffer(raw, dtype="<f8").reshape(n, n)
-        return Field(grid, vals, PHYSICAL)
-    if rep == SPECTRAL:
-        expect = n * n * 16
-        if len(raw) != expect:
-            raise ValueError(f"payload has {len(raw)} bytes, expected {expect}")
-        inter = np.frombuffer(raw, dtype="<f8").reshape(n, n, 2)
-        return Field(grid, inter[..., 0] + 1j * inter[..., 1], SPECTRAL)
-    raise ValueError(f"unknown representation {rep!r} in header")
+        return Field(grid, vals.reshape(n, n), PHYSICAL)
+    inter = vals.reshape(n, n, 2)
+    return Field(grid, inter[..., 0] + 1j * inter[..., 1], SPECTRAL)

@@ -75,6 +75,7 @@ BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_QUANTILE = 0.95
 CALIBRATION_MARGIN = 1.05
 SMALL_REGIME_LIMIT = 0.5
+SLOPE_RANGE = (0.4, 0.6)
 WORKERS_ENV = "PICARDLAB_WORKERS"
 
 DATA_FAMILIES = ("band_limited", "gaussian", "file", "zero")
@@ -213,16 +214,14 @@ class ScalingResult:
     t_values: tuple[float, ...]
     medians: dict
     slopes: dict
-    samples: int
 
-    def slope_ok(self, n: int, lo: float = 0.4, hi: float = 0.6) -> bool:
-        return lo <= self.slopes[n] <= hi
+    def slope_ok(self, n: int) -> bool:
+        return SLOPE_RANGE[0] <= self.slopes[n] <= SLOPE_RANGE[1]
 
 
 @dataclass(frozen=True)
 class TailStudyResult:
     n: int
-    c_cal: float
     lam: tuple[float, ...]
     empirical: tuple[float, ...]
     bound: tuple[float, ...]
@@ -514,18 +513,19 @@ def interval_scaling_study(config: ExperimentConfig) -> ScalingResult:
         slopes[n] = float(np.polyfit(log_t, log_m, 1)[0])
     return ScalingResult(t_values=ts,
                          medians={n: tuple(m) for n, m in medians.items()},
-                         slopes=slopes, samples=config.samples)
+                         slopes=slopes)
 
 
-def tail_study(config: ExperimentConfig, n: int,
-               lam_grid=None) -> TailStudyResult:
+def tail_study(config: ExperimentConfig, n: int) -> TailStudyResult:
     """Empirical P(||du^(n)|| > lam) against the calibrated sub-Weibull bound.
 
     The moment growth C_cal p^(2^n/2) ||phi0|| sqrt(T) (2^n)! is rewritten as
     c * n_scale^(-1) * p^(k/2) with k = 2^n and n_scale = 1/(2^n ||phi0||
-    sqrt(T)), then converted by tail_from_moments.  The domination check runs
-    at grid points where the bound is nonvacuous (<= 1); vacuous points are
-    recorded but not judged.
+    sqrt(T)), then converted by tail_from_moments.  The 33-point geometric
+    lambda grid runs from half the median norm past both the largest norm and
+    the point where the bound crosses 1.  The domination check runs at grid
+    points where the bound is nonvacuous (<= 1); vacuous points are recorded
+    but not judged.
     """
     if config.samples < 512:
         raise ConfigError(f"tail study needs >= 512 samples, got {config.samples}")
@@ -542,18 +542,16 @@ def tail_study(config: ExperimentConfig, n: int,
     scale = k * report.phi0_h1 * math.sqrt(config.t_final)
     mb = MomentBound(c=report.c_cal * math.factorial(k) / k, alpha=1.0,
                      n_scale=1.0 / scale, k=float(k), p0=2.0)
-    if lam_grid is None:
-        # cover the vacuous region (bound > 1, recorded only) AND a decade of
-        # the nonvacuous region; lam_vac is where the bound crosses 1
-        lam_vac = math.e * mb.c * scale * mb.p0 ** (k / 2.0)
-        hi = max(4.0 * float(np.max(xf)), 8.0 * lam_vac)
-        lam_grid = np.geomspace(0.5 * _quantile(xf, None), hi, 33)
-    lam = tuple(float(v) for v in lam_grid)
+    # cover the vacuous region (bound > 1, recorded only) AND a decade of
+    # the nonvacuous region; lam_vac is where the bound crosses 1
+    lam_vac = math.e * mb.c * scale * mb.p0 ** (k / 2.0)
+    hi = max(4.0 * float(np.max(xf)), 8.0 * lam_vac)
+    lam = tuple(float(v) for v in np.geomspace(0.5 * _quantile(xf, None), hi, 33))
     empirical = tuple(float(np.mean(x > v)) for v in lam)
     bound = tuple(tail_from_moments(mb, v) for v in lam)
     checked = tuple(b <= 1.0 for b in bound)
     passed = all(e <= b for e, b, c in zip(empirical, bound, checked) if c)
-    return TailStudyResult(n=n, c_cal=report.c_cal, lam=lam, empirical=empirical,
+    return TailStudyResult(n=n, lam=lam, empirical=empirical,
                            bound=bound, checked=checked, passed=passed,
                            finite_fraction=float(xf.size / x.size))
 
@@ -585,7 +583,7 @@ def _two_column_csv(header: str, pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_payload(report: ExperimentReport, scaling, tail) -> dict:
+def _summary_payload(report: ExperimentReport) -> dict:
     payload = {
         "version": _package_version(),
         "config": asdict(report.config),
@@ -605,20 +603,6 @@ def _summary_payload(report: ExperimentReport, scaling, tail) -> dict:
     }
     if report.config.family == "file":
         payload["data_sha256"] = report.run.data_sha256
-    if scaling is not None:
-        payload["scaling"] = {
-            "t_values": list(scaling.t_values),
-            "medians": {str(n): list(m) for n, m in scaling.medians.items()},
-            "slopes": {str(n): s for n, s in scaling.slopes.items()},
-            "samples": scaling.samples,
-        }
-    if tail is not None:
-        payload["tail"] = {
-            "n": tail.n, "c_cal": tail.c_cal, "lam": list(tail.lam),
-            "empirical": list(tail.empirical), "bound": list(tail.bound),
-            "checked": list(tail.checked), "passed": tail.passed,
-            "finite_fraction": tail.finite_fraction,
-        }
     return payload
 
 
@@ -653,26 +637,19 @@ def emit_tail(tail: TailStudyResult, out_dir) -> tuple[Path, ...]:
     )
 
 
-def emit_report(report: ExperimentReport, out_dir, formats=("csv", "json"),
-                scaling: "ScalingResult | None" = None,
-                tail: "TailStudyResult | None" = None) -> tuple[Path, ...]:
-    """Write rows.csv / summary.json (+ plot-data CSVs for attached studies)."""
+def emit_report(report: ExperimentReport, out_dir) -> tuple[Path, ...]:
+    """Write the run's rows.csv and summary.json into ``out_dir``; the scaling
+    and tail studies write their plot data through emit_scaling / emit_tail."""
     if not report.rows:
         raise ValueError("refusing to emit an empty report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        written.append(_write_text(out / "rows.csv", _rows_csv(report)))
-        if scaling is not None:
-            written.extend(emit_scaling(scaling, out))
-        if tail is not None:
-            written.extend(emit_tail(tail, out))
-    if "json" in formats:
-        payload = _summary_payload(report, scaling, tail)
-        written.append(_write_text(
-            out / "summary.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"))
-    return tuple(written)
+    payload = _summary_payload(report)
+    return (
+        _write_text(out / "rows.csv", _rows_csv(report)),
+        _write_text(out / "summary.json",
+                    json.dumps(payload, sort_keys=True, indent=2) + "\n"),
+    )
 
 
 # ---------------------------------------------------------------------------

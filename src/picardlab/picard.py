@@ -141,9 +141,10 @@ class FieldSeries:
     timegrid: TimeGrid
     values: np.ndarray
     representation: str
-    tag: str = ""
 
     def __post_init__(self) -> None:
+        if self.representation not in (PHYSICAL, SPECTRAL):
+            raise ValueError(f"unknown representation {self.representation!r}")
         n, m = self.grid.n_points, self.timegrid.n_nodes
         real = self.representation == PHYSICAL and not np.iscomplexobj(self.values)
         vals = np.asarray(self.values, dtype=np.float64 if real else np.complex128)
@@ -155,10 +156,10 @@ class FieldSeries:
         object.__setattr__(self, "values", vals)
 
 
-def _frozen_series(grid: Grid, tg: TimeGrid, hat: np.ndarray, tag: str) -> FieldSeries:
+def _frozen_series(grid: Grid, tg: TimeGrid, hat: np.ndarray) -> FieldSeries:
     """Wrap a spectral array the engine has just computed, freezing it in place."""
     hat.flags.writeable = False
-    return FieldSeries(grid, tg, hat, SPECTRAL, tag)
+    return FieldSeries(grid, tg, hat, SPECTRAL)
 
 
 def series_to_physical(series: FieldSeries) -> FieldSeries:
@@ -168,7 +169,7 @@ def series_to_physical(series: FieldSeries) -> FieldSeries:
     scale = float(np.max(np.abs(phys.real)))
     if float(np.max(np.abs(phys.imag))) <= 1e-12 * max(scale, 1e-300):
         phys = phys.real
-    return FieldSeries(series.grid, series.timegrid, phys, PHYSICAL, series.tag)
+    return FieldSeries(series.grid, series.timegrid, phys, PHYSICAL)
 
 
 class BlowUpError(RuntimeError):
@@ -443,7 +444,7 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
     if source.representation != SPECTRAL:
         src = np.fft.fft2(src, norm="ortho", axes=(-2, -1))
     out = _d_duhamel_hat(src, source.grid, tg, d_choice, box=False)
-    return _frozen_series(source.grid, tg, out, f"duhamel_{d_choice}")
+    return _frozen_series(source.grid, tg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +596,9 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     u0, dudt0 = _free_series(data.phi0_rand.values, grid, tg)
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
-        _frozen_series(grid, tg, u0, "u"),
-        _frozen_series(grid, tg, dudt0, "du_dt"),
-        _frozen_series(grid, tg, du0, "du"),
+        _frozen_series(grid, tg, u0),
+        _frozen_series(grid, tg, dudt0),
+        _frozen_series(grid, tg, du0),
     )
 
 
@@ -769,9 +770,9 @@ def _record(n: int, norms: dict[str, float], series: tuple, data: RandomizedData
     u_hat, dudt_hat = series
     return IterateRecord(
         n=n,
-        u=_frozen_series(grid, tg, u_hat, "u"),
-        du_dt=_frozen_series(grid, tg, dudt_hat, "du_dt"),
-        du=_frozen_series(grid, tg, _derivative_hat(u_hat, dudt_hat, grid, d_choice), "du"),
+        u=_frozen_series(grid, tg, u_hat),
+        du_dt=_frozen_series(grid, tg, dudt_hat),
+        du=_frozen_series(grid, tg, _derivative_hat(u_hat, dudt_hat, grid, d_choice)),
         norms=norms,
     )
 

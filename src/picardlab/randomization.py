@@ -96,15 +96,14 @@ def _spectral_bbox_blocks(phi_hat: np.ndarray, grid: Grid) -> list[tuple[int, in
     return [(k1, k2) for k1 in range(k1_lo, k1_hi + 1) for k2 in range(k2_lo, k2_hi + 1)]
 
 
-def active_blocks(phi0: Field,
-                  threshold: float = BLOCK_NORM_THRESHOLD) -> tuple[tuple[int, int], ...]:
-    """Blocks k with ||P_k phi0||_2 above the sparsity threshold."""
+def active_blocks(phi0: Field) -> tuple[tuple[int, int], ...]:
+    """Blocks k with ||P_k phi0||_2 above BLOCK_NORM_THRESHOLD."""
     g0 = as_spectral(phi0)
     grid = g0.grid
     part = UnitPartition(grid)
     out = []
     for k in sorted(_spectral_bbox_blocks(g0.values, grid)):
-        if sobolev_nodes(part.weight(k) * g0.values, grid, 0.0) > threshold:
+        if sobolev_nodes(part.weight(k) * g0.values, grid, 0.0) > BLOCK_NORM_THRESHOLD:
             out.append(k)
     return tuple(out)
 
@@ -148,20 +147,18 @@ def randomize(phi0: Field, phi1: None, draw: RademacherDraw) -> RandomizedData:
 # Data families
 # ---------------------------------------------------------------------------
 
-def gaussian_bump(grid: Grid, sigma: float = 2.0, amplitude: float = 1.0,
-                  center: tuple[float, float] | None = None) -> Field:
-    """Gaussian bump exp(-|x - x0|^2 / (2 sigma^2)), centered in the box by default."""
+def gaussian_bump(grid: Grid, sigma: float = 2.0, amplitude: float = 1.0) -> Field:
+    """Gaussian bump amplitude * exp(-|x - c|^2 / (2 sigma^2)) at the box
+    center c = (L/2, L/2), where :func:`support_radius` measures from."""
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite width, got {sigma}")
-    if center is None:
-        c = grid.box_length / 2.0
-        center = (c, c)
-    r2 = (grid.x1 - center[0]) ** 2 + (grid.x2 - center[1]) ** 2
+    c = grid.box_length / 2.0
+    r2 = (grid.x1 - c) ** 2 + (grid.x2 - c) ** 2
     return Field(grid, amplitude * np.exp(-r2 / (2.0 * sigma**2)), "physical")
 
 
-def support_radius(f: Field, tol: float = 1e-13) -> float:
-    """Radius around the box center beyond which |f| stays below tol * max|f|.
+def support_radius(f: Field) -> float:
+    """Radius around the box center beyond which |f| stays below 1e-13 * max|f|.
 
     Used by the harness to validate the finite-propagation condition
     T < L/2 - radius for physically localized data.
@@ -175,7 +172,7 @@ def support_radius(f: Field, tol: float = 1e-13) -> float:
         return 0.0
     c = p.grid.box_length / 2.0
     r = np.sqrt((p.grid.x1 - c) ** 2 + (p.grid.x2 - c) ** 2)
-    hit = a > tol * scale
+    hit = a > 1e-13 * scale
     return float(r[hit].max()) if hit.any() else 0.0
 
 

@@ -85,6 +85,7 @@ __all__ = [
 ]
 
 MAX_LEAVES = 14
+MAX_BLOCKS = 6
 MAX_TREE_TERMS = 25_000
 ORACLE_NODES = 32
 
@@ -357,8 +358,7 @@ def evaluate_tree_term(
     if missing:
         raise ValueError(f"blocks {missing} carry no data (active set: {data.draw.blocks})")
     norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
-    return _frozen_series(data.grid, tg, _term_hat(tree, norm_blocks, data, tg, d_choice, {}),
-                          "tree_term")
+    return _frozen_series(data.grid, tg, _term_hat(tree, norm_blocks, data, tg, d_choice, {}))
 
 
 def reconstruct_iterate(
@@ -366,7 +366,6 @@ def reconstruct_iterate(
     data: RandomizedData,
     tg: TimeGrid,
     d_choice: str = "x1",
-    max_blocks: int = 6,
 ) -> FieldSeries:
     """du^(n) assembled from the tree expansion (independent of the recursion).
 
@@ -378,14 +377,14 @@ def reconstruct_iterate(
     terms) are summed as their children's physical products; that sum takes
     one box forward transform and one Duhamel sum and is added last.  The
     result differs from summing each top term on its own by rounding only.
-    Resource-capped: at most ``max_blocks`` active blocks and
-    MAX_TREE_TERMS (tree, tuple) terms.
+    Resource-capped: at most MAX_BLOCKS active blocks and MAX_TREE_TERMS
+    (tree, tuple) terms.
     """
     _check_level(n, "n")
     _check_d_choice(d_choice)
     active = tuple(sorted(data.draw.blocks))
-    if len(active) > max_blocks:
-        raise ValueError(f"{len(active)} active blocks exceed the cap {max_blocks}")
+    if len(active) > MAX_BLOCKS:
+        raise ValueError(f"{len(active)} active blocks exceed the cap {MAX_BLOCKS}")
     # sum_j len(trees_at_level(j, h)) * b^j: a tree of height <= h is a leaf
     # or a node over two trees of height <= h - 1, so it is b + (its value at
     # h - 1)^2; the loop stops once it passes the cap
@@ -433,7 +432,7 @@ def reconstruct_iterate(
         del term  # not held while the next term is formed
     if n:
         total += _d_duhamel_hat(_box_fft2(top, grid), grid, tg, d_choice, box=True)
-    return _frozen_series(grid, tg, total, "du_reconstructed")
+    return _frozen_series(grid, tg, total)
 
 
 def _add_scaled(acc: np.ndarray, coef: int, term: np.ndarray, scratch: np.ndarray) -> None:

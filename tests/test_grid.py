@@ -1,6 +1,8 @@
 """Grid, transforms, norms, and field serialization."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from picardlab import (Field, Grid, load_field, lp_norm, make_grid, save_field, sobolev_norm,
                        transform)
-from picardlab.grid import as_physical, as_spectral, lp_nodes, sobolev_nodes
+from picardlab.grid import as_physical, as_spectral, lp_nodes, parse_field, sobolev_nodes
 
 
 def test_make_grid_frequency_spacing():
@@ -215,6 +217,32 @@ def test_save_load_round_trip_spectral(grid64, tmp_path):
     back = load_field(p)
     assert back.representation == "spectral"
     assert np.array_equal(back.values, f.values)
+
+
+def _field_file(n_points, payload: bytes) -> bytes:
+    header = {"n_points": n_points, "box_length": 16.0 * math.pi,
+              "representation": "physical", "name": ""}
+    return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
+
+
+def test_parse_field_checks_the_payload_before_building_the_grid():
+    """A 1024^2 header over a 16-byte payload is refused without the five
+    1024 x 1024 float arrays of its grid (about 50 MB)."""
+    data = _field_file(1024, b"\0" * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="payload has 16 bytes, expected 8388608"):
+            parse_field(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n_points", [64.9, 64.0, "64", True])
+def test_parse_field_rejects_a_non_integer_n_points(n_points):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        parse_field(_field_file(n_points, b"\0" * (64 * 64 * 8)))
 
 
 def test_field_values_read_only(grid64):

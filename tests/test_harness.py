@@ -17,6 +17,7 @@ import pytest
 
 from conftest import run_python
 from picardlab import (
+    __version__,
     ExperimentConfig,
     Field,
     TimeGrid,
@@ -29,6 +30,7 @@ from picardlab import (
     run_experiment,
     save_field,
 )
+import picardlab.cli as cli
 import picardlab.harness as harness
 from picardlab.cli import main
 from picardlab.harness import (
@@ -354,9 +356,13 @@ _HEADER = (b'{"n_points": 32, "box_length": 50.26548245743669, '
 
 
 @pytest.mark.parametrize("content", [None, "dir", b"", b"not json\n", b'{"n_points": 32}\n',
-                                     _HEADER + b"\0" * 8, "grid", "nan"],
+                                     _HEADER + b"\0" * 8,
+                                     _HEADER.replace(b"32", b"1024") + b"\0" * 16,
+                                     _HEADER.replace(b"32", b"64.9") + b"\0" * 32768,
+                                     "grid", "nan"],
                          ids=["missing", "directory", "empty", "not-json", "no-box-length",
-                              "short-payload", "grid-mismatch", "nan-sample"])
+                              "short-payload", "large-header-short-payload", "float-n-points",
+                              "grid-mismatch", "nan-sample"])
 def test_cli_bad_data_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "phi0.field"
     if content == "dir":
@@ -395,10 +401,23 @@ def test_emit_report_roundtrip_and_empty_rejected(tmp_path):
         emit_report(replace(report, rows=()), tmp_path)
 
 
-def test_emit_report_json_only(tmp_path):
-    report = run_experiment(SMALL)
-    written = emit_report(report, tmp_path, formats=("json",))
-    assert [p.name for p in written] == ["summary.json"]
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command, runner", [("simulate", "run_experiment"),
+                                             ("scaling", "interval_scaling_study"),
+                                             ("tails", "tail_study")])
+def test_cli_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                      command, runner, below):
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{runner} started")
+
+    monkeypatch.setattr(cli, runner, no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / below
+    assert main([command, "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and repr(str(out)) in err
+    assert afile.read_text() == "kept\n"
 
 
 def test_scaling_validation():
@@ -438,12 +457,6 @@ def test_tail_study_contract(tmp_path):
         if chk:
             assert emp <= bnd
     assert result.passed
-    # an explicit grid below the data range: empirical tail 1.0 is recorded,
-    # but those vacuous points are not judged
-    low = tail_study(config, n=1, lam_grid=[1e-12, 1e-10])
-    assert low.empirical == (1.0, 1.0)
-    assert low.checked == (False, False)
-    assert low.passed
 
 
 def test_tail_study_validation():
@@ -656,3 +669,11 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: picardlab")
+
+
+def test_pyproject_names_the_package_and_its_version():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["name"] == "picardlab"
+    assert project["version"] == __version__

@@ -603,6 +603,13 @@ def test_field_series_copies_a_writeable_input(grid64):
         assert raw.flags.writeable
 
 
+@pytest.mark.parametrize("rep", ["Spectral", "fourier", ""])
+def test_field_series_rejects_an_unknown_representation(grid64, rep):
+    tg = TimeGrid(t_final=0.4, n_steps=8)
+    with pytest.raises(ValueError, match="unknown representation"):
+        FieldSeries(grid64, tg, np.ones((tg.n_nodes, 64, 64), dtype=np.complex128), rep)
+
+
 def test_du_is_exact_spatial_derivative_of_u(grid64):
     """With d = x1 the tracked du series equals i xi1 u mode for mode."""
     data = _random_data(grid64)

@@ -176,7 +176,7 @@ def test_band_limited_determinism_and_band_errors(grid64):
 
 def test_gaussian_bump_localization(grid_wide):
     f = gaussian_bump(grid_wide, sigma=2.0)
-    r = support_radius(f, tol=1e-10)
+    r = support_radius(f)
     assert 0.0 < r < grid_wide.box_length / 2.0
     # max sits at the center
     c = grid_wide.box_length / 2.0

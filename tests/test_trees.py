@@ -531,13 +531,14 @@ def test_reconstruction_matches_direct_iterate_n1(oracle_data, oracle_timegrid):
     assert rel <= 1e-6
 
 
-def test_reconstruction_budget_errors(oracle_data, oracle_timegrid):
+def test_reconstruction_budget_errors(oracle_data, oracle_timegrid, monkeypatch):
     with pytest.raises(ValueError, match=r"at least 163220 .* cap 25000"):
         reconstruct_iterate(3, oracle_data, oracle_timegrid)
     with pytest.raises(ValueError):
         reconstruct_iterate(-1, oracle_data, oracle_timegrid)
-    with pytest.raises(ValueError):
-        reconstruct_iterate(1, oracle_data, oracle_timegrid, max_blocks=2)
+    monkeypatch.setattr(trees, "MAX_BLOCKS", 2)
+    with pytest.raises(ValueError, match="active blocks exceed the cap 2"):
+        reconstruct_iterate(1, oracle_data, oracle_timegrid)
 
 
 def test_reconstruction_term_cap_counts_trees_times_tuples(small_oracle, monkeypatch):

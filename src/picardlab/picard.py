@@ -503,27 +503,15 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     transforms skip the lines the truncation zeroes, with the same values as
     full transforms of the masked arrays.  A square (``b_hat is a_hat``)
     transforms its factor once; the result is the same bits as transforming
-    it twice.  Distinct factors are multiplied in both orders and averaged:
-    numpy's complex multiply may round fa*fb and fb*fa differently (fused
-    multiply-add), and the tree memo relies on P(a, b) equalling P(b, a) bit
-    for bit.
+    it twice.  Distinct factors are multiplied in both orders and averaged,
+    so that P(a, b) equals P(b, a) bit for bit: numpy's complex multiply may
+    round fa*fb and fb*fa differently (fused multiply-add).
     """
     fa = _box_ifft2(a_hat, grid)
-    fb = fa if b_hat is a_hat else _box_ifft2(b_hat, grid)
-    return _box_fft2(_pointwise_product(fa, fb), grid)
-
-
-def _pointwise_product(fa: np.ndarray, fb: np.ndarray, out: np.ndarray | None = None,
-                       scratch: np.ndarray | None = None) -> np.ndarray:
-    """The pointwise product of two physical factors, written into ``out``
-    (or a fresh array): fa * fa when ``fb is fa``, else the symmetric average
-    0.5 * (fa * fb + fb * fa), with fb * fa held in ``scratch`` (or a fresh
-    array)."""
-    if fb is fa:
-        return np.multiply(fa, fa, out=out)
-    out = np.multiply(fa, fb, out=out)
-    out += np.multiply(fb, fa, out=scratch)
-    return np.multiply(0.5, out, out=out)
+    if b_hat is a_hat:
+        return _box_fft2(fa * fa, grid)
+    fb = _box_ifft2(b_hat, grid)
+    return _box_fft2(0.5 * (fa * fb + fb * fa), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +555,18 @@ def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
 
 def _free_series(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """(u, dt u) of the free wave from (phi0, 0) at every node of ``tg`` on
-    the lattice, with cos and sin spread over it for this call only."""
-    cos_t, sin_t = (_region(grid, False).spread(profile) for profile in _profiles(grid, tg)[:2])
-    return _free_hats(phi0_hat, grid.abs_xi, (cos_t, sin_t), scratch=sin_t)
+    the lattice.  Each mode evolves on its own, so cos and sin are spread,
+    for this call only, over the window of rows and columns where phi0 has
+    a nonzero mode (one unit block's, for a tree leaf); outside it both
+    series are zero."""
+    window = np.ix_(np.flatnonzero(phi0_hat.any(axis=1)), np.flatnonzero(phi0_hat.any(axis=0)))
+    index = abs_xi_levels(grid)[1][window]
+    cos_t, sin_t = (np.take(profile, index, axis=1) for profile in _profiles(grid, tg)[:2])
+    pair = _free_hats(phi0_hat[window], grid.abs_xi[window], (cos_t, sin_t), scratch=sin_t)
+    out = tuple(np.zeros((tg.n_nodes,) + phi0_hat.shape, dtype=complex) for _ in pair)
+    for part, series in zip(pair, out):
+        series[(slice(None),) + window] = part
+    return out
 
 
 def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,

@@ -184,10 +184,13 @@ def band_limited_field(grid: Grid, band: float, seed: int,
     real, then rescaled to the requested homogeneous-H^1 norm.  Spectrally
     exact on the grid: every mode outside the band is identically zero, so the
     block decomposition has finitely many active blocks with no truncation
-    error.
+    error.  ``h1_norm`` = 0 gives the zero datum; a negative one is refused,
+    since no rescaling has a negative norm.
     """
     if band <= 0 or band > grid.xi_max / 2:
         raise ValueError(f"band must lie in (0, {grid.xi_max / 2:g}], got {band}")
+    if h1_norm < 0:
+        raise ValueError(f"h1_norm must be >= 0, got {h1_norm}")
     rng = np.random.Generator(np.random.Philox(
         seed=np.random.SeedSequence((int(seed), 0x0DA7A))))
     n = grid.n_points

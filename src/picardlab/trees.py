@@ -18,30 +18,35 @@ of Rademacher signs) reconstructs the n-th Picard iterate -- the central
 cross-check against the direct recursion, sharing the product and the Duhamel
 implementation but never squaring a running iterate.
 
-The sum does each distinct piece of work once.  The dealiased product is
-symmetric bit for bit, so a tree term does not change when the two children
-of any node swap places together with their blocks; the memo key orders the
-children of every node by their own (shape encoding, blocks) keys, and a
-whole class of swapped terms is computed once (at n = 2 with 4 blocks, 105
-products instead of 145).  A tuple's sign is the product of its blocks'
-Rademacher signs, which child swaps keep, so the sum runs over swap classes:
-each class term is computed once and added once, scaled by its sign times
-the number of (tree, tuple) pairs in the class.  A term serves as a factor
-at level n only if its height is at most n - 1.  The memo is a plain dict
-from key to a factor's box inverse transform and holds nothing else: the
-classes are visited with j ascending, so a factor's class has been added,
-and its transform stored, before any product reads it.  Each distinct
-factor is thus transformed once, and a product takes the stored arrays (the
-self-square path when both children share one key); no spectral series is
-kept.  A term of height n (a top term) is never a factor, and
-everything after its product -- the forward transform, the Duhamel sum and
-the derivative -- is linear.  So the top terms never enter the memo: their
-children's pointwise products are summed in physical space, scaled by the
-class coefficients, and that one sum is transformed, put through one
-Duhamel sum and added last.  At n = 2 with 4 blocks this takes 11 forward
-transforms and 11 Duhamel sums instead of 105, and the memo holds only the
-14 factors.  The sum is capped by its (tree, tuple) term count,
-MAX_TREE_TERMS: n = 3 is within reach for up to 3 blocks.
+The sum does each distinct piece of work once.  The product is bilinear and
+symmetric, so a tree term does not change when the two children of any node
+swap places together with their blocks; the memo key orders the children of
+every node by their own (shape encoding, blocks) keys, and a whole class of
+swapped terms is computed once (at n = 2 with 4 blocks, 105 products instead
+of 145).  Each product is one multiply of its two factors in the order of
+their keys, not of the tree's children: numpy's complex multiply may round
+fa*fb and fb*fa differently, and the key order makes every member of a class
+the same bits.  A tuple's sign is the product of its blocks' Rademacher
+signs, which child swaps keep, so the sum runs over swap classes: each class
+term is computed once and added once, scaled by its sign times the number of
+(tree, tuple) pairs in the class.  A term serves as a factor at level n only
+if its height is at most n - 1.  The memo is a plain dict from key to a
+factor's box inverse transform and holds nothing else: the classes are
+visited with j ascending, so a factor's class has been added, and its
+transform stored, before any product reads it.  Each distinct factor is thus
+transformed once, and a product takes the stored arrays (one array twice
+when both children share a key); no spectral series is kept.  A term of
+height n (a top term) is never a factor, and everything after its product --
+the forward transform, the Duhamel sum and the derivative -- is linear.  So
+the top terms never enter the memo: their children's pointwise products are
+summed in physical space, scaled by the class coefficients, and that one sum
+is transformed, put through one Duhamel sum and added last.  At n = 2 with 4
+blocks this takes 11 forward transforms and 11 Duhamel sums instead of 105,
+and the memo holds only the 14 factors.  A leaf's datum is one unit block's
+projection, so its free series is evolved only on the rows and columns of
+that block's window (:func:`.picard.free_derivative_hat`).  The sum is capped
+by its (tree, tuple) term count, MAX_TREE_TERMS: n = 3 is within reach for up
+to 3 blocks.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from .picard import (
     _check_level,
     _d_duhamel_hat,
     _frozen_series,
-    _pointwise_product,
     free_derivative_hat,
 )
 from .multipliers import unit_projection
@@ -312,12 +316,16 @@ def _factors(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: Random
              tg: TimeGrid, d_choice: str, memo: dict) -> list[np.ndarray]:
     """The box inverse transforms of the two children of the node ``tree``
     on ``blocks``, from ``memo`` (keyed by :func:`_term_key`); a missing one
-    is computed into it.  Equal keys give one array, so a square takes the
-    self-square path of the product."""
+    is computed into it.  They come in the order of their keys: numpy's
+    complex multiply may round fa*fb and fb*fa differently (fused
+    multiply-add), and this order makes the product the same bits for every
+    member of a swap class.  Equal keys give one array, a square."""
     split = _leaves(tree.left)
+    children = sorted(((_term_key(sub, part), sub, part)
+                       for sub, part in ((tree.left, blocks[:split]), (tree.right, blocks[split:]))),
+                      key=lambda child: child[0])
     out = []
-    for sub, part in ((tree.left, blocks[:split]), (tree.right, blocks[split:])):
-        key = _term_key(sub, part)
+    for key, sub, part in children:
         if key not in memo:
             memo[key] = _box_ifft2(_term_hat(sub, part, data, tg, d_choice, memo), data.grid)
         out.append(memo[key])
@@ -333,7 +341,7 @@ def _term_hat(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: Rando
     if tree.is_leaf:
         return free_derivative_hat(unit_projection(data.phi0, blocks[0]).values, grid, tg,
                                    d_choice)
-    src = _box_fft2(_pointwise_product(*_factors(tree, blocks, data, tg, d_choice, memo)), grid)
+    src = _box_fft2(np.multiply(*_factors(tree, blocks, data, tg, d_choice, memo)), grid)
     return _d_duhamel_hat(src, grid, tg, d_choice, box=True)
 
 
@@ -409,8 +417,8 @@ def reconstruct_iterate(
                 classes.setdefault(key, [tree, tup, 0])[2] += sign
     grid = data.grid
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
-    # the physical sum of the top products, the product at hand, and scratch
-    top, product, scratch = np.zeros_like(total), np.empty_like(total), np.empty_like(total)
+    # the physical sum of the top products, and the product at hand
+    top, product = np.zeros_like(total), np.empty_like(total)
     # the classes come with j ascending, so a factor's class is added, and
     # its box inverse transform stored, before any term that reads it
     memo: dict = {}
@@ -419,27 +427,27 @@ def reconstruct_iterate(
             # a term of height n is no factor at level n, and the transform,
             # Duhamel sum and derivative after its product are linear: only
             # the product enters the sum, and the tail is applied once below
-            _pointwise_product(*_factors(tree, tup, data, tg, d_choice, memo),
-                               out=product, scratch=scratch)
-            _add_scaled(top, coef, product, scratch)
+            np.multiply(*_factors(tree, tup, data, tg, d_choice, memo), out=product)
+            _add_scaled(top, coef, product)
             continue
         term = _term_hat(tree, tup, data, tg, d_choice, memo)
-        _add_scaled(total, coef, term, scratch)
         if n:
             # a factor (at n = 0 a leaf is none): later products read only
-            # its box inverse transform
+            # its box inverse transform, taken before the term is scaled
             memo[key] = _box_ifft2(term, grid)
+        _add_scaled(total, coef, term)
         del term  # not held while the next term is formed
     if n:
         total += _d_duhamel_hat(_box_fft2(top, grid), grid, tg, d_choice, box=True)
     return _frozen_series(grid, tg, total)
 
 
-def _add_scaled(acc: np.ndarray, coef: int, term: np.ndarray, scratch: np.ndarray) -> None:
-    """acc += coef * term, without a multiply for coef = +-1."""
+def _add_scaled(acc: np.ndarray, coef: int, term: np.ndarray) -> None:
+    """acc += coef * term, without a multiply for coef = +-1; otherwise
+    ``term``, which the caller no longer reads, is scaled in place."""
     if coef == 1:
         acc += term
     elif coef == -1:
         acc -= term
     else:
-        acc += np.multiply(coef, term, out=scratch)
+        acc += np.multiply(coef, term, out=term)

@@ -598,13 +598,15 @@ def test_cli_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, value):
     ("[data]\nfamily = gaussian\namplitude = 1e200\n", "family 'gaussian'"),
     ("[data]\nfamily = gaussian\nsigma = 1e-300\n", "family 'gaussian'"),
     ("[data]\nh1_norm = nan\n", "family 'band_limited'"),
+    ("[data]\nh1_norm = -1\n", "h1_norm"),
     ("[experiment]\nbase_seed = -1\n", "base_seed"),
     ("[data]\ndata_seed = -1\n", "data_seed"),
 ], ids=["bad-int", "no-section", "duplicate-key", "bad-p-list", "interpolation", "not-utf8",
         "bool-typo", "bool-number", "bool-empty", "empty-p-list", "gaussian-sigma-zero",
         "t-final-inf", "t-final-nan", "n-steps-fraction", "box-length-inf",
         "gaussian-amplitude-nan", "gaussian-amplitude-inf", "gaussian-amplitude-huge",
-        "gaussian-sigma-underflow", "h1-norm-nan", "base-seed-negative", "data-seed-negative"])
+        "gaussian-sigma-underflow", "h1-norm-nan", "h1-norm-negative",
+        "base-seed-negative", "data-seed-negative"])
 def test_cli_bad_ini_exits_2(tmp_path, capsys, text, where):
     ini = tmp_path / "exp.ini"
     if isinstance(text, bytes):

@@ -26,7 +26,9 @@ from picardlab import (
     space_time_norm,
 )
 from picardlab.grid import _sobolev_sums, _sobolev_weight, as_spectral, lp_nodes
-from picardlab.picard import _box, _duhamel_series, product_dealias, series_to_physical
+from picardlab.multipliers import halfwave_tables, spatial_derivative, symbol_array, unit_projection
+from picardlab.picard import (_box, _duhamel_series, free_derivative_hat, product_dealias,
+                              series_to_physical)
 from picardlab.randomization import (
     RademacherDraw,
     active_blocks,
@@ -124,6 +126,42 @@ def test_free_evolution_d_choice_validation(grid64):
     data = _random_data(grid64)
     with pytest.raises(ValueError):
         free_evolution(data, TimeGrid(0.5, 8), d_choice="x3")
+
+
+def _whole_lattice_free(phi0_hat, grid, tg, d_choice):
+    """(u, dt u, d u) of the free wave from (phi0, 0) on every mode of the
+    lattice: the full cos and sin tables of halfwave_tables and the public
+    derivative symbol, with no window."""
+    cos_t, sin_t, _ = halfwave_tables(grid, tg.times)
+    u = cos_t * phi0_hat
+    dudt = -(grid.abs_xi * sin_t) * phi0_hat
+    if d_choice == "t":
+        return u, dudt, dudt
+    return u, dudt, symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid) * u
+
+
+@pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
+def test_free_series_equal_the_whole_lattice_expression(grid64, oracle_data, d_choice):
+    """Third reference for the free series, which evolve only the window of
+    rows and columns where the datum has a nonzero mode: every block of the
+    criterion-4 datum (a tree leaf; its window is a few of the 64 rows), a
+    band-limited and a Gaussian datum (full support, so the window is the
+    whole lattice) give the bits of the whole-lattice expression."""
+    tg = TimeGrid(t_final=0.5, n_steps=16)
+    for k in oracle_data.draw.blocks:
+        leaf = unit_projection(oracle_data.phi0, k).values
+        assert leaf.any() and not leaf.any(axis=1).all()
+        assert np.array_equal(free_derivative_hat(leaf, grid64, tg, d_choice),
+                              _whole_lattice_free(leaf, grid64, tg, d_choice)[2]), k
+    gaussian = _gaussian_data(grid64)
+    full = gaussian.phi0_rand.values
+    assert full.any(axis=0).all() and full.any(axis=1).all()
+    for data in (oracle_data, _random_data(grid64), gaussian):
+        phi0 = data.phi0_rand.values
+        expect = _whole_lattice_free(phi0, grid64, tg, d_choice)
+        assert np.array_equal(free_derivative_hat(phi0, grid64, tg, d_choice), expect[2])
+        for got, want in zip(free_evolution(data, tg, d_choice), expect):
+            assert np.array_equal(got.values, want)
 
 
 def _duhamel_error(grid, n_steps):
@@ -288,8 +326,9 @@ def test_self_square_is_bit_identical_to_two_transforms(grid64):
 @given(seed=st.integers(0, 2**31), n_nodes=st.integers(1, 5),
        coeffs=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
 def test_product_is_bilinear_and_exactly_symmetric(seed, n_nodes, coeffs):
-    """Bilinearity is what the tree expansion sums over; exact symmetry is
-    what lets the tree memo give one key to terms that differ by child swaps."""
+    """Bilinearity is what the tree expansion sums over; P(a, b) and P(b, a)
+    are the same bits, although numpy's complex multiply may round fa * fb
+    and fb * fa differently."""
     grid = make_grid(16, 4.0 * math.pi)
     rng = np.random.default_rng(seed)
     shape = (n_nodes, 16, 16)
@@ -327,21 +366,6 @@ def test_product_equals_full_lattice_reference(n, lead, square):
     got = product_dealias(a, b, grid)
     assert got.shape == shape
     assert np.array_equal(got, expect)
-
-
-@pytest.mark.parametrize("square", [True, False], ids=["square", "distinct"])
-def test_pointwise_product_into_buffers_is_the_plain_expression(square):
-    """The one pointwise-product body gives the same bits written into a
-    caller's buffers as the plain numpy expression."""
-    rng = np.random.default_rng(11)
-    shape = (3, 32, 32)
-    fa, fb = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
-    if square:
-        fb = fa
-    out, scratch = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    got = picard._pointwise_product(fa, fb, out=out, scratch=scratch)
-    assert got is out
-    assert np.array_equal(got, fa * fa if square else 0.5 * (fa * fb + fb * fa))
 
 
 def _march_duhamel(src, grid, tg, start):

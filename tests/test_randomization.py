@@ -164,6 +164,16 @@ def test_band_limited_field_contract(grid64):
     assert np.max(np.abs(g.values - np.conj(g.values[np.ix_(idx, idx)]))) <= 1e-13
 
 
+def test_band_limited_field_refuses_a_negative_h1_norm(grid64):
+    """A negative norm would give the negated datum with norm |h1_norm|; zero
+    is the zero datum."""
+    for h1_norm in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="h1_norm"):
+            band_limited_field(grid64, band=2.0, seed=3, h1_norm=h1_norm)
+    zero = band_limited_field(grid64, band=2.0, seed=3, h1_norm=0.0)
+    assert not zero.values.any() and sobolev_norm(zero, 1.0) == 0.0
+
+
 def test_band_limited_determinism_and_band_errors(grid64):
     a = band_limited_field(grid64, band=2.0, seed=3)
     b = band_limited_field(grid64, band=2.0, seed=3)

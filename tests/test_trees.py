@@ -51,17 +51,23 @@ def small_oracle():
     return data, TimeGrid(t_final=0.5, n_steps=5)
 
 
-def _reference_product(tree, blocks, data, tg, d_choice):
+def _reference_product(tree, blocks, data, tg, d_choice, averaged=False):
     """The physical pointwise product of the two children of the node ``tree``
     without a memo, from numpy's full inverse transforms of the children
-    truncated to the box, in the tree's own child order.  For a square the
-    symmetric average is the plain square bit for bit: 0.5 * (x + x) == x."""
+    truncated to the box.  The children are multiplied once, in the order of
+    their memo keys (``_term_key``), not in the tree's own child order:
+    numpy's complex multiply may round fa * fb and fb * fa differently, and
+    the key order is the one every member of a swap class shares.  With
+    ``averaged``, every product in the term is instead the symmetric average
+    0.5 * (fa * fb + fb * fa) of ``product_dealias``."""
     mask = box_mask(data.grid.n_points)
     split = tree.left.leaves
-    fa, fb = (np.fft.ifft2(_reference_term(sub, part, data, tg, d_choice) * mask,
+    children = sorted(((tree.left, blocks[:split]), (tree.right, blocks[split:])),
+                      key=lambda child: _term_key(*child))
+    fa, fb = (np.fft.ifft2(_reference_term(sub, part, data, tg, d_choice, averaged) * mask,
                            norm="ortho", axes=(-2, -1))
-              for sub, part in ((tree.left, blocks[:split]), (tree.right, blocks[split:])))
-    return 0.5 * (fa * fb + fb * fa)
+              for sub, part in children)
+    return 0.5 * (fa * fb + fb * fa) if averaged else fa * fb
 
 
 def _reference_duhamel(pointwise, data, tg, d_choice):
@@ -71,14 +77,14 @@ def _reference_duhamel(pointwise, data, tg, d_choice):
     return duhamel(FieldSeries(data.grid, tg, hat, "spectral"), tg, d_choice).values
 
 
-def _reference_term(tree, blocks, data, tg, d_choice):
+def _reference_term(tree, blocks, data, tg, d_choice, averaged=False):
     """G^tau without a memo: the leaf's free derivative series, and at a node
     the Duhamel term of its children's product, from public pieces and
     numpy's full transforms only."""
     if tree.is_leaf:
         leaf = unit_projection(data.phi0, blocks[0])
         return free_derivative_hat(leaf.values, data.grid, tg, d_choice)
-    return _reference_duhamel(_reference_product(tree, blocks, data, tg, d_choice),
+    return _reference_duhamel(_reference_product(tree, blocks, data, tg, d_choice, averaged),
                               data, tg, d_choice)
 
 
@@ -262,35 +268,54 @@ def _tuple_order_sum(n, data, tg, d_choice):
     return total
 
 
+def _class_sum(n, data, tg, d_choice, averaged=False):
+    """The level-n sum over swap classes, in reconstruct_iterate's order and
+    scaled and added the same way, each class recomputed without a memo.  A
+    class of height n (n >= 1) adds its children's physical product to a top
+    sum, which is transformed, put through duhamel() once and added last."""
+    grid = data.grid
+    total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
+    top = np.zeros_like(total)
+    for tree, tup, coef in _swap_classes(n, data):
+        if n and tree.height == n:
+            term, acc = _reference_product(tree, tup, data, tg, d_choice, averaged), top
+        else:
+            term, acc = _reference_term(tree, tup, data, tg, d_choice, averaged), total
+        if coef == 1:
+            acc += term
+        elif coef == -1:
+            acc -= term
+        else:
+            acc += np.multiply(coef, term)
+    if n:
+        total += _reference_duhamel(top, data, tg, d_choice)
+    return total
+
+
 @pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
 def test_reconstruction_equals_the_memo_free_tree_sum(small_oracle, d_choice):
     """Third reference for the tree sum: each swap class recomputed from
-    public pieces and numpy's full transforms, in reconstruct_iterate's
-    order and scaled and added the same way.  A class of height n (n >= 1)
-    adds its children's physical product to a top sum, which is transformed,
-    put through duhamel() once and added last.  Merging swapped terms,
-    caching factor transforms, adding in place and the box-restricted
-    kernels change no value."""
+    public pieces and numpy's full transforms, its products taken in key
+    order.  Merging swapped terms, caching factor transforms, adding and
+    scaling in place and the box-restricted kernels change no value."""
     data, tg = small_oracle
-    grid = data.grid
     for n in (0, 1, 2):
-        total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
-        top = np.zeros_like(total)
-        for tree, tup, coef in _swap_classes(n, data):
-            if n and tree.height == n:
-                term, acc = _reference_product(tree, tup, data, tg, d_choice), top
-            else:
-                term, acc = _reference_term(tree, tup, data, tg, d_choice), total
-            if coef == 1:
-                acc += term
-            elif coef == -1:
-                acc -= term
-            else:
-                acc += np.multiply(coef, term)
-        if n:
-            total += _reference_duhamel(top, data, tg, d_choice)
         got = reconstruct_iterate(n, data, tg, d_choice).values
-        assert np.array_equal(got, total), n
+        assert np.array_equal(got, _class_sum(n, data, tg, d_choice)), n
+
+
+@pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
+def test_key_ordered_products_move_the_sum_by_rounding_only(small_oracle, d_choice):
+    """Multiplying each pair of factors once, in key order, instead of
+    averaging both orders as product_dealias does, moves the tree sum by
+    rounding only; at n = 0 there is no product and the bits agree."""
+    data, tg = small_oracle
+    for n in (0, 1, 2):
+        got = reconstruct_iterate(n, data, tg, d_choice).values
+        ref = _class_sum(n, data, tg, d_choice, averaged=True)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), n
+        if n == 0:
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
@@ -328,17 +353,18 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
     one Duhamel sum: 105 pointwise products, 11 forward transforms and 11
     Duhamel sums in all.  At n = 1 the 10 pairs are the top terms: 4
     inverse transforms, 10 pointwise products, one forward transform and
-    one Duhamel sum."""
+    one Duhamel sum.  Each pointwise product fetches its factors with one
+    call of ``_factors``."""
     data, tg = small_oracle
     calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_ifft2", "_box_fft2",
-                         "_pointwise_product", "_d_duhamel_hat")
+                         "_factors", "_d_duhamel_hat")
     reconstruct_iterate(1, data, tg)
     assert calls == {"free_derivative_hat": 4, "_box_ifft2": 4, "_box_fft2": 1,
-                     "_pointwise_product": 10, "_d_duhamel_hat": 1}
+                     "_factors": 10, "_d_duhamel_hat": 1}
     calls.clear()
     reconstruct_iterate(2, data, tg)
     assert calls == {"free_derivative_hat": 4, "_box_ifft2": 14, "_box_fft2": 11,
-                     "_pointwise_product": 105, "_d_duhamel_hat": 11}
+                     "_factors": 105, "_d_duhamel_hat": 11}
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
@@ -368,7 +394,7 @@ def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeyp
 def test_reconstruction_at_level_2_stays_within_25_series(oracle_data):
     """Memory guard on the benchmark's oracle datum (64^2, 4 blocks, 17
     nodes): the n = 2 sum holds the result, the top sum, the product at
-    hand, one scratch and the 14 factors' physical series, 18 series of
+    hand and the 14 factors' physical series, 17 series of
     17 x 64^2 complex values, plus the transients of one term.  Measured
     after a warm-up call, so the cached propagator tables are not counted."""
     tg = TimeGrid(t_final=0.5, n_steps=16)
@@ -454,7 +480,8 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     height at most 2: 15 products, each with its Duhamel sum.  The other
     138 classes have height 3: each is one pointwise product added into the
     top sum, which takes one forward transform and one Duhamel sum.  That is
-    16 forward transforms, 153 pointwise products and 16 Duhamel sums."""
+    16 forward transforms, 153 pointwise products (one ``_factors`` call
+    each) and 16 Duhamel sums."""
     n_pts = grid64.n_points
     full = two_block_datum(grid64).values
     keep = np.zeros(full.shape, dtype=bool)
@@ -466,10 +493,10 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     tg = TimeGrid(t_final=0.5, n_steps=16)
     calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_fft2",
-                         "_pointwise_product", "_d_duhamel_hat")
+                         "_factors", "_d_duhamel_hat")
     rec = reconstruct_iterate(3, data, tg)
     assert calls == {"free_derivative_hat": 2, "_box_fft2": 16,
-                     "_pointwise_product": 153, "_d_duhamel_hat": 16}
+                     "_factors": 153, "_d_duhamel_hat": 16}
     direct = picard_iterate(3, data, tg)
     rel = _rel_linf_l2(rec.values, direct.du.values, grid64)
     print(f"\nn=3 tree-vs-direct relative Linf-L2 discrepancy: {rel:.3e}")

@@ -19,42 +19,33 @@ cross-check against the direct recursion, sharing the product and the Duhamel
 implementation but never squaring a running iterate.
 
 The sum does each distinct piece of work once.  The product is bilinear and
-symmetric, so a tree term does not change when the two children of any node
-swap places together with their blocks; the memo key orders the children of
-every node by their own (shape encoding, blocks) keys, and a whole class of
-swapped terms is computed once (at n = 2 with 4 blocks, 105 products instead
-of 145).  Each product is one multiply of its two factors in the order of
-their keys, not of the tree's children: numpy's complex multiply may round
-fa*fb and fb*fa differently, and the key order makes every member of a class
-the same bits.  A tuple's sign is the product of its blocks' Rademacher
-signs, which child swaps keep, so the sum runs over swap classes: each class
-term is computed once and added once, scaled by its sign times the number of
-(tree, tuple) pairs in the class.  A term serves as a factor at level n only
-if its height is at most n - 1.  The memo is a plain dict from key to a
-factor's box inverse transform and holds nothing else: the classes are
-visited with j ascending, so a factor's class has been added, and its
-transform stored, before any product reads it.  Each distinct factor is thus
-transformed once, and a product takes the stored arrays (one array twice
-when both children share a key); no spectral series is kept.  A term of
-height n (a top term) is never a factor, and everything after its product --
-the forward transform, the Duhamel sum and the derivative -- is linear.  So
-the top terms never enter the memo: their children's pointwise products are
-summed in physical space, scaled by the class coefficients, and that one sum
-is transformed, put through one Duhamel sum and added last.  At n = 2 with 4
-blocks this takes 11 forward transforms and 11 Duhamel sums instead of 105,
-and the memo holds only the 14 factors.  A leaf's datum is one unit block's
-projection, so its free series is evolved only on the rows and columns of
-that block's window (:func:`.picard.free_derivative_hat`).  The sum is capped
-by its (tree, tuple) term count, MAX_TREE_TERMS: n = 3 is within reach for up
-to 3 blocks.
+symmetric, so a tree term does not change when the children of a node swap
+places together with their blocks, and neither does the tuple's sign, the
+product of its blocks' Rademacher signs.  So each swap class is computed and
+added once, scaled by its sign times its number of (tree, tuple) pairs.  The
+classes are generated in height order: the leaves, then for h = 1..n the
+unordered pairs {A, B} of earlier classes of which at least one has height
+h - 1, with coefficient c_A * c_B, times 2 if A != B.  A class's key (shape
+encoding, blocks) is built from its children's keys in key order, and each
+product multiplies its two factors in that order: numpy's complex multiply
+may round fa*fb and fb*fa differently, and the key order gives every member
+of a class the same bits.  The factors, the classes of height < n, come
+first; each is held as its box inverse transform, so no spectral series is
+kept.  Everything after a top term's product (height n) -- the forward
+transform, the Duhamel sum and the derivative -- is linear, so the top
+products are summed in physical space and that one sum takes one transform
+and one Duhamel sum (at n = 2 with 4 blocks: 109 classes, 14 factors, 105
+products, 11 Duhamel sums).  A leaf evolves only its block's window
+(:func:`.picard.free_derivative_hat`).  With b blocks there are
+C_h = b + C_{h-1} (C_{h-1} + 1) / 2 classes of height <= h (C_0 = b), and
+the sum holds C_{n-1} factor series.  MAX_CLASSES admits n = 3 with 4 blocks
+(5,999 classes) and refuses n = 4 with 4 blocks and n = 3 with 5.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as cartesian_product
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +62,7 @@ from .picard import (
     free_derivative_hat,
 )
 from .multipliers import unit_projection
-from .randomization import RandomizedData
+from .randomization import RademacherDraw, RandomizedData
 
 __all__ = [
     "BinaryTree",
@@ -90,7 +81,7 @@ __all__ = [
 
 MAX_LEAVES = 14
 MAX_BLOCKS = 6
-MAX_TREE_TERMS = 25_000
+MAX_CLASSES = 6_000
 ORACLE_NODES = 32
 
 
@@ -299,50 +290,38 @@ def i_tau_oracle(tree: BinaryTree, t: float) -> float:
 # Tree terms on field data
 # ---------------------------------------------------------------------------
 
-def _term_key(tree: BinaryTree, blocks: tuple[tuple[int, int], ...]) -> tuple[str, tuple]:
-    """The memo key of the term of ``tree`` on ``blocks``: (shape encoding,
-    blocks) with the two children of every node put in the order of their
-    own keys, so the trees and block tuples that differ by swaps of children
-    share one key, and distinct classes keep distinct keys."""
+def _node_key(ka: tuple, kb: tuple) -> tuple[str, tuple]:
+    """The key of a node whose children have the keys ka <= kb: its shape
+    encoding and its blocks, the children taken in key order."""
+    return (f"({ka[0]}{kb[0]})", ka[1] + kb[1])
+
+
+def _leaf_hat(block: tuple[int, int], data: RandomizedData, tg: TimeGrid,
+              d_choice: str) -> np.ndarray:
+    """A leaf's term: the free derivative series of one block's projection."""
+    return free_derivative_hat(unit_projection(data.phi0, block).values, data.grid, tg,
+                               d_choice)
+
+
+def _node_hat(fa: np.ndarray, fb: np.ndarray, data: RandomizedData, tg: TimeGrid,
+              d_choice: str) -> np.ndarray:
+    """A node's term: the Duhamel term of the dealiased product fa * fb of
+    its factors' box inverse transforms, given in the order of their keys."""
+    return _d_duhamel_hat(_box_fft2(fa * fb, data.grid), data.grid, tg, d_choice, box=True)
+
+
+def _keyed_term(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
+                tg: TimeGrid, d_choice: str) -> tuple[tuple, np.ndarray]:
+    """The key and the spectral series of the term of ``tree`` on ``blocks``;
+    a node multiplies its children in the order of their keys."""
     if tree.is_leaf:
-        return ("o", blocks)
+        return ("o", blocks), _leaf_hat(blocks[0], data, tg, d_choice)
     split = _leaves(tree.left)
-    first, second = sorted((_term_key(tree.left, blocks[:split]),
-                            _term_key(tree.right, blocks[split:])))
-    return (f"({first[0]}{second[0]})", first[1] + second[1])
-
-
-def _factors(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
-             tg: TimeGrid, d_choice: str, memo: dict) -> list[np.ndarray]:
-    """The box inverse transforms of the two children of the node ``tree``
-    on ``blocks``, from ``memo`` (keyed by :func:`_term_key`); a missing one
-    is computed into it.  They come in the order of their keys: numpy's
-    complex multiply may round fa*fb and fb*fa differently (fused
-    multiply-add), and this order makes the product the same bits for every
-    member of a swap class.  Equal keys give one array, a square."""
-    split = _leaves(tree.left)
-    children = sorted(((_term_key(sub, part), sub, part)
-                       for sub, part in ((tree.left, blocks[:split]), (tree.right, blocks[split:]))),
-                      key=lambda child: child[0])
-    out = []
-    for key, sub, part in children:
-        if key not in memo:
-            memo[key] = _box_ifft2(_term_hat(sub, part, data, tg, d_choice, memo), data.grid)
-        out.append(memo[key])
-    return out
-
-
-def _term_hat(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
-              tg: TimeGrid, d_choice: str, memo: dict) -> np.ndarray:
-    """The spectral series of the term of ``tree`` on ``blocks``: a leaf's
-    free derivative series, or the Duhamel term of the dealiased product of
-    the node's factors (:func:`_factors`)."""
-    grid = data.grid
-    if tree.is_leaf:
-        return free_derivative_hat(unit_projection(data.phi0, blocks[0]).values, grid, tg,
-                                   d_choice)
-    src = _box_fft2(np.multiply(*_factors(tree, blocks, data, tg, d_choice, memo)), grid)
-    return _d_duhamel_hat(src, grid, tg, d_choice, box=True)
+    (ka, ta), (kb, tb) = sorted((_keyed_term(tree.left, blocks[:split], data, tg, d_choice),
+                                 _keyed_term(tree.right, blocks[split:], data, tg, d_choice)),
+                                key=lambda child: child[0])
+    fa, fb = _box_ifft2(ta, data.grid), _box_ifft2(tb, data.grid)
+    return _node_key(ka, kb), _node_hat(fa, fb, data, tg, d_choice)
 
 
 def evaluate_tree_term(
@@ -357,16 +336,43 @@ def evaluate_tree_term(
     Leaves consume the block tuple left to right and carry the free derivative
     series of P_k phi0; each node applies the Duhamel operator to the
     dealiased product of its children -- the same product and kernel code the
-    direct engine uses.  Rademacher signs are not applied here.
+    direct engine uses.  Trees that differ by swaps of children, together
+    with their blocks, give the same bits.  Rademacher signs are not applied
+    here.
     """
     _check_d_choice(d_choice)
-    if len(blocks) != _leaves(tree):
-        raise ValueError(f"tree has {_leaves(tree)} leaves but got {len(blocks)} blocks")
-    missing = [k for k in blocks if k not in data.draw.blocks]
+    norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
+    if len(norm_blocks) != _leaves(tree):
+        raise ValueError(f"tree has {_leaves(tree)} leaves but got {len(norm_blocks)} blocks")
+    missing = [k for k in norm_blocks if k not in data.draw.blocks]
     if missing:
         raise ValueError(f"blocks {missing} carry no data (active set: {data.draw.blocks})")
-    norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
-    return _frozen_series(data.grid, tg, _term_hat(tree, norm_blocks, data, tg, d_choice, {}))
+    return _frozen_series(data.grid, tg, _keyed_term(tree, norm_blocks, data, tg, d_choice)[1])
+
+
+def _swap_classes(n: int, draw: RademacherDraw) -> list[tuple]:
+    """The swap classes of the level-n tree sum over the blocks of ``draw``
+    in height order, each as (key, coefficient, height, children): the
+    leaves in block order with their signs and no children, then per height
+    the pairs in the order of their positions, a pair's children being
+    those positions in key order.  Each height's class count is checked
+    against MAX_CLASSES before it is built."""
+    blocks = sorted(draw.blocks)
+    classes = [(("o", (k,)), draw.eps(k), 0, None) for k in blocks]
+    start = 0  # the position of the first class of height h - 1
+    for h in range(1, n + 1):
+        end = len(classes)
+        count = len(blocks) + end * (end + 1) // 2
+        if count > MAX_CLASSES:
+            raise ValueError(f"level {n} over {len(blocks)} active blocks has at least {count} "
+                             f"swap classes, above the cap {MAX_CLASSES}")
+        for i in range(end):
+            for j in range(max(i, start), end):
+                a, b = (i, j) if classes[i][0] <= classes[j][0] else (j, i)
+                (ka, ca, _, _), (kb, cb, _, _) = classes[a], classes[b]
+                classes.append((_node_key(ka, kb), ca * cb * (1 if a == b else 2), h, (a, b)))
+        start = end
+    return classes
 
 
 def reconstruct_iterate(
@@ -380,61 +386,45 @@ def reconstruct_iterate(
     Sums, over j = 1..2^n, every j-tuple of active blocks and every tree
     realizable at level n, the term G^tau weighted by the product of the
     tuple's Rademacher signs.  The sum is taken once per swap class, as
-    (sign x multiplicity) x term, in the order the classes first appear in
-    the (j, tuple, tree) walk.  For n >= 1 the classes of height n (the top
-    terms) are summed as their children's physical products; that sum takes
-    one box forward transform and one Duhamel sum and is added last.  The
-    result differs from summing each top term on its own by rounding only.
-    Resource-capped: at most MAX_BLOCKS active blocks and MAX_TREE_TERMS
-    (tree, tuple) terms.
+    (sign x multiplicity) x term, in the height order of the generated
+    classes.  For n >= 1 the classes of height n (the top terms) are summed
+    as their children's physical products; that sum takes one box forward
+    transform and one Duhamel sum and is added last.  The result differs
+    from summing each top term on its own by rounding only.  Beside the
+    result, the top sum, the product and the term at hand, the call holds
+    one series per factor (class of height < n).
+    Resource-capped: at most MAX_BLOCKS active blocks (the factors at n = 1)
+    and MAX_CLASSES swap classes.
     """
     _check_level(n, "n")
     _check_d_choice(d_choice)
-    active = tuple(sorted(data.draw.blocks))
-    if len(active) > MAX_BLOCKS:
-        raise ValueError(f"{len(active)} active blocks exceed the cap {MAX_BLOCKS}")
-    # sum_j len(trees_at_level(j, h)) * b^j: a tree of height <= h is a leaf
-    # or a node over two trees of height <= h - 1, so it is b + (its value at
-    # h - 1)^2; the loop stops once it passes the cap
-    terms = len(active)
-    for _ in range(n):
-        if terms > MAX_TREE_TERMS:
-            break
-        terms = len(active) + terms * terms
-    if terms > MAX_TREE_TERMS:
-        raise ValueError(f"level {n} over {len(active)} active blocks sums at least {terms} "
-                         f"(tree, tuple) terms, above the cap {MAX_TREE_TERMS}")
-
-    # each swap class with its first (tree, tuple) and its coefficient: the
-    # tuple's sign, constant on the class, times the class's size
-    classes: dict = {}
-    for j in range(1, 2**n + 1):
-        trees = trees_at_level(j, n)
-        for tup in cartesian_product(active, repeat=j):
-            sign = math.prod(data.draw.eps(k) for k in tup)
-            for tree in trees:
-                key = _term_key(tree, tup)
-                classes.setdefault(key, [tree, tup, 0])[2] += sign
+    if len(data.draw.blocks) > MAX_BLOCKS:
+        raise ValueError(f"{len(data.draw.blocks)} active blocks exceed the cap {MAX_BLOCKS}")
+    classes = _swap_classes(n, data.draw)
     grid = data.grid
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
     # the physical sum of the top products, and the product at hand
     top, product = np.zeros_like(total), np.empty_like(total)
-    # the classes come with j ascending, so a factor's class is added, and
-    # its box inverse transform stored, before any term that reads it
-    memo: dict = {}
-    for key, (tree, tup, coef) in classes.items():
-        if n and tree.height == n:
+    # the box inverse transforms of the factors, by class position: the
+    # classes come in height order, so a factor is stored before any product
+    # reads it
+    factors: list[np.ndarray] = []
+    for key, coef, height, children in classes:
+        if children is None:
+            term = _leaf_hat(key[1][0], data, tg, d_choice)
+        elif height < n:
+            term = _node_hat(factors[children[0]], factors[children[1]], data, tg, d_choice)
+        else:
             # a term of height n is no factor at level n, and the transform,
             # Duhamel sum and derivative after its product are linear: only
             # the product enters the sum, and the tail is applied once below
-            np.multiply(*_factors(tree, tup, data, tg, d_choice, memo), out=product)
+            np.multiply(factors[children[0]], factors[children[1]], out=product)
             _add_scaled(top, coef, product)
             continue
-        term = _term_hat(tree, tup, data, tg, d_choice, memo)
-        if n:
-            # a factor (at n = 0 a leaf is none): later products read only
-            # its box inverse transform, taken before the term is scaled
-            memo[key] = _box_ifft2(term, grid)
+        if height < n:
+            # later products read only its box inverse transform, taken
+            # before the term is scaled
+            factors.append(_box_ifft2(term, grid))
         _add_scaled(total, coef, term)
         del term  # not held while the next term is formed
     if n:

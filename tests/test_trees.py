@@ -35,7 +35,7 @@ from picardlab import picard, trees
 from picardlab.multipliers import unit_projection
 from picardlab.picard import FieldSeries, free_derivative_hat, product_dealias
 from picardlab.randomization import active_blocks, draw_rademacher, randomize
-from picardlab.trees import LEAF, _term_key, trees_at_level
+from picardlab.trees import LEAF, trees_at_level
 
 NODE2 = BinaryTree(LEAF, LEAF)
 
@@ -51,11 +51,21 @@ def small_oracle():
     return data, TimeGrid(t_final=0.5, n_steps=5)
 
 
+def _key(tree, blocks):
+    """The key of the term of ``tree`` on ``blocks``: (shape encoding, blocks)
+    with the two children of every node in the order of their own keys."""
+    if tree.is_leaf:
+        return ("o", blocks)
+    split = tree.left.leaves
+    first, second = sorted((_key(tree.left, blocks[:split]), _key(tree.right, blocks[split:])))
+    return (f"({first[0]}{second[0]})", first[1] + second[1])
+
+
 def _reference_product(tree, blocks, data, tg, d_choice, averaged=False):
     """The physical pointwise product of the two children of the node ``tree``
     without a memo, from numpy's full inverse transforms of the children
     truncated to the box.  The children are multiplied once, in the order of
-    their memo keys (``_term_key``), not in the tree's own child order:
+    their keys (``_key``), not in the tree's own child order:
     numpy's complex multiply may round fa * fb and fb * fa differently, and
     the key order is the one every member of a swap class shares.  With
     ``averaged``, every product in the term is instead the symmetric average
@@ -63,7 +73,7 @@ def _reference_product(tree, blocks, data, tg, d_choice, averaged=False):
     mask = box_mask(data.grid.n_points)
     split = tree.left.leaves
     children = sorted(((tree.left, blocks[:split]), (tree.right, blocks[split:])),
-                      key=lambda child: _term_key(*child))
+                      key=lambda child: _key(*child))
     fa, fb = (np.fft.ifft2(_reference_term(sub, part, data, tg, d_choice, averaged) * mask,
                            norm="ortho", axes=(-2, -1))
               for sub, part in children)
@@ -216,7 +226,7 @@ def _swap_class(tree, blocks):
 def test_term_key_is_canonical_under_child_swaps(small_oracle):
     data, tg = small_oracle
     a, b, c = data.draw.blocks[:3]
-    key = _term_key
+    key = _key
 
     # same-shape halves swapped, at the top and inside
     balanced = BinaryTree(NODE2, NODE2)
@@ -241,16 +251,32 @@ def test_term_key_is_canonical_under_child_swaps(small_oracle):
     assert len(set().union(*classes.values())) == len(classes)
 
 
-def _swap_classes(n, data):
-    """Each swap class of the level-n sum, in the order of its first (j, tuple,
-    tree) in the walk: that (tree, tuple) and the class's sign times its size."""
+def _walk_classes(n, draw):
+    """Each swap class of the level-n sum over the blocks of ``draw``, found
+    by walking every (j, tuple, tree): its first (tree, tuple) and its sign
+    times its size."""
     classes = {}
     for j in range(1, 2**n + 1):
-        for tup in cartesian_product(sorted(data.draw.blocks), repeat=j):
-            sign = math.prod(data.draw.eps(k) for k in tup)
+        for tup in cartesian_product(sorted(draw.blocks), repeat=j):
+            sign = math.prod(draw.eps(k) for k in tup)
             for tree in trees_at_level(j, n):
                 classes.setdefault(_swap_class(tree, tup), [tree, tup, 0])[2] += sign
-    return list(classes.values())
+    return classes
+
+
+@pytest.mark.parametrize("n_blocks, n", [(4, 1), (4, 2), (3, 3)])
+def test_generated_swap_classes_equal_the_walk(small_oracle, n_blocks, n):
+    """The classes generated bottom-up carry the walk's keys, coefficients
+    and heights (14, 109 and 1,179 classes), in height order."""
+    data, _ = small_oracle
+    draw = draw_rademacher(99, data.draw.blocks[:n_blocks], sample_index=1)
+    walk = {_key(tree, tup): (coef, tree.height)
+            for tree, tup, coef in _walk_classes(n, draw).values()}
+    generated = trees._swap_classes(n, draw)
+    assert len(generated) == len(walk) == {1: 14, 2: 109, 3: 1179}[n]
+    assert {key: (coef, height) for key, coef, height, _ in generated} == walk
+    heights = [height for _, _, height, _ in generated]
+    assert heights == sorted(heights)
 
 
 def _tuple_order_sum(n, data, tg, d_choice):
@@ -268,6 +294,24 @@ def _tuple_order_sum(n, data, tg, d_choice):
     return total
 
 
+def _in_generation_order(n, classes):
+    """The walk's classes in the order reconstruct_iterate adds them: the
+    leaves by block, then per height by the sorted positions of their two
+    children."""
+    position = {c: i for i, c in enumerate(sorted(c for c in classes if classes[c][0].is_leaf))}
+
+    def children(c):
+        tree, tup, _ = classes[c]
+        split = tree.left.leaves
+        return sorted((position[_swap_class(tree.left, tup[:split])],
+                       position[_swap_class(tree.right, tup[split:])]))
+
+    for h in range(1, n + 1):
+        for c in sorted((c for c in classes if classes[c][0].height == h), key=children):
+            position[c] = len(position)
+    return [classes[c] for c in position]
+
+
 def _class_sum(n, data, tg, d_choice, averaged=False):
     """The level-n sum over swap classes, in reconstruct_iterate's order and
     scaled and added the same way, each class recomputed without a memo.  A
@@ -276,7 +320,7 @@ def _class_sum(n, data, tg, d_choice, averaged=False):
     grid = data.grid
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex)
     top = np.zeros_like(total)
-    for tree, tup, coef in _swap_classes(n, data):
+    for tree, tup, coef in _in_generation_order(n, _walk_classes(n, data.draw)):
         if n and tree.height == n:
             term, acc = _reference_product(tree, tup, data, tg, d_choice, averaged), top
         else:
@@ -343,6 +387,12 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
+def _non_leaf_classes(n, draw):
+    """The number of products the level-n tree sum takes, one per class
+    that is not a leaf."""
+    return sum(children is not None for *_, children in trees._swap_classes(n, draw))
+
+
 def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monkeypatch):
     """With 4 blocks, n = 2 has 4 leaves, 10 pairs, 40 three-leaf and 55
     four-leaf terms up to child swaps.  Each factor (the leaves and the
@@ -353,23 +403,23 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
     one Duhamel sum: 105 pointwise products, 11 forward transforms and 11
     Duhamel sums in all.  At n = 1 the 10 pairs are the top terms: 4
     inverse transforms, 10 pointwise products, one forward transform and
-    one Duhamel sum.  Each pointwise product fetches its factors with one
-    call of ``_factors``."""
+    one Duhamel sum.  Each pointwise product is one non-leaf class."""
     data, tg = small_oracle
     calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_ifft2", "_box_fft2",
-                         "_factors", "_d_duhamel_hat")
-    reconstruct_iterate(1, data, tg)
-    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 4, "_box_fft2": 1,
-                     "_factors": 10, "_d_duhamel_hat": 1}
-    calls.clear()
-    reconstruct_iterate(2, data, tg)
-    assert calls == {"free_derivative_hat": 4, "_box_ifft2": 14, "_box_fft2": 11,
-                     "_factors": 105, "_d_duhamel_hat": 11}
+                         "_d_duhamel_hat")
+    for n, products, expect in ((1, 10, {"free_derivative_hat": 4, "_box_ifft2": 4,
+                                         "_box_fft2": 1, "_d_duhamel_hat": 1}),
+                                (2, 105, {"free_derivative_hat": 4, "_box_ifft2": 14,
+                                          "_box_fft2": 11, "_d_duhamel_hat": 11})):
+        calls.clear()
+        reconstruct_iterate(n, data, tg)
+        assert calls == expect, n
+        assert _non_leaf_classes(n, data.draw) == products, n
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
-    """The memo holds the box inverse transforms of factors only.  A term of
-    height n is never a factor at level n and never enters it; at n = 0 no
+    """The sum holds the box inverse transforms of factors only.  A term of
+    height n is never a factor at level n and is never held; at n = 0 no
     leaf does.  With 4 blocks, n = 0 holds no transform, n = 1 the 4 leaves'
     and n = 2 the 14 factors' (leaves and pairs), not all 109 terms'; every
     one is released when the sum returns."""
@@ -415,7 +465,7 @@ def test_oracle_calls_keep_no_whole_series_tables():
     """The tree sum at n = 1 and 2, the direct iterate, duhamel() and
     free_evolution on the benchmark's oracle datum (64^2, 17 nodes), in a
     fresh process: every table is spread at call time or one chunk at a
-    time, and the tree memo lives only within its call, so what the calls
+    time, and the tree factors live only within their call, so what the calls
     keep (the cached per-|xi| profiles and symbols) stays below one
     17 x 64^2 complex series.  Whole-series tables cached beside the
     profiles kept 2.8 MB."""
@@ -480,8 +530,8 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     height at most 2: 15 products, each with its Duhamel sum.  The other
     138 classes have height 3: each is one pointwise product added into the
     top sum, which takes one forward transform and one Duhamel sum.  That is
-    16 forward transforms, 153 pointwise products (one ``_factors`` call
-    each) and 16 Duhamel sums."""
+    16 forward transforms, 153 pointwise products (one per non-leaf class)
+    and 16 Duhamel sums."""
     n_pts = grid64.n_points
     full = two_block_datum(grid64).values
     keep = np.zeros(full.shape, dtype=bool)
@@ -492,11 +542,10 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     assert blocks == ((-1, 0), (1, 0))
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     tg = TimeGrid(t_final=0.5, n_steps=16)
-    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_fft2",
-                         "_factors", "_d_duhamel_hat")
+    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_fft2", "_d_duhamel_hat")
     rec = reconstruct_iterate(3, data, tg)
-    assert calls == {"free_derivative_hat": 2, "_box_fft2": 16,
-                     "_factors": 153, "_d_duhamel_hat": 16}
+    assert calls == {"free_derivative_hat": 2, "_box_fft2": 16, "_d_duhamel_hat": 16}
+    assert _non_leaf_classes(3, data.draw) == 153
     direct = picard_iterate(3, data, tg)
     rel = _rel_linf_l2(rec.values, direct.du.values, grid64)
     print(f"\nn=3 tree-vs-direct relative Linf-L2 discrepancy: {rel:.3e}")
@@ -508,6 +557,20 @@ def test_tree_term_validation(oracle_data, oracle_timegrid):
         evaluate_tree_term(NODE2, ((1, 0),), oracle_data, oracle_timegrid)
     with pytest.raises(ValueError):
         evaluate_tree_term(NODE2, ((1, 0), (7, 7)), oracle_data, oracle_timegrid)
+
+
+def test_tree_term_takes_blocks_as_any_integer_pairs(small_oracle):
+    """Lists, numpy integers and array rows name the same blocks as tuples
+    of ints, and give the same bits; an inactive block is still refused."""
+    data, tg = small_oracle
+    tree = BinaryTree(NODE2, LEAF)
+    blocks = ((-1, 0), (0, -1), (-1, 0))
+    expect = evaluate_tree_term(tree, blocks, data, tg).values
+    for form in ([list(k) for k in blocks], [tuple(np.int64(i) for i in k) for k in blocks],
+                 np.array(blocks)):
+        assert np.array_equal(evaluate_tree_term(tree, form, data, tg).values, expect)
+    with pytest.raises(ValueError, match="carry no data"):
+        evaluate_tree_term(tree, np.array(((-1, 0), (0, -1), (7, 7))), data, tg)
 
 
 @pytest.mark.parametrize("d_choice", ["bogus", "x3", ""])
@@ -550,6 +613,18 @@ def test_reconstruction_matches_free_du(oracle_data, oracle_timegrid):
     assert np.max(np.abs(rec.values - du0.values)) <= 1e-12 * scale
 
 
+def test_reconstruction_at_level_3_on_four_blocks_matches_the_direct_iterate(oracle_data):
+    """The criterion-4 datum (4 blocks) at n = 3, on 5 time nodes: 5,999
+    swap classes, 109 of them factors, agree with the direct recursion to
+    rounding."""
+    tg = TimeGrid(t_final=0.5, n_steps=4)
+    rec = reconstruct_iterate(3, oracle_data, tg)
+    direct = picard_iterate(3, oracle_data, tg)
+    rel = _rel_linf_l2(rec.values, direct.du.values, oracle_data.grid)
+    print(f"\nn=3, 4 blocks tree-vs-direct relative Linf-L2 discrepancy: {rel:.3e}")
+    assert rel <= 1e-12
+
+
 def test_reconstruction_matches_direct_iterate_n1(oracle_data, oracle_timegrid):
     rec = reconstruct_iterate(1, oracle_data, oracle_timegrid)
     direct = picard_iterate(1, oracle_data, oracle_timegrid)
@@ -559,8 +634,11 @@ def test_reconstruction_matches_direct_iterate_n1(oracle_data, oracle_timegrid):
 
 
 def test_reconstruction_budget_errors(oracle_data, oracle_timegrid, monkeypatch):
-    with pytest.raises(ValueError, match=r"at least 163220 .* cap 25000"):
-        reconstruct_iterate(3, oracle_data, oracle_timegrid)
+    with pytest.raises(ValueError, match=r"at least 17997004 .* cap 6000"):
+        reconstruct_iterate(4, oracle_data, oracle_timegrid)
+    five = draw_rademacher(99, ((-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)))
+    with pytest.raises(ValueError, match=r"5 active blocks has at least 23225 .* cap 6000"):
+        trees._swap_classes(3, five)
     with pytest.raises(ValueError):
         reconstruct_iterate(-1, oracle_data, oracle_timegrid)
     monkeypatch.setattr(trees, "MAX_BLOCKS", 2)
@@ -568,17 +646,14 @@ def test_reconstruction_budget_errors(oracle_data, oracle_timegrid, monkeypatch)
         reconstruct_iterate(1, oracle_data, oracle_timegrid)
 
 
-def test_reconstruction_term_cap_counts_trees_times_tuples(small_oracle, monkeypatch):
-    """The cap applies to sum_j len(trees_at_level(j, n)) * blocks^j, 404 at
-    n = 2 with 4 blocks, and refuses even a level whose trees outnumber any
-    enumeration."""
+def test_reconstruction_class_cap_counts_swap_classes(small_oracle, monkeypatch):
+    """The cap applies to the swap classes, 109 at n = 2 with 4 blocks, and
+    refuses a deep level before its classes are built."""
     data, tg = small_oracle
-    count = sum(len(trees_at_level(j, 2)) * 4**j for j in range(1, 5))
-    assert count == 404
-    monkeypatch.setattr(trees, "MAX_TREE_TERMS", count)
+    monkeypatch.setattr(trees, "MAX_CLASSES", 109)
     reconstruct_iterate(2, data, tg)
-    monkeypatch.setattr(trees, "MAX_TREE_TERMS", count - 1)
-    with pytest.raises(ValueError, match="at least 404 "):
+    monkeypatch.setattr(trees, "MAX_CLASSES", 108)
+    with pytest.raises(ValueError, match="at least 109 "):
         reconstruct_iterate(2, data, tg)
-    with pytest.raises(ValueError, match="cap 403"):
+    with pytest.raises(ValueError, match="cap 108"):
         reconstruct_iterate(60, data, tg)

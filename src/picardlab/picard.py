@@ -31,8 +31,9 @@ others are zero) and its forward transform runs its second pass only on the
 box columns (the others are discarded).  Every Duhamel source is a product,
 zero outside the box, so the recursion and the tree terms form the
 cumulative sums on the box only, with its modes held side by side in one
-compact array.  The public :func:`duhamel` takes arbitrary sources and keeps
-the whole lattice.
+compact array: the product's forward transform is gathered straight into
+it, and the Duhamel part and its derivative stay in it.  The public
+:func:`duhamel` takes arbitrary sources and keeps the whole lattice.
 
 The iterates are computed by one time march.  Duhamel is causal and the
 product is pointwise in time, so du^(n) at the nodes up to t_m needs only
@@ -380,43 +381,42 @@ class _DuhamelSums:
         return u if want_u else None, dt_u if want_dt else None
 
 
-def _duhamel_series(source_hat: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = False, *,
-                    want_u: bool = True, want_dt: bool = True
+def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = False, *,
+                    want_u: bool = True, want_dt: bool = True, out: tuple = (None, None)
                     ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt' at every
-    node.
-
-    The sums run on the box (``box``) or the whole lattice; outside the
-    region the result is zero.  A part not asked for is returned as None.
-    As in the march, each chunk spreads its rows of the propagator profiles
-    into chunk-sized tables and works in chunk-sized buffers; only the
-    returned series span every node.
+    node, from the source S and into the pair ``out`` (or fresh arrays),
+    all in the layout of ``_region(grid, box)``: the box's compact layout
+    (``box``) or the whole lattice.  A part not asked for is returned as
+    None.  As in the march, each chunk spreads its rows of the propagator
+    profiles into chunk-sized tables and works in chunk-sized buffers; the
+    parts are written straight into the returned series.
     """
     sums = _DuhamelSums(grid, tg, box)
     region = sums.region
     work = region.buffers(min(_CHUNK, tg.n_nodes))
     chunk_tables = tuple(np.empty(work[0].shape) for _ in range(3))
-    new = np.zeros if box else np.empty
-    outs = [new(source_hat.shape, dtype=complex) if want else None
-            for want in (want_u, want_dt)]
+    outs = [np.empty(source.shape, dtype=complex) if want and dest is None else dest
+            for want, dest in zip((want_u, want_dt), out)]
     for nodes in _chunks(tg.n_nodes):
         k = nodes.stop - nodes.start
-        src = region.gather(source_hat[nodes], out=work[0][:k])
         tables = tuple(region.spread(profile[nodes], out=t[:k])
                        for profile, t in zip(_profiles(grid, tg), chunk_tables))
-        parts = sums.advance(src, work, tables, want_u, want_dt)
-        for part, out in zip(parts, outs):
-            if out is not None:
-                region.place(part, out[nodes])
+        # the output rows stand in for the workspace's u and dt u buffers
+        parts = tuple(buf if dest is None else dest[nodes] for buf, dest in zip(work[3:], outs))
+        sums.advance(source[nodes], work[:3] + parts, tables, want_u, want_dt)
     return outs[0], outs[1]
 
 
-def _d_duhamel_hat(source_hat: np.ndarray, grid: Grid, tg: TimeGrid,
-                   d_choice: str, box: bool) -> np.ndarray:
-    """d of the Duhamel integral, from the one part of (u, dt u) it needs."""
-    pair = _duhamel_series(source_hat, grid, tg, box, want_u=d_choice != "t",
-                           want_dt=d_choice == "t")
-    return _derivative_hat(*pair, grid, d_choice)
+def _d_duhamel_hat(source: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str, box: bool,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """d of the Duhamel integral, from the one part of (u, dt u) it needs,
+    written into ``out`` (or a fresh array); the source and the result are
+    in the layout of ``_region(grid, box)``."""
+    pair = (out, None) if d_choice != "t" else (None, out)
+    u, dt_u = _duhamel_series(source, grid, tg, box, want_u=d_choice != "t",
+                              want_dt=d_choice == "t", out=pair)
+    return _derivative_hat(u, dt_u, grid, d_choice, out=u, box=box)
 
 
 def _check_d_choice(d_choice: str) -> None:
@@ -520,16 +520,18 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
 
 def _free_hats(phi0_hat: np.ndarray, abs_xi: np.ndarray, tables: tuple[np.ndarray, ...],
                out: tuple = (None, None),
-               scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               scratch: np.ndarray | None = None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(u, dt u) of the free wave from (phi0, 0) at the nodes of the
     (cos, sin) ``tables``, with phi0, |xi| and the tables on the same modes
-    (the lattice, or a region's compact layout), written into the pair
-    ``out`` (or fresh arrays) with a real ``scratch`` of the same shape."""
+    (the lattice, a region's compact layout or a window), written into the
+    pair ``out`` (or fresh arrays) with a real ``scratch`` of the same
+    shape; a part whose table is None is not formed and is None."""
     cos_t, sin_t = tables
-    u = np.multiply(cos_t, phi0_hat, out=out[0])
+    u = None if cos_t is None else np.multiply(cos_t, phi0_hat, out=out[0])
+    if sin_t is None:
+        return u, None
     speed = np.multiply(abs_xi, sin_t, out=scratch)
-    dudt = np.multiply(np.negative(speed, out=speed), phi0_hat, out=out[1])
-    return u, dudt
+    return u, np.multiply(np.negative(speed, out=speed), phi0_hat, out=out[1])
 
 
 @lru_cache(maxsize=16)
@@ -553,28 +555,39 @@ def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
     return np.multiply(_derivative_symbol(grid, d_choice, box), u_hat, out=out)
 
 
-def _free_series(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(u, dt u) of the free wave from (phi0, 0) at every node of ``tg`` on
-    the lattice.  Each mode evolves on its own, so cos and sin are spread,
-    for this call only, over the window of rows and columns where phi0 has
-    a nonzero mode (one unit block's, for a tree leaf); outside it both
-    series are zero."""
+def _free_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, want_u: bool = True,
+                 want_dt: bool = True) -> tuple[tuple, tuple]:
+    """The window of rows and columns where phi0 has a nonzero mode (one
+    unit block's, for a tree leaf), and (u, dt u) of the free wave from
+    (phi0, 0) on it at every node of ``tg``; a part not asked for is None.
+    Each mode evolves on its own, so the profiles a part needs are spread,
+    for this call only, over the window; outside it both parts are zero."""
     window = np.ix_(np.flatnonzero(phi0_hat.any(axis=1)), np.flatnonzero(phi0_hat.any(axis=0)))
     index = abs_xi_levels(grid)[1][window]
-    cos_t, sin_t = (np.take(profile, index, axis=1) for profile in _profiles(grid, tg)[:2])
-    pair = _free_hats(phi0_hat[window], grid.abs_xi[window], (cos_t, sin_t), scratch=sin_t)
-    out = tuple(np.zeros((tg.n_nodes,) + phi0_hat.shape, dtype=complex) for _ in pair)
-    for part, series in zip(pair, out):
-        series[(slice(None),) + window] = part
-    return out
+    cos_t, sin_t = (np.take(profile, index, axis=1) if want else None
+                    for profile, want in zip(_profiles(grid, tg), (want_u, want_dt)))
+    return window, _free_hats(phi0_hat[window], grid.abs_xi[window], (cos_t, sin_t),
+                              scratch=sin_t)
+
+
+def _on_lattice(part: np.ndarray, window: tuple, grid: Grid) -> np.ndarray:
+    """A fresh lattice series holding ``part`` on ``window``, zero elsewhere."""
+    series = np.zeros(part.shape[:1] + (grid.n_points, grid.n_points), dtype=complex)
+    series[(slice(None),) + window] = part
+    return series
 
 
 def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
                         d_choice: str) -> np.ndarray:
     """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
-    expansion's per-block brick, from the free pair the recursion starts at."""
+    expansion's per-block brick, from the one part of the free pair d needs
+    (dt u, or u times i xi_d), formed on the datum's window only."""
     _check_d_choice(d_choice)
-    return _derivative_hat(*_free_series(phi0_hat, grid, tg), grid, d_choice)
+    window, (u, dt_u) = _free_window(phi0_hat, grid, tg, want_u=d_choice != "t",
+                                     want_dt=d_choice == "t")
+    du = dt_u if d_choice == "t" else np.multiply(
+        _derivative_symbol(grid, d_choice, False)[window], u, out=u)
+    return _on_lattice(du, window, grid)
 
 
 def free_evolution(data: RandomizedData, tg: TimeGrid,
@@ -590,7 +603,8 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     """
     _check_d_choice(d_choice)
     grid = data.grid
-    u0, dudt0 = _free_series(data.phi0_rand.values, grid, tg)
+    window, pair = _free_window(data.phi0_rand.values, grid, tg)
+    u0, dudt0 = (_on_lattice(part, window, grid) for part in pair)
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
         _frozen_series(grid, tg, u0),
@@ -796,10 +810,9 @@ def space_time_norm(series: FieldSeries, q: float, r: float) -> float:
 
     Time integration is composite trapezoid on the series' own nodes.
     """
-    if q != np.inf and q < 1.0:
-        raise ValueError(f"q must be >= 1 or inf, got {q}")
-    if r != np.inf and r < 1.0:
-        raise ValueError(f"r must be >= 1 or inf, got {r}")
+    for name, value in (("q", q), ("r", r)):
+        if not value >= 1.0:  # NaN compares false
+            raise ValueError(f"{name} must be >= 1 or inf, got {value}")
     phys = series_to_physical(series)
     return _time_norm(lp_nodes(phys.values, phys.grid, r), q, series.timegrid.dt)
 

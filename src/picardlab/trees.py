@@ -40,6 +40,15 @@ products, 11 Duhamel sums).  A leaf evolves only its block's window
 C_h = b + C_{h-1} (C_{h-1} + 1) / 2 classes of height <= h (C_0 = b), and
 the sum holds C_{n-1} factor series.  MAX_CLASSES admits n = 3 with 4 blocks
 (5,999 classes) and refuses n = 4 with 4 blocks and n = 3 with 5.
+
+A node term is zero outside the 2/3 box, so it is formed and summed in the
+box's compact layout, as the march does; outside the box the sum is the
+leaves'.  As in the march, the sum allocates its workspace once per call --
+the result, the top sum and the product on the lattice, the source and the
+term on the box, and one block of the factor series -- and every node term
+is formed in it; only a leaf is a fresh series.  The top products are summed a
+chunk of time nodes at a time, so that the top sum and the product at hand
+stay in cache.
 """
 
 from __future__ import annotations
@@ -57,10 +66,13 @@ from .picard import (
     _box_ifft2,
     _check_d_choice,
     _check_level,
+    _chunks,
     _d_duhamel_hat,
     _frozen_series,
+    _region,
     free_derivative_hat,
 )
+from .grid import Grid
 from .multipliers import unit_projection
 from .randomization import RademacherDraw, RandomizedData
 
@@ -303,25 +315,43 @@ def _leaf_hat(block: tuple[int, int], data: RandomizedData, tg: TimeGrid,
                                d_choice)
 
 
-def _node_hat(fa: np.ndarray, fb: np.ndarray, data: RandomizedData, tg: TimeGrid,
-              d_choice: str) -> np.ndarray:
-    """A node's term: the Duhamel term of the dealiased product fa * fb of
-    its factors' box inverse transforms, given in the order of their keys."""
-    return _d_duhamel_hat(_box_fft2(fa * fb, data.grid), data.grid, tg, d_choice, box=True)
+def _node_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
+              work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A node's term in the box's compact layout: the Duhamel term of the
+    dealiased product fa * fb of its factors' box inverse transforms, given
+    in the order of their keys, formed in the (product, source, term) of
+    ``work`` (:func:`_node_work`)."""
+    product, source, term = work
+    _box_fft2(np.multiply(fa, fb, out=product), grid, out=source)
+    return _d_duhamel_hat(source, grid, tg, d_choice, box=True, out=term)
+
+
+def _node_work(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, ...]:
+    """Fresh (product, source, term) for :func:`_node_hat`: a lattice
+    series and two series in the box's compact layout."""
+    size = _region(grid, True).size
+    return (np.empty((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex),
+            np.empty((tg.n_nodes, size, size), dtype=complex),
+            np.empty((tg.n_nodes, size, size), dtype=complex))
 
 
 def _keyed_term(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
                 tg: TimeGrid, d_choice: str) -> tuple[tuple, np.ndarray]:
-    """The key and the spectral series of the term of ``tree`` on ``blocks``;
-    a node multiplies its children in the order of their keys."""
+    """The key and the spectral series of the term of ``tree`` on ``blocks``
+    on the lattice; a node multiplies its children in the order of their
+    keys, and its term is zero outside the box."""
     if tree.is_leaf:
         return ("o", blocks), _leaf_hat(blocks[0], data, tg, d_choice)
     split = _leaves(tree.left)
     (ka, ta), (kb, tb) = sorted((_keyed_term(tree.left, blocks[:split], data, tg, d_choice),
                                  _keyed_term(tree.right, blocks[split:], data, tg, d_choice)),
                                 key=lambda child: child[0])
-    fa, fb = _box_ifft2(ta, data.grid), _box_ifft2(tb, data.grid)
-    return _node_key(ka, kb), _node_hat(fa, fb, data, tg, d_choice)
+    grid = data.grid
+    term = _node_hat(_box_ifft2(ta, grid), _box_ifft2(tb, grid), grid, tg, d_choice,
+                     _node_work(grid, tg))
+    hat = np.zeros_like(ta)
+    _region(grid, True).place(term, hat)
+    return _node_key(ka, kb), hat
 
 
 def evaluate_tree_term(
@@ -391,8 +421,9 @@ def reconstruct_iterate(
     as their children's physical products; that sum takes one box forward
     transform and one Duhamel sum and is added last.  The result differs
     from summing each top term on its own by rounding only.  Beside the
-    result, the top sum, the product and the term at hand, the call holds
-    one series per factor (class of height < n).
+    result, the top sum, the product, and the source and term at hand (on
+    the box), the call holds one block with a series per factor (class of
+    height < n) and one leaf at a time.
     Resource-capped: at most MAX_BLOCKS active blocks (the factors at n = 1)
     and MAX_CLASSES swap classes.
     """
@@ -403,32 +434,48 @@ def reconstruct_iterate(
     classes = _swap_classes(n, data.draw)
     grid = data.grid
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
-    # the physical sum of the top products, and the product at hand
-    top, product = np.zeros_like(total), np.empty_like(total)
-    # the box inverse transforms of the factors, by class position: the
-    # classes come in height order, so a factor is stored before any product
+    # the box inverse transforms of the factors, in one block by class
+    # position: the classes come in height order, so the factors are the
+    # classes before the top ones and each is stored before any product
     # reads it
-    factors: list[np.ndarray] = []
-    for key, coef, height, children in classes:
-        if children is None:
-            term = _leaf_hat(key[1][0], data, tg, d_choice)
-        elif height < n:
-            term = _node_hat(factors[children[0]], factors[children[1]], data, tg, d_choice)
-        else:
-            # a term of height n is no factor at level n, and the transform,
-            # Duhamel sum and derivative after its product are linear: only
-            # the product enters the sum, and the tail is applied once below
-            np.multiply(factors[children[0]], factors[children[1]], out=product)
-            _add_scaled(top, coef, product)
-            continue
-        if height < n:
-            # later products read only its box inverse transform, taken
-            # before the term is scaled
-            factors.append(_box_ifft2(term, grid))
-        _add_scaled(total, coef, term)
-        del term  # not held while the next term is formed
-    if n:
-        total += _d_duhamel_hat(_box_fft2(top, grid), grid, tg, d_choice, box=True)
+    factors = np.empty((sum(height < n for _, _, height, _ in classes),) + total.shape,
+                       dtype=complex)
+    leaves = len(data.draw.blocks)
+    for i, (key, coef, _, _) in enumerate(classes[:leaves]):
+        leaf = _leaf_hat(key[1][0], data, tg, d_choice)
+        if n:
+            _box_ifft2(leaf, grid, out=factors[i])
+        _add_scaled(total, coef, leaf)
+        del leaf  # not held while the next leaf is formed
+    if not n:
+        return _frozen_series(grid, tg, total)
+    # a node term is zero outside the box: the nodes are summed on the box,
+    # from the leaves' sum there
+    box = _region(grid, True)
+    node_total = box.gather(total)
+    # the physical sum of the top products; the product at hand, its box
+    # source and its term, the last two in the box's compact layout
+    top = np.zeros_like(total)
+    work = _node_work(grid, tg)
+    for i, (_, coef, _, (a, b)) in enumerate(classes[leaves:len(factors)], leaves):
+        term = _node_hat(factors[a], factors[b], grid, tg, d_choice, work)
+        # later products read only its box inverse transform, taken before
+        # the term is scaled
+        _box_ifft2(term, grid, out=factors[i], compact=True)
+        _add_scaled(node_total, coef, term)
+    # a term of height n is no factor at level n, and the transform, Duhamel
+    # sum and derivative after its product are linear: only the product
+    # enters the sum, and the tail is applied once below.  The products are
+    # summed a chunk of nodes at a time, each node's in class order, so the
+    # top sum and the product at hand stay in cache
+    for nodes in _chunks(tg.n_nodes):
+        top_part, product = top[nodes], work[0][nodes]
+        for _, coef, _, (a, b) in classes[len(factors):]:
+            _add_scaled(top_part, coef, np.multiply(factors[a, nodes], factors[b, nodes],
+                                                    out=product))
+    _box_fft2(top, grid, out=work[1])
+    node_total += _d_duhamel_hat(work[1], grid, tg, d_choice, box=True, out=work[2])
+    box.place(node_total, total)
     return _frozen_series(grid, tg, total)
 
 

@@ -386,6 +386,13 @@ def _march_duhamel(src, grid, tg, start):
     return out
 
 
+def _placed(part, box):
+    """A compact box series on the whole lattice, zero outside the box."""
+    out = np.zeros(part.shape[:1] + (box.grid.n_points, box.grid.n_points), dtype=complex)
+    box.place(part, out)
+    return out
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     grid = make_grid(n, 4.0 * math.pi)
@@ -397,7 +404,8 @@ def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
         from_box[rows, cols] = True
     assert np.array_equal(from_box, mask)
     whole_u, whole_dt = _duhamel_series(src, grid, tg)
-    u, dt_u = _duhamel_series(src, grid, tg, box=True)
+    box = picard._region(grid, True)
+    u, dt_u = (_placed(part, box) for part in _duhamel_series(box.gather(src), grid, tg, box=True))
     assert np.array_equal(u, whole_u) and np.array_equal(dt_u, whole_dt)
 
     free_u, free_dt = _random_source(grid, tg, seed=n + 1), _random_source(grid, tg, seed=n + 2)
@@ -407,10 +415,11 @@ def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     assert np.array_equal(u[:, ~mask], free_u[:, ~mask])
     assert np.array_equal(dt_u[:, ~mask], free_dt[:, ~mask])
 
-    only_u, none_dt = _duhamel_series(src, grid, tg, box=True, want_dt=False)
-    none_u, only_dt = _duhamel_series(src, grid, tg, box=True, want_u=False)
+    only_u, none_dt = _duhamel_series(box.gather(src), grid, tg, box=True, want_dt=False)
+    none_u, only_dt = _duhamel_series(box.gather(src), grid, tg, box=True, want_u=False)
     assert none_u is None and none_dt is None
-    assert np.array_equal(only_u, whole_u) and np.array_equal(only_dt, whole_dt)
+    assert np.array_equal(_placed(only_u, box), whole_u)
+    assert np.array_equal(_placed(only_dt, box), whole_dt)
 
 
 def test_chain_matches_stepwise_bit_for_bit(grid64):
@@ -511,7 +520,8 @@ def test_march_equals_the_level_by_level_recursion(grid64, family, d_choice):
             u, dt_u = free_u.values, free_dt.values
         else:
             src = product_dealias(prev.du.values, prev.du.values, grid64)
-            part_u, part_dt = _duhamel_series(src, grid64, tg, box=True)
+            part_u, part_dt = (_placed(part, box)
+                               for part in _duhamel_series(box.gather(src), grid64, tg, box=True))
             u, dt_u = free_u.values + part_u, free_dt.values + part_dt
         assert np.array_equal(rec.u.values, u) and np.array_equal(rec.du_dt.values, dt_u)
         du_phys = sum(np.fft.ifft2(rec.du.values * part, norm="ortho", axes=(-2, -1))
@@ -664,6 +674,16 @@ def test_space_time_norm_sup_spike(grid64):
         space_time_norm(series, 0.5, 2.0)
     with pytest.raises(ValueError):
         space_time_norm(series, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("name", ["q", "r"])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+def test_space_time_norm_refuses_a_nan_or_minus_inf_exponent(grid64, name, bad):
+    series = FieldSeries(grid64, TimeGrid(t_final=1.0, n_steps=4),
+                         np.ones((5, 64, 64)), "physical")
+    exponents = {"q": 2.0, "r": 2.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        space_time_norm(series, exponents["q"], exponents["r"])
 
 
 def test_blowup_guard_raises(grid64):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -30,6 +31,7 @@ from picardlab import (
     make_grid,
     picard_iterate,
     reconstruct_iterate,
+    sobolev_norm,
 )
 from picardlab import picard, trees
 from picardlab.multipliers import unit_projection
@@ -418,27 +420,33 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
-    """The sum holds the box inverse transforms of factors only.  A term of
-    height n is never a factor at level n and is never held; at n = 0 no
-    leaf does.  With 4 blocks, n = 0 holds no transform, n = 1 the 4 leaves'
-    and n = 2 the 14 factors' (leaves and pairs), not all 109 terms'; every
-    one is released when the sum returns."""
+    """The sum holds the box inverse transforms of factors only, in one
+    block with a row per factor.  A term of height n is never a factor at
+    level n and is never held; at n = 0 no leaf is.  With 4 blocks the block
+    holds no series at n = 0, the 4 leaves' at n = 1 and the 14 factors'
+    (leaves and pairs) at n = 2, not all 109 terms'; each row is written
+    once, in class order, and the block is released when the sum returns."""
     data, tg = small_oracle
-    alive = Counter()
+    block, rows = [], []
     original = trees._box_ifft2
 
-    def counted(*args, **kwargs):
-        out = original(*args, **kwargs)
-        alive["now"] += 1
-        alive["peak"] = max(alive["peak"], alive["now"])
-        weakref.finalize(out, alive.update, {"now": -1})
-        return out
+    def address(array):
+        return array.__array_interface__["data"][0]
+
+    def counted(hat, grid, out=None, compact=False):
+        if not block:
+            block.append(weakref.ref(out.base))
+        assert out.base is block[0]()
+        rows.append((out.base.shape[0], (address(out) - address(out.base)) // out.nbytes))
+        return original(hat, grid, out=out, compact=compact)
 
     monkeypatch.setattr(trees, "_box_ifft2", counted)
-    for n, peak in ((0, 0), (1, 4), (2, 14)):
-        alive.clear()
+    for n, held in ((0, 0), (1, 4), (2, 14)):
+        block.clear()
+        rows.clear()
         reconstruct_iterate(n, data, tg)
-        assert alive["peak"] == peak and alive["now"] == 0, n
+        assert rows == [(held, row) for row in range(held)], n
+        assert all(ref() is None for ref in block), n
 
 
 def test_reconstruction_at_level_2_stays_within_25_series(oracle_data):
@@ -604,6 +612,97 @@ def _rel_linf_l2(a, b, grid):
     diff = np.linalg.norm(a - b, axis=(1, 2)).max()
     ref = np.linalg.norm(b, axis=(1, 2)).max()
     return grid.dx * diff / (grid.dx * ref)
+
+
+def _outside_box_data(grid):
+    """The modes (4, 0) and (23, 0) with their conjugates, the second
+    outside the 2/3 box (|m| <= 21 at 64^2), at H^1 norm 1: blocks (-6, 0),
+    (-1, 0), (1, 0) and (6, 0)."""
+    n = grid.n_points
+    hat = np.zeros((n, n), dtype=complex)
+    for i, a in ((4, 0.8 - 0.3j), (23, -0.4 + 0.6j)):
+        hat[i, 0] += a
+        hat[-i % n, 0] += np.conj(a)
+    phi0 = Field(grid, hat, "spectral")
+    phi0 = Field(grid, hat / sobolev_norm(phi0, 1.0), "spectral")
+    return randomize(phi0, None, draw_rademacher(5, active_blocks(phi0), sample_index=2))
+
+
+def test_reconstruction_on_a_datum_with_modes_outside_the_box(grid64):
+    """Outside the box every iterate is its free part.  The tree sum adds
+    its node terms on the box only, so there it must hold exactly the signed
+    sum of the leaves, added in block order; everywhere it agrees with the
+    direct recursion to rounding."""
+    data = _outside_box_data(grid64)
+    assert data.draw.blocks == ((-6, 0), (-1, 0), (1, 0), (6, 0))
+    tg = TimeGrid(t_final=0.5, n_steps=16)
+    leaves = np.zeros((tg.n_nodes, 64, 64), dtype=complex)
+    for k in data.draw.blocks:
+        leaf = free_derivative_hat(unit_projection(data.phi0, k).values, grid64, tg, "x1")
+        if data.draw.eps(k) == 1:
+            leaves += leaf
+        else:
+            leaves -= leaf
+    outside = ~box_mask(64)
+    assert np.abs(leaves[:, outside]).max() > 0.0
+    for n in (0, 1, 2):
+        rec = reconstruct_iterate(n, data, tg).values
+        assert np.array_equal(rec[:, outside], leaves[:, outside]), n
+        rel = _rel_linf_l2(rec, picard_iterate(n, data, tg).du.values, grid64)
+        assert rel <= 1e-12, n
+
+
+def test_no_tree_workspace_view_escapes(small_oracle):
+    """The tree sum forms its terms in one workspace per call; every result
+    of reconstruct_iterate, evaluate_tree_term and duhamel() is its own
+    memory, untouched by a later call on another draw."""
+    data, tg = small_oracle
+    other = randomize(data.phi0, None, draw_rademacher(7, data.draw.blocks, sample_index=4))
+    tree, blocks = BinaryTree(NODE2, LEAF), ((-1, 0), (0, -1), (1, 0))
+
+    def results(sample):
+        out = [reconstruct_iterate(n, sample, tg, d).values for n in (0, 1, 2)
+               for d in ("x1", "t")]
+        out += [evaluate_tree_term(t, b, sample, tg, d).values
+                for t, b in ((LEAF, blocks[:1]), (NODE2, blocks[:2]), (tree, blocks))
+                for d in ("x1", "t")]
+        source = FieldSeries(data.grid, tg, out[2], "spectral")
+        return out + [duhamel(source, tg, d).values for d in ("x1", "t")]
+
+    first = results(data)
+    before = [a.copy() for a in first]
+    results(other)
+    for old, new in zip(before, first):
+        assert np.array_equal(old, new)
+    for i, a in enumerate(first):
+        for b in first[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor faults of a Linux process")
+def test_warm_tree_sum_maps_no_fresh_memory_per_term():
+    """The n = 2 sum on the benchmark's oracle datum (64^2, 17 nodes) forms
+    every term in one workspace per call, so a warm call touches few pages
+    it has not touched before: one fresh 1.1 MB series per term took about
+    11,500 minor faults per call."""
+    tests = str(Path(__file__).resolve().parent)
+    out = run_python(
+        "import math, resource, sys\n"
+        f"sys.path.insert(0, {tests!r})\n"
+        "from conftest import two_block_datum\n"
+        "from picardlab import TimeGrid, make_grid, reconstruct_iterate\n"
+        "from picardlab.randomization import active_blocks, draw_rademacher, randomize\n"
+        "phi0 = two_block_datum(make_grid(64, 8.0 * math.pi))\n"
+        "data = randomize(phi0, None, draw_rademacher(99, active_blocks(phi0), sample_index=1))\n"
+        "tg = TimeGrid(t_final=0.5, n_steps=16)\n"
+        "for _ in range(2):\n"
+        "    reconstruct_iterate(2, data, tg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "reconstruct_iterate(2, data, tg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    faults = int(out)
+    print(f"\nwarm n=2 tree sum: {faults} minor faults")
+    assert faults < 3000
 
 
 def test_reconstruction_matches_free_du(oracle_data, oracle_timegrid):

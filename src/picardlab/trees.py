@@ -35,20 +35,23 @@ kept.  Everything after a top term's product (height n) -- the forward
 transform, the Duhamel sum and the derivative -- is linear, so the top
 products are summed in physical space and that one sum takes one transform
 and one Duhamel sum (at n = 2 with 4 blocks: 109 classes, 14 factors, 105
-products, 11 Duhamel sums).  A leaf evolves only its block's window
-(:func:`.picard.free_derivative_hat`).  With b blocks there are
-C_h = b + C_{h-1} (C_{h-1} + 1) / 2 classes of height <= h (C_0 = b), and
-the sum holds C_{n-1} factor series.  MAX_CLASSES admits n = 3 with 4 blocks
-(5,999 classes) and refuses n = 4 with 4 blocks and n = 3 with 5.
+products, 11 Duhamel sums).  A leaf evolves only its block's window.  With
+b blocks there are C_h = b + C_{h-1} (C_{h-1} + 1) / 2 classes of height
+<= h (C_0 = b), C_{n-1} of them factors.  MAX_CLASSES admits n = 3 with 4
+blocks (5,999 classes) and refuses n = 4 with 4 blocks and n = 3 with 5.
 
-A node term is zero outside the 2/3 box, so it is formed and summed in the
-box's compact layout, as the march does; outside the box the sum is the
-leaves'.  As in the march, the sum allocates its workspace once per call --
-the result, the top sum and the product on the lattice, the source and the
-term on the box, and one block of the factor series -- and every node term
-is formed in it; only a leaf is a fresh series.  The top products are summed a
-chunk of time nodes at a time, so that the top sum and the product at hand
-stay in cache.
+The sum marches in time, as the levels of :func:`.picard._march` do: every
+class advances together, a chunk of time nodes at a time.  The Duhamel
+integral is causal and each product is pointwise in time, so a node term on
+a chunk needs its factors on that chunk only, and each node class carries
+its own running Duhamel sums from chunk to chunk.  A node term is zero
+outside the 2/3 box, so it is formed and summed in the box's compact layout;
+outside the box the sum is the leaves'.  The call allocates one chunk-sized
+workspace -- a factor block of C_{n-1} rows, the leaf or top sum and the
+product on the lattice, the Duhamel buffers, tables and total on the box --
+and every term is formed in it; beside the result, only the leaves' window
+parts are whole series.  Its memory beside the result does not grow with
+the number of nodes.
 """
 
 from __future__ import annotations
@@ -68,7 +71,12 @@ from .picard import (
     _check_level,
     _chunks,
     _d_duhamel_hat,
+    _derivative_hat,
+    _derivative_symbol,
+    _DuhamelSums,
+    _free_window,
     _frozen_series,
+    _profiles,
     _region,
     free_derivative_hat,
 )
@@ -315,31 +323,25 @@ def _leaf_hat(block: tuple[int, int], data: RandomizedData, tg: TimeGrid,
                                d_choice)
 
 
-def _node_hat(fa: np.ndarray, fb: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
-              work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """A node's term in the box's compact layout: the Duhamel term of the
-    dealiased product fa * fb of its factors' box inverse transforms, given
-    in the order of their keys, formed in the (product, source, term) of
-    ``work`` (:func:`_node_work`)."""
-    product, source, term = work
-    _box_fft2(np.multiply(fa, fb, out=product), grid, out=source)
-    return _d_duhamel_hat(source, grid, tg, d_choice, box=True, out=term)
-
-
-def _node_work(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, ...]:
-    """Fresh (product, source, term) for :func:`_node_hat`: a lattice
-    series and two series in the box's compact layout."""
-    size = _region(grid, True).size
-    return (np.empty((tg.n_nodes, grid.n_points, grid.n_points), dtype=complex),
-            np.empty((tg.n_nodes, size, size), dtype=complex),
-            np.empty((tg.n_nodes, size, size), dtype=complex))
+def _leaf_window(block: tuple[int, int], data: RandomizedData, tg: TimeGrid,
+                 d_choice: str) -> tuple[tuple, np.ndarray]:
+    """A leaf's term on its block's window: the window and, at every node,
+    the part of the free pair d needs there (dt u, or u times i xi_d), as
+    :func:`.picard.free_derivative_hat` forms it before it scatters the
+    part into a lattice series."""
+    grid = data.grid
+    window, (u, dt_u) = _free_window(unit_projection(data.phi0, block).values, grid, tg,
+                                     want_u=d_choice != "t", want_dt=d_choice == "t")
+    if d_choice == "t":
+        return window, dt_u
+    return window, np.multiply(_derivative_symbol(grid, d_choice, False)[window], u, out=u)
 
 
 def _keyed_term(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
                 tg: TimeGrid, d_choice: str) -> tuple[tuple, np.ndarray]:
     """The key and the spectral series of the term of ``tree`` on ``blocks``
-    on the lattice; a node multiplies its children in the order of their
-    keys, and its term is zero outside the box."""
+    on the lattice, whole series at a time; a node multiplies its children
+    in the order of their keys, and its term is zero outside the box."""
     if tree.is_leaf:
         return ("o", blocks), _leaf_hat(blocks[0], data, tg, d_choice)
     split = _leaves(tree.left)
@@ -347,10 +349,11 @@ def _keyed_term(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: Ran
                                  _keyed_term(tree.right, blocks[split:], data, tg, d_choice)),
                                 key=lambda child: child[0])
     grid = data.grid
-    term = _node_hat(_box_ifft2(ta, grid), _box_ifft2(tb, grid), grid, tg, d_choice,
-                     _node_work(grid, tg))
+    box = _region(grid, True)
+    product = np.multiply(_box_ifft2(ta, grid), _box_ifft2(tb, grid))
+    term = _d_duhamel_hat(box.gather(_box_fft2(product, grid)), grid, tg, d_choice, box=True)
     hat = np.zeros_like(ta)
-    _region(grid, True).place(term, hat)
+    box.place(term, hat)
     return _node_key(ka, kb), hat
 
 
@@ -420,12 +423,18 @@ def reconstruct_iterate(
     classes.  For n >= 1 the classes of height n (the top terms) are summed
     as their children's physical products; that sum takes one box forward
     transform and one Duhamel sum and is added last.  The result differs
-    from summing each top term on its own by rounding only.  Beside the
-    result, the top sum, the product, and the source and term at hand (on
-    the box), the call holds one block with a series per factor (class of
-    height < n) and one leaf at a time.
-    Resource-capped: at most MAX_BLOCKS active blocks (the factors at n = 1)
-    and MAX_CLASSES swap classes.
+    from summing each top term on its own by rounding only.
+
+    The sum marches in time, a chunk of nodes at a time, every class
+    advancing together (as the levels of the march do): a node term on a
+    chunk needs its factors on that chunk only.  Beside the result and the
+    leaves' window parts, the call holds chunk-sized buffers -- a row per
+    factor (class of height < n), the running sums of one Duhamel integral
+    per node factor and one for the top sum -- so its memory does not grow
+    with the number of nodes beyond the result.
+    Resource-capped: at most MAX_BLOCKS active blocks, the few blocks an
+    oracle datum has, and MAX_CLASSES swap classes, which bound the work
+    and the rows of the factor block.
     """
     _check_level(n, "n")
     _check_d_choice(d_choice)
@@ -433,50 +442,71 @@ def reconstruct_iterate(
         raise ValueError(f"{len(data.draw.blocks)} active blocks exceed the cap {MAX_BLOCKS}")
     classes = _swap_classes(n, data.draw)
     grid = data.grid
+    leaves = [(coef, _leaf_window(key[1][0], data, tg, d_choice))
+              for key, coef, _, _ in classes[:len(data.draw.blocks)]]
+    n_factors = sum(height < n for _, _, height, _ in classes)
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
-    # the box inverse transforms of the factors, in one block by class
-    # position: the classes come in height order, so the factors are the
-    # classes before the top ones and each is stored before any product
-    # reads it
-    factors = np.empty((sum(height < n for _, _, height, _ in classes),) + total.shape,
-                       dtype=complex)
-    leaves = len(data.draw.blocks)
-    for i, (key, coef, _, _) in enumerate(classes[:leaves]):
-        leaf = _leaf_hat(key[1][0], data, tg, d_choice)
-        if n:
-            _box_ifft2(leaf, grid, out=factors[i])
-        _add_scaled(total, coef, leaf)
-        del leaf  # not held while the next leaf is formed
-    if not n:
-        return _frozen_series(grid, tg, total)
-    # a node term is zero outside the box: the nodes are summed on the box,
-    # from the leaves' sum there
+    # the chunk-sized workspace (the first chunk is the longest).  On the
+    # lattice: the leaf at hand, later the top sum; the product at hand; and
+    # the box inverse transforms of the factors, a row per class position --
+    # the classes come in height order, so the factors are the classes
+    # before the top ones and each row is written before a product reads it.
+    # On the box: the Duhamel buffers, the chunk's tables and its total.
+    chunk = (next(_chunks(tg.n_nodes)).stop, grid.n_points, grid.n_points)
+    lattice, product = np.empty(chunk, dtype=complex), np.empty(chunk, dtype=complex)
+    factors = np.empty((n_factors,) + chunk, dtype=complex)
     box = _region(grid, True)
-    node_total = box.gather(total)
-    # the physical sum of the top products; the product at hand, its box
-    # source and its term, the last two in the box's compact layout
-    top = np.zeros_like(total)
-    work = _node_work(grid, tg)
-    for i, (_, coef, _, (a, b)) in enumerate(classes[leaves:len(factors)], leaves):
-        term = _node_hat(factors[a], factors[b], grid, tg, d_choice, work)
-        # later products read only its box inverse transform, taken before
-        # the term is scaled
-        _box_ifft2(term, grid, out=factors[i], compact=True)
-        _add_scaled(node_total, coef, term)
-    # a term of height n is no factor at level n, and the transform, Duhamel
-    # sum and derivative after its product are linear: only the product
-    # enters the sum, and the tail is applied once below.  The products are
-    # summed a chunk of nodes at a time, each node's in class order, so the
-    # top sum and the product at hand stay in cache
+    work = box.buffers(chunk[0])
+    box_tables = tuple(np.empty(work[0].shape) for _ in range(3))
+    box_total = np.empty_like(work[0])
+    # one Duhamel integral per node factor, and the last for the top sum
+    sums = [_DuhamelSums(grid, tg, box=True)
+            for _ in range(n_factors - len(leaves) + 1 if n else 0)]
     for nodes in _chunks(tg.n_nodes):
-        top_part, product = top[nodes], work[0][nodes]
-        for _, coef, _, (a, b) in classes[len(factors):]:
-            _add_scaled(top_part, coef, np.multiply(factors[a, nodes], factors[b, nodes],
-                                                    out=product))
-    _box_fft2(top, grid, out=work[1])
-    node_total += _d_duhamel_hat(work[1], grid, tg, d_choice, box=True, out=work[2])
-    box.place(node_total, total)
+        k = nodes.stop - nodes.start
+        leaf, prod, node_total = lattice[:k], product[:k], box_total[:k]
+        for i, (coef, (window, part)) in enumerate(leaves):
+            leaf.fill(0.0)
+            leaf[(slice(None),) + window] = part[nodes]
+            if n:
+                _box_ifft2(leaf, grid, out=factors[i, :k])
+            _add_scaled(total[nodes], coef, leaf)
+        if not n:
+            continue
+        tables = tuple(box.spread(profile[nodes], out=t[:k])
+                       for profile, t in zip(_profiles(grid, tg), box_tables))
+        # a node term is zero outside the box: the nodes are summed on the
+        # box, from the leaves' sum there
+        box.gather(total[nodes], out=node_total)
+        for i, (_, coef, _, (a, b)) in enumerate(classes[len(leaves):n_factors], len(leaves)):
+            term = _node_part(np.multiply(factors[a, :k], factors[b, :k], out=prod),
+                              sums[i - len(leaves)], grid, d_choice, work, tables)
+            # later products read only its box inverse transform, taken
+            # before the term is scaled
+            _box_ifft2(term, grid, out=factors[i, :k], compact=True)
+            _add_scaled(node_total, coef, term)
+        # a term of height n is no factor at level n, and the transform,
+        # Duhamel sum and derivative after its product are linear: only the
+        # product enters the top sum, in class order, and the tail is
+        # applied to that sum
+        top = leaf
+        top.fill(0.0)
+        for _, coef, _, (a, b) in classes[n_factors:]:
+            _add_scaled(top, coef, np.multiply(factors[a, :k], factors[b, :k], out=prod))
+        node_total += _node_part(top, sums[-1], grid, d_choice, work, tables)
+        box.place(node_total, total[nodes])
     return _frozen_series(grid, tg, total)
+
+
+def _node_part(product: np.ndarray, sums: _DuhamelSums, grid: Grid, d_choice: str,
+               work: tuple[np.ndarray, ...], tables: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A chunk of a node term in the box's compact layout: d of the Duhamel
+    integral of the dealiased physical ``product``, whose earlier chunks
+    ``sums`` has taken, formed in ``work`` (:meth:`.picard._Region.buffers`)
+    with the chunk's box ``tables``.  ``product`` is transformed in place."""
+    src = _box_fft2(product, grid, out=work[0][:len(product)])
+    u, dt_u = sums.advance(src, work, tables, want_u=d_choice != "t", want_dt=d_choice == "t")
+    return _derivative_hat(u, dt_u, grid, d_choice, out=u, box=True)
 
 
 def _add_scaled(acc: np.ndarray, coef: int, term: np.ndarray) -> None:

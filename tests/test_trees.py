@@ -395,38 +395,67 @@ def _non_leaf_classes(n, draw):
     return sum(children is not None for *_, children in trees._swap_classes(n, draw))
 
 
+def _count_methods(monkeypatch, calls, owner, *names):
+    """Count, by name, the calls of these methods of ``owner`` into ``calls``."""
+    for name in names:
+        original = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+
+def _chunk_count(tg):
+    return len(list(picard._chunks(tg.n_nodes)))
+
+
 def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monkeypatch):
     """With 4 blocks, n = 2 has 4 leaves, 10 pairs, 40 three-leaf and 55
-    four-leaf terms up to child swaps.  Each factor (the leaves and the
-    pairs) has one box inverse transform: 14.  Each pair is one pointwise
-    product with its own forward transform and Duhamel sum: 10.  The 95
-    three- and four-leaf terms have height 2, so each is one pointwise
-    product added into the top sum, which takes one forward transform and
-    one Duhamel sum: 105 pointwise products, 11 forward transforms and 11
-    Duhamel sums in all.  At n = 1 the 10 pairs are the top terms: 4
-    inverse transforms, 10 pointwise products, one forward transform and
-    one Duhamel sum.  Each pointwise product is one non-leaf class."""
+    four-leaf terms up to child swaps.  Each leaf evolves its block's window
+    once per call.  The sum marches in time, so the rest is counted per
+    chunk of nodes (2 chunks here).  Each factor (the leaves and the pairs)
+    has one box inverse transform per chunk: 14.  Each pair is one
+    pointwise product with its own forward transform and Duhamel sum: 10.
+    The 95 three- and four-leaf terms have height 2, so each is one
+    pointwise product added into the top sum, which takes one forward
+    transform and one Duhamel sum: 105 pointwise products, 11 forward
+    transforms and 11 Duhamel sums in all, each sum advanced once per
+    chunk.  The chunk's three box tables are spread once and shared by
+    every sum.  At n = 1 the 10 pairs are the top terms: 4 inverse
+    transforms, 10 pointwise products, one forward transform and one
+    Duhamel sum per chunk; at n = 0 there is no transform and no sum.  Each
+    pointwise product is one non-leaf class."""
     data, tg = small_oracle
-    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_ifft2", "_box_fft2",
-                         "_d_duhamel_hat")
-    for n, products, expect in ((1, 10, {"free_derivative_hat": 4, "_box_ifft2": 4,
-                                         "_box_fft2": 1, "_d_duhamel_hat": 1}),
-                                (2, 105, {"free_derivative_hat": 4, "_box_ifft2": 14,
-                                          "_box_fft2": 11, "_d_duhamel_hat": 11})):
+    chunks = _chunk_count(tg)
+    assert chunks == 2
+    calls = _count_calls(monkeypatch, "_leaf_window", "_box_ifft2", "_box_fft2", "_DuhamelSums")
+    _count_methods(monkeypatch, calls, picard._DuhamelSums, "advance")
+    _count_methods(monkeypatch, calls, picard._Region, "spread")
+    for n, products, per_call, per_chunk in (
+            (0, 0, {"_leaf_window": 4}, {}),
+            (1, 10, {"_leaf_window": 4, "_DuhamelSums": 1},
+             {"_box_ifft2": 4, "_box_fft2": 1, "advance": 1, "spread": 3}),
+            (2, 105, {"_leaf_window": 4, "_DuhamelSums": 11},
+             {"_box_ifft2": 14, "_box_fft2": 11, "advance": 11, "spread": 3})):
         calls.clear()
         reconstruct_iterate(n, data, tg)
-        assert calls == expect, n
+        assert calls == per_call | {name: chunks * count for name, count in per_chunk.items()}, n
         assert _non_leaf_classes(n, data.draw) == products, n
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):
-    """The sum holds the box inverse transforms of factors only, in one
-    block with a row per factor.  A term of height n is never a factor at
-    level n and is never held; at n = 0 no leaf is.  With 4 blocks the block
-    holds no series at n = 0, the 4 leaves' at n = 1 and the 14 factors'
-    (leaves and pairs) at n = 2, not all 109 terms'; each row is written
-    once, in class order, and the block is released when the sum returns."""
+    """The sum holds the box inverse transforms of factors only, one chunk
+    of nodes at a time, in one block with a row per factor.  A term of
+    height n is never a factor at level n and is never held; at n = 0 no
+    leaf is.  With 4 blocks the block holds no rows at n = 0, the 4
+    leaves' at n = 1 and the 14 factors' (leaves and pairs) at n = 2, not
+    all 109 terms', each row one chunk long (3 of the 6 nodes); each row is
+    written once per chunk, in class order, and the block is released when
+    the sum returns."""
     data, tg = small_oracle
+    size = data.grid.n_points
     block, rows = [], []
     original = trees._box_ifft2
 
@@ -436,8 +465,9 @@ def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeyp
     def counted(hat, grid, out=None, compact=False):
         if not block:
             block.append(weakref.ref(out.base))
-        assert out.base is block[0]()
-        rows.append((out.base.shape[0], (address(out) - address(out.base)) // out.nbytes))
+        base = out.base
+        assert base is block[0]()
+        rows.append((base.shape, len(out), (address(out) - address(base)) // base.strides[0]))
         return original(hat, grid, out=out, compact=compact)
 
     monkeypatch.setattr(trees, "_box_ifft2", counted)
@@ -445,28 +475,48 @@ def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeyp
         block.clear()
         rows.clear()
         reconstruct_iterate(n, data, tg)
-        assert rows == [(held, row) for row in range(held)], n
+        assert rows == [((held, 3, size, size), 3, row)
+                        for _ in range(_chunk_count(tg)) for row in range(held)], n
         assert all(ref() is None for ref in block), n
 
 
-def test_reconstruction_at_level_2_stays_within_25_series(oracle_data):
-    """Memory guard on the benchmark's oracle datum (64^2, 4 blocks, 17
-    nodes): the n = 2 sum holds the result, the top sum, the product at
-    hand and the 14 factors' physical series, 17 series of
-    17 x 64^2 complex values, plus the transients of one term.  Measured
+def _traced_peak(n, data, tg):
+    """The tracemalloc peak of the level-n sum and the bytes of its result,
     after a warm-up call, so the cached propagator tables are not counted."""
-    tg = TimeGrid(t_final=0.5, n_steps=16)
-    grid = oracle_data.grid
-    series_bytes = tg.n_nodes * grid.n_points**2 * np.dtype(complex).itemsize
-    reconstruct_iterate(1, oracle_data, tg)
+    reconstruct_iterate(1, data, tg)
     tracemalloc.start()
     try:
-        reconstruct_iterate(2, oracle_data, tg)
+        result = reconstruct_iterate(n, data, tg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, result.values.nbytes
+
+
+def test_reconstruction_at_level_2_stays_within_7_series(oracle_data):
+    """Memory guard on the benchmark's oracle datum (64^2, 4 blocks, 17
+    nodes): the n = 2 sum holds the result and chunk-sized buffers -- the
+    14 factors' rows, the leaf or top sum, the product, the box workspace
+    and the 11 Duhamel sums' running sums -- about 5.7 series of
+    17 x 64^2 complex values.  Holding the factors whole-series read 19.1."""
+    tg = TimeGrid(t_final=0.5, n_steps=16)
+    peak, series_bytes = _traced_peak(2, oracle_data, tg)
     print(f"\nn=2 traced peak: {peak / 1e6:.1f} MB ({peak / series_bytes:.1f} series)")
-    assert peak < 25 * series_bytes
+    assert peak < 7 * series_bytes
+
+
+def test_reconstruction_memory_beside_the_result_does_not_grow_with_the_nodes(oracle_data):
+    """The n = 2 sum on the oracle datum marches in time: beside its result
+    it holds chunk-sized buffers only, so its traced peak minus the result
+    is the same at 17 and 65 nodes (5.2 MB; with whole-series factors it
+    read 20.2 and 74.8 MB)."""
+    beside = []
+    for steps in (16, 64):
+        peak, result_bytes = _traced_peak(2, oracle_data, TimeGrid(t_final=0.5, n_steps=steps))
+        beside.append(peak - result_bytes)
+    print(f"\nn=2 traced peak beside the result: {beside[0] / 1e6:.2f} MB at 17 nodes, "
+          f"{beside[1] / 1e6:.2f} MB at 65")
+    assert abs(beside[1] - beside[0]) <= 0.1 * beside[0]
 
 
 def test_oracle_calls_keep_no_whole_series_tables():
@@ -550,9 +600,13 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     assert blocks == ((-1, 0), (1, 0))
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     tg = TimeGrid(t_final=0.5, n_steps=16)
-    calls = _count_calls(monkeypatch, "free_derivative_hat", "_box_fft2", "_d_duhamel_hat")
+    calls = _count_calls(monkeypatch, "_leaf_window", "_box_fft2", "_DuhamelSums")
+    _count_methods(monkeypatch, calls, picard._DuhamelSums, "advance")
     rec = reconstruct_iterate(3, data, tg)
-    assert calls == {"free_derivative_hat": 2, "_box_fft2": 16, "_d_duhamel_hat": 16}
+    chunks = _chunk_count(tg)
+    assert chunks == 6
+    assert calls == {"_leaf_window": 2, "_DuhamelSums": 16, "_box_fft2": 16 * chunks,
+                     "advance": 16 * chunks}
     assert _non_leaf_classes(3, data.draw) == 153
     direct = picard_iterate(3, data, tg)
     rel = _rel_linf_l2(rec.values, direct.du.values, grid64)

@@ -49,9 +49,9 @@ outside the 2/3 box, so it is formed and summed in the box's compact layout;
 outside the box the sum is the leaves'.  The call allocates one chunk-sized
 workspace -- a factor block of C_{n-1} rows, the leaf or top sum and the
 product on the lattice, the Duhamel buffers, tables and total on the box --
-and every term is formed in it; beside the result, only the leaves' window
-parts are whole series.  Its memory beside the result does not grow with
-the number of nodes.
+and every term is formed in it.  Beside the result, only the leaves' parts
+on their blocks' windows are whole series, so the memory the sum holds does
+not grow with the number of nodes.
 """
 
 from __future__ import annotations
@@ -316,13 +316,6 @@ def _node_key(ka: tuple, kb: tuple) -> tuple[str, tuple]:
     return (f"({ka[0]}{kb[0]})", ka[1] + kb[1])
 
 
-def _leaf_hat(block: tuple[int, int], data: RandomizedData, tg: TimeGrid,
-              d_choice: str) -> np.ndarray:
-    """A leaf's term: the free derivative series of one block's projection."""
-    return free_derivative_hat(unit_projection(data.phi0, block).values, data.grid, tg,
-                               d_choice)
-
-
 def _leaf_window(block: tuple[int, int], data: RandomizedData, tg: TimeGrid,
                  d_choice: str) -> tuple[tuple, np.ndarray]:
     """A leaf's term on its block's window: the window and, at every node,
@@ -343,7 +336,8 @@ def _keyed_term(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: Ran
     on the lattice, whole series at a time; a node multiplies its children
     in the order of their keys, and its term is zero outside the box."""
     if tree.is_leaf:
-        return ("o", blocks), _leaf_hat(blocks[0], data, tg, d_choice)
+        return ("o", blocks), free_derivative_hat(unit_projection(data.phi0, blocks[0]).values,
+                                                  data.grid, tg, d_choice)
     split = _leaves(tree.left)
     (ka, ta), (kb, tb) = sorted((_keyed_term(tree.left, blocks[:split], data, tg, d_choice),
                                  _keyed_term(tree.right, blocks[split:], data, tg, d_choice)),

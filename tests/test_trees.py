@@ -375,28 +375,10 @@ def test_reconstruction_is_the_tuple_order_sum_to_rounding(small_oracle, d_choic
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
 
 
-def _count_calls(monkeypatch, *names):
-    """A Counter of the calls, by name, that trees makes to these functions."""
-    calls = Counter()
-    for name in names:
-        original = getattr(trees, name)
-
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(trees, name, wrapper)
-    return calls
-
-
-def _non_leaf_classes(n, draw):
-    """The number of products the level-n tree sum takes, one per class
-    that is not a leaf."""
-    return sum(children is not None for *_, children in trees._swap_classes(n, draw))
-
-
-def _count_methods(monkeypatch, calls, owner, *names):
-    """Count, by name, the calls of these methods of ``owner`` into ``calls``."""
+def _count_calls(monkeypatch, *names, owner=trees, calls=None):
+    """A Counter (``calls``, or a fresh one) of the calls, by name, of these
+    attributes of ``owner``: by default the functions that trees calls."""
+    calls = Counter() if calls is None else calls
     for name in names:
         original = getattr(owner, name)
 
@@ -405,6 +387,13 @@ def _count_methods(monkeypatch, calls, owner, *names):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _non_leaf_classes(n, draw):
+    """The number of products the level-n tree sum takes, one per class
+    that is not a leaf."""
+    return sum(children is not None for *_, children in trees._swap_classes(n, draw))
 
 
 def _chunk_count(tg):
@@ -431,8 +420,8 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
     chunks = _chunk_count(tg)
     assert chunks == 2
     calls = _count_calls(monkeypatch, "_leaf_window", "_box_ifft2", "_box_fft2", "_DuhamelSums")
-    _count_methods(monkeypatch, calls, picard._DuhamelSums, "advance")
-    _count_methods(monkeypatch, calls, picard._Region, "spread")
+    _count_calls(monkeypatch, "advance", owner=picard._DuhamelSums, calls=calls)
+    _count_calls(monkeypatch, "spread", owner=picard._Region, calls=calls)
     for n, products, per_call, per_chunk in (
             (0, 0, {"_leaf_window": 4}, {}),
             (1, 10, {"_leaf_window": 4, "_DuhamelSums": 1},
@@ -601,7 +590,7 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     tg = TimeGrid(t_final=0.5, n_steps=16)
     calls = _count_calls(monkeypatch, "_leaf_window", "_box_fft2", "_DuhamelSums")
-    _count_methods(monkeypatch, calls, picard._DuhamelSums, "advance")
+    _count_calls(monkeypatch, "advance", owner=picard._DuhamelSums, calls=calls)
     rec = reconstruct_iterate(3, data, tg)
     chunks = _chunk_count(tg)
     assert chunks == 6

@@ -41,7 +41,9 @@ du^(n-1) at those nodes and the running sums of level n.  Levels 0..n_max
 therefore advance together, a short chunk of nodes at a time, and every
 array a chunk touches stays small; the running sums carry over from chunk
 to chunk in the same operation order, so any chunk length gives the same
-bits.  The levels of a chunk run one after another, so one workspace of
+bits.  Every chunked loop, the tree sum's too, walks the chunks of one
+driver, :func:`_chunk_tables`, which spreads each chunk's propagator rows.
+The levels of a chunk run one after another, so one workspace of
 chunk-sized buffers, allocated when the march starts, serves all of them:
 every stage writes into it with ufunc ``out=`` arguments, the same
 operations in the same order, and the march maps no fresh memory per chunk.
@@ -211,23 +213,17 @@ def _box(grid: Grid) -> tuple[tuple[slice, slice], ...]:
     return tuple((rows, cols) for rows in bands for cols in bands)
 
 
-def _gap(grid: Grid) -> slice:
-    """The indices N/3 < |m| of one axis: the lines the box leaves out."""
+def _gap_lines(grid: Grid) -> tuple[tuple, tuple]:
+    """Index tuples of the rows and of the columns N/3 < |m| the box leaves
+    out; together they cover every mode outside it."""
     box = _box(grid)
-    return slice(box[0][0].stop, box[-1][0].start)
+    gap = slice(box[0][0].stop, box[-1][0].start)
+    return (..., gap, slice(None)), (..., slice(None), gap)
 
 
 def _inside_box(hat: np.ndarray, grid: Grid) -> bool:
     """Whether a spectrum is exactly zero outside the box."""
-    gap = _gap(grid)
-    return not (hat[..., gap, :].any() or hat[..., :, gap].any())
-
-
-def _gap_lines(grid: Grid) -> tuple[tuple, tuple]:
-    """Index tuples of the rows and of the columns outside the box; together
-    they cover every mode outside it."""
-    gap = _gap(grid)
-    return (..., gap, slice(None)), (..., slice(None), gap)
+    return not any(hat[lines].any() for lines in _gap_lines(grid))
 
 
 # Time nodes per step of the march.  A chunk's arrays stay well inside a 2 MB
@@ -237,8 +233,9 @@ def _gap_lines(grid: Grid) -> tuple[tuple, tuple]:
 _CHUNK = 3
 
 
-def _chunks(n_nodes: int) -> Iterator[slice]:
-    return (slice(m, min(m + _CHUNK, n_nodes)) for m in range(0, n_nodes, _CHUNK))
+def _chunk_length(tg: TimeGrid) -> int:
+    """Nodes in the first, longest chunk: the length of every chunk buffer."""
+    return min(_CHUNK, tg.n_nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,6 +378,21 @@ class _DuhamelSums:
         return u if want_u else None, dt_u if want_dt else None
 
 
+def _chunk_tables(grid: Grid, tg: TimeGrid, region: _Region
+                  ) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
+    """The one walk over the chunks of nodes of ``tg``: each chunk with its
+    rows of the (cos, sin, sinc) profiles spread on the modes of ``region``,
+    in three chunk-sized tables allocated at the first chunk and rewritten
+    at each."""
+    length = _chunk_length(tg)
+    profiles = _profiles(grid, tg)
+    buffers = tuple(np.empty((length, region.size, region.size)) for _ in range(3))
+    for start in range(0, tg.n_nodes, length):
+        nodes = slice(start, min(start + length, tg.n_nodes))
+        yield nodes, tuple(region.spread(profile[nodes], out=buf[:nodes.stop - start])
+                           for profile, buf in zip(profiles, buffers))
+
+
 def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = False, *,
                     want_u: bool = True, want_dt: bool = True, out: tuple = (None, None)
                     ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -388,20 +400,15 @@ def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = Fa
     node, from the source S and into the pair ``out`` (or fresh arrays),
     all in the layout of ``_region(grid, box)``: the box's compact layout
     (``box``) or the whole lattice.  A part not asked for is returned as
-    None.  As in the march, each chunk spreads its rows of the propagator
-    profiles into chunk-sized tables and works in chunk-sized buffers; the
-    parts are written straight into the returned series.
+    None.  As in the march, the sums take the chunks of
+    :func:`_chunk_tables` and work in chunk-sized buffers; the parts are
+    written straight into the returned series.
     """
     sums = _DuhamelSums(grid, tg, box)
-    region = sums.region
-    work = region.buffers(min(_CHUNK, tg.n_nodes))
-    chunk_tables = tuple(np.empty(work[0].shape) for _ in range(3))
+    work = sums.region.buffers(_chunk_length(tg))
     outs = [np.empty(source.shape, dtype=complex) if want and dest is None else dest
             for want, dest in zip((want_u, want_dt), out)]
-    for nodes in _chunks(tg.n_nodes):
-        k = nodes.stop - nodes.start
-        tables = tuple(region.spread(profile[nodes], out=t[:k])
-                       for profile, t in zip(_profiles(grid, tg), chunk_tables))
+    for nodes, tables in _chunk_tables(grid, tg, sums.region):
         # the output rows stand in for the workspace's u and dt u buffers
         parts = tuple(buf if dest is None else dest[nodes] for buf, dest in zip(work[3:], outs))
         sums.advance(source[nodes], work[:3] + parts, tables, want_u, want_dt)
@@ -570,24 +577,31 @@ def _free_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, want_u: bool = 
                               scratch=sin_t)
 
 
-def _on_lattice(part: np.ndarray, window: tuple, grid: Grid) -> np.ndarray:
+def _on_lattice(window: tuple, part: np.ndarray, grid: Grid) -> np.ndarray:
     """A fresh lattice series holding ``part`` on ``window``, zero elsewhere."""
     series = np.zeros(part.shape[:1] + (grid.n_points, grid.n_points), dtype=complex)
     series[(slice(None),) + window] = part
     return series
 
 
+def _free_derivative_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
+                            d_choice: str) -> tuple[tuple, np.ndarray]:
+    """The window of :func:`_free_window` and, at every node of ``tg``, d of
+    the free wave from (phi0, 0) on it, from the one part of the free pair
+    d needs (dt u, or u times i xi_d): a tree leaf's part."""
+    window, (u, dt_u) = _free_window(phi0_hat, grid, tg, want_u=d_choice != "t",
+                                     want_dt=d_choice == "t")
+    if d_choice == "t":
+        return window, dt_u
+    return window, np.multiply(_derivative_symbol(grid, d_choice, False)[window], u, out=u)
+
+
 def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
                         d_choice: str) -> np.ndarray:
     """Spectral series of d W(t) phi0 for a zero-velocity datum: the tree
-    expansion's per-block brick, from the one part of the free pair d needs
-    (dt u, or u times i xi_d), formed on the datum's window only."""
+    expansion's per-block brick, formed on the datum's window only."""
     _check_d_choice(d_choice)
-    window, (u, dt_u) = _free_window(phi0_hat, grid, tg, want_u=d_choice != "t",
-                                     want_dt=d_choice == "t")
-    du = dt_u if d_choice == "t" else np.multiply(
-        _derivative_symbol(grid, d_choice, False)[window], u, out=u)
-    return _on_lattice(du, window, grid)
+    return _on_lattice(*_free_derivative_window(phi0_hat, grid, tg, d_choice), grid)
 
 
 def free_evolution(data: RandomizedData, tg: TimeGrid,
@@ -604,7 +618,7 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     _check_d_choice(d_choice)
     grid = data.grid
     window, pair = _free_window(data.phi0_rand.values, grid, tg)
-    u0, dudt0 = (_on_lattice(part, window, grid) for part in pair)
+    u0, dudt0 = (_on_lattice(window, part, grid) for part in pair)
     du0 = _derivative_hat(u0, dudt0, grid, d_choice)
     return (
         _frozen_series(grid, tg, u0),
@@ -659,24 +673,21 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     every level's.
 
     The levels of a chunk run one after another, so one workspace of
-    chunk-sized buffers, allocated here, serves every level of every chunk:
-    each stage writes into it instead of allocating.  Nothing in it
-    outlives the march; the kept series are copied out of it.
+    chunk-sized buffers (here and in :func:`_chunk_tables`) serves every
+    level of every chunk: each stage writes into it instead of allocating.
+    Nothing in it outlives the march; the kept series are copied out of it.
     """
-    profiles = _profiles(grid, tg)
     box = _region(grid, True)
     sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_max)]
     per_node = np.zeros((n_max + 1, 3, tg.n_nodes))
     shape = (tg.n_nodes, grid.n_points, grid.n_points)
     kept = {n: (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
             for n in keep}
-    chunk = (min(_CHUNK, tg.n_nodes),) + shape[1:]
+    chunk = (_chunk_length(tg),) + shape[1:]
     compact = chunk[:1] + (box.size, box.size)
-    # on the box: the free pair and the chunk's cos, sin and sinc; on the
-    # lattice: the physical du; the norms' real planes, whose front also
-    # serves the box
+    # on the box: the free pair; on the lattice: the physical du; the
+    # norms' real planes, whose front also serves the box
     free_u, free_dt = (np.empty(compact, dtype=complex) for _ in range(2))
-    box_tables = tuple(np.empty(compact) for _ in range(3))
     phys_buf = np.empty(chunk, dtype=complex)
     planes = np.empty((2,) + chunk)
     box_planes = planes.reshape(-1)[:2 * math.prod(compact)].reshape((2,) + compact)
@@ -688,11 +699,10 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
         gaps = _gap_chunks(phi0_hat, grid, tg, d_choice, planes)
         total_buf = np.empty(chunk, dtype=complex)
     top = n_max
-    for nodes, (gap_pair, gap_h1, gap_l2, gap_phys) in zip(_chunks(tg.n_nodes), gaps):
+    for (nodes, tables), (gap_pair, gap_h1, gap_l2, gap_phys) in zip(
+            _chunk_tables(grid, tg, box), gaps):
         k = nodes.stop - nodes.start
         phys, real, real_box = phys_buf[:k], planes[:, :k], box_planes[:, :k]
-        tables = tuple(box.spread(profile[nodes], out=t[:k])
-                       for profile, t in zip(profiles, box_tables))
         free = _free_hats(phi0_box, box.abs_xi, tables[:2], out=(free_u[:k], free_dt[:k]),
                           scratch=real_box[0])
         for n in range(top + 1):
@@ -729,8 +739,8 @@ def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
     the box: the part of every iterate there, since each Duhamel sum lies in
     the box.
 
-    Yields, per chunk of :func:`_chunks`, the pair (u, dt u) on the lattice
-    with the box zero, the H^1 sums of u and the L^2 sums of dt u
+    Yields, per chunk of :func:`_chunk_tables`, the pair (u, dt u) on the
+    lattice with the box zero, the H^1 sums of u and the L^2 sums of dt u
     (:func:`.grid._sobolev_sums`), and the physical du (one full inverse
     transform).  The arrays are views of buffers reused from chunk to
     chunk; ``planes`` is the sums' real scratch, free between chunks.
@@ -738,15 +748,11 @@ def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
     phi0 = phi0_hat.copy()
     for rows, cols in _box(grid):
         phi0[rows, cols] = 0.0
-    lattice = _region(grid, False)
     chunk = planes.shape[1:]
-    tables = tuple(np.empty(chunk) for _ in range(2))
     u_buf, dt_buf, phys_buf = (np.empty(chunk, dtype=complex) for _ in range(3))
-    for nodes in _chunks(tg.n_nodes):
+    for nodes, tables in _chunk_tables(grid, tg, _region(grid, False)):
         k = nodes.stop - nodes.start
-        cos_sin = tuple(lattice.spread(profile[nodes], out=t[:k])
-                        for profile, t in zip(_profiles(grid, tg), tables))
-        pair = _free_hats(phi0, grid.abs_xi, cos_sin, out=(u_buf[:k], dt_buf[:k]),
+        pair = _free_hats(phi0, grid.abs_xi, tables[:2], out=(u_buf[:k], dt_buf[:k]),
                           scratch=planes[0, :k])
         du = _derivative_hat(*pair, grid, d_choice, out=phys_buf[:k])
         yield (pair, _sobolev_sums(pair[0], _sobolev_weight(grid, 1.0), planes[:, :k]),

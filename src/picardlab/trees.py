@@ -40,18 +40,17 @@ b blocks there are C_h = b + C_{h-1} (C_{h-1} + 1) / 2 classes of height
 <= h (C_0 = b), C_{n-1} of them factors.  MAX_CLASSES admits n = 3 with 4
 blocks (5,999 classes) and refuses n = 4 with 4 blocks and n = 3 with 5.
 
-The sum marches in time, as the levels of :func:`.picard._march` do: every
-class advances together, a chunk of time nodes at a time.  The Duhamel
-integral is causal and each product is pointwise in time, so a node term on
-a chunk needs its factors on that chunk only, and each node class carries
-its own running Duhamel sums from chunk to chunk.  A node term is zero
-outside the 2/3 box, so it is formed and summed in the box's compact layout;
-outside the box the sum is the leaves'.  The call allocates one chunk-sized
-workspace -- a factor block of C_{n-1} rows, the leaf or top sum and the
-product on the lattice, the Duhamel buffers, tables and total on the box --
-and every term is formed in it.  Beside the result, only the leaves' parts
-on their blocks' windows are whole series, so the memory the sum holds does
-not grow with the number of nodes.
+The sum marches in time on the chunks and box tables of the iterate march
+(:func:`.picard._chunk_tables`): every class advances together, a chunk of
+time nodes at a time.  The Duhamel integral is causal and each product is
+pointwise in time, so a node term on a chunk needs its factors on that
+chunk only, and each node class carries its own running Duhamel sums from
+chunk to chunk.  A node term is zero outside the 2/3 box, so it is formed
+and summed in the box's compact layout; outside the box the sum is the
+leaves'.  Every term is formed in one chunk-sized workspace per call.
+Beside the result, only the leaves' parts on their blocks' windows
+(:func:`.picard._free_derivative_window`) are whole series, so the memory
+the sum holds does not grow with the number of nodes.
 """
 
 from __future__ import annotations
@@ -69,18 +68,17 @@ from .picard import (
     _box_ifft2,
     _check_d_choice,
     _check_level,
-    _chunks,
+    _chunk_length,
+    _chunk_tables,
     _d_duhamel_hat,
     _derivative_hat,
-    _derivative_symbol,
     _DuhamelSums,
-    _free_window,
+    _free_derivative_window,
     _frozen_series,
-    _profiles,
     _region,
     free_derivative_hat,
 )
-from .grid import Grid
+from .grid import Grid, _check_integer
 from .multipliers import unit_projection
 from .randomization import RademacherDraw, RandomizedData
 
@@ -316,20 +314,6 @@ def _node_key(ka: tuple, kb: tuple) -> tuple[str, tuple]:
     return (f"({ka[0]}{kb[0]})", ka[1] + kb[1])
 
 
-def _leaf_window(block: tuple[int, int], data: RandomizedData, tg: TimeGrid,
-                 d_choice: str) -> tuple[tuple, np.ndarray]:
-    """A leaf's term on its block's window: the window and, at every node,
-    the part of the free pair d needs there (dt u, or u times i xi_d), as
-    :func:`.picard.free_derivative_hat` forms it before it scatters the
-    part into a lattice series."""
-    grid = data.grid
-    window, (u, dt_u) = _free_window(unit_projection(data.phi0, block).values, grid, tg,
-                                     want_u=d_choice != "t", want_dt=d_choice == "t")
-    if d_choice == "t":
-        return window, dt_u
-    return window, np.multiply(_derivative_symbol(grid, d_choice, False)[window], u, out=u)
-
-
 def _keyed_term(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: RandomizedData,
                 tg: TimeGrid, d_choice: str) -> tuple[tuple, np.ndarray]:
     """The key and the spectral series of the term of ``tree`` on ``blocks``
@@ -368,13 +352,22 @@ def evaluate_tree_term(
     here.
     """
     _check_d_choice(d_choice)
-    norm_blocks = tuple((int(k[0]), int(k[1])) for k in blocks)
+    norm_blocks = tuple(_check_block(k) for k in blocks)
     if len(norm_blocks) != _leaves(tree):
         raise ValueError(f"tree has {_leaves(tree)} leaves but got {len(norm_blocks)} blocks")
     missing = [k for k in norm_blocks if k not in data.draw.blocks]
     if missing:
         raise ValueError(f"blocks {missing} carry no data (active set: {data.draw.blocks})")
     return _frozen_series(data.grid, tg, _keyed_term(tree, norm_blocks, data, tg, d_choice)[1])
+
+
+def _check_block(block) -> tuple[int, int]:
+    """A unit block as a pair of ints, from any pair of Python or numpy
+    integers (a tuple, a list, an array row)."""
+    pair = tuple(block) if np.iterable(block) else ()
+    if len(pair) != 2:
+        raise ValueError(f"a block is a pair of integers, got {block!r}")
+    return tuple(_check_integer(i, "block coordinate") for i in pair)
 
 
 def _swap_classes(n: int, draw: RademacherDraw) -> list[tuple]:
@@ -419,13 +412,11 @@ def reconstruct_iterate(
     transform and one Duhamel sum and is added last.  The result differs
     from summing each top term on its own by rounding only.
 
-    The sum marches in time, a chunk of nodes at a time, every class
-    advancing together (as the levels of the march do): a node term on a
-    chunk needs its factors on that chunk only.  Beside the result and the
+    At n = 0 the result is the signed sum of the leaves.  Above it the sum
+    marches in time (see the module docstring): beside the result and the
     leaves' window parts, the call holds chunk-sized buffers -- a row per
-    factor (class of height < n), the running sums of one Duhamel integral
-    per node factor and one for the top sum -- so its memory does not grow
-    with the number of nodes beyond the result.
+    factor (class of height < n) -- and the running sums of one Duhamel
+    integral per node factor and one for the top sum.
     Resource-capped: at most MAX_BLOCKS active blocks, the few blocks an
     oracle datum has, and MAX_CLASSES swap classes, which bound the work
     and the rows of the factor block.
@@ -436,39 +427,36 @@ def reconstruct_iterate(
         raise ValueError(f"{len(data.draw.blocks)} active blocks exceed the cap {MAX_BLOCKS}")
     classes = _swap_classes(n, data.draw)
     grid = data.grid
-    leaves = [(coef, _leaf_window(key[1][0], data, tg, d_choice))
+    leaves = [(coef, _free_derivative_window(unit_projection(data.phi0, key[1][0]).values,
+                                             grid, tg, d_choice))
               for key, coef, _, _ in classes[:len(data.draw.blocks)]]
-    n_factors = sum(height < n for _, _, height, _ in classes)
     total = np.zeros((tg.n_nodes, grid.n_points, grid.n_points), dtype=np.complex128)
-    # the chunk-sized workspace (the first chunk is the longest).  On the
-    # lattice: the leaf at hand, later the top sum; the product at hand; and
-    # the box inverse transforms of the factors, a row per class position --
-    # the classes come in height order, so the factors are the classes
-    # before the top ones and each row is written before a product reads it.
-    # On the box: the Duhamel buffers, the chunk's tables and its total.
-    chunk = (next(_chunks(tg.n_nodes)).stop, grid.n_points, grid.n_points)
+    for coef, (window, part) in leaves:  # the signed sum of the leaves, on their windows
+        total[(slice(None),) + window] += coef * part
+    if not n:
+        return _frozen_series(grid, tg, total)
+    n_factors = sum(height < n for _, _, height, _ in classes)
+    # the chunk-sized workspace.  On the lattice: the leaf at hand, later
+    # the top sum; the product at hand; and the box inverse transforms of
+    # the factors, a row per class position -- the classes come in height
+    # order, so the factors are the classes before the top ones and each
+    # row is written before a product reads it.  On the box: the Duhamel
+    # buffers and the chunk's total.
+    chunk = (_chunk_length(tg), grid.n_points, grid.n_points)
     lattice, product = np.empty(chunk, dtype=complex), np.empty(chunk, dtype=complex)
     factors = np.empty((n_factors,) + chunk, dtype=complex)
     box = _region(grid, True)
     work = box.buffers(chunk[0])
-    box_tables = tuple(np.empty(work[0].shape) for _ in range(3))
     box_total = np.empty_like(work[0])
     # one Duhamel integral per node factor, and the last for the top sum
-    sums = [_DuhamelSums(grid, tg, box=True)
-            for _ in range(n_factors - len(leaves) + 1 if n else 0)]
-    for nodes in _chunks(tg.n_nodes):
+    sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_factors - len(leaves) + 1)]
+    for nodes, tables in _chunk_tables(grid, tg, box):
         k = nodes.stop - nodes.start
         leaf, prod, node_total = lattice[:k], product[:k], box_total[:k]
-        for i, (coef, (window, part)) in enumerate(leaves):
+        for i, (_, (window, part)) in enumerate(leaves):
             leaf.fill(0.0)
             leaf[(slice(None),) + window] = part[nodes]
-            if n:
-                _box_ifft2(leaf, grid, out=factors[i, :k])
-            _add_scaled(total[nodes], coef, leaf)
-        if not n:
-            continue
-        tables = tuple(box.spread(profile[nodes], out=t[:k])
-                       for profile, t in zip(_profiles(grid, tg), box_tables))
+            _box_ifft2(leaf, grid, out=factors[i, :k])
         # a node term is zero outside the box: the nodes are summed on the
         # box, from the leaves' sum there
         box.gather(total[nodes], out=node_total)

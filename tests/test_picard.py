@@ -378,7 +378,8 @@ def _march_duhamel(src, grid, tg, start):
     work = region.buffers(DEFAULT_CHUNK)
     profiles = picard._profiles(grid, tg)
     out = tuple(part.copy() for part in start)
-    for nodes in picard._chunks(tg.n_nodes):
+    for first in range(0, tg.n_nodes, DEFAULT_CHUNK):
+        nodes = slice(first, first + DEFAULT_CHUNK)
         tables = tuple(region.spread(profile[nodes]) for profile in profiles)
         parts = step.advance(region.gather(src[nodes]), work, tables)
         for part, begin, dest in zip(parts, start, out):
@@ -454,6 +455,25 @@ def _assert_same_chain(got, expect):
         assert got_norms == norms
         for a, b in zip(got_series, series):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("box", [True, False])
+def test_chunk_driver_spreads_every_chunk_into_one_set_of_tables(grid64, box):
+    """The chunk driver walks the nodes in order, _CHUNK at a time (the last
+    chunk shorter), and spreads each chunk's (cos, sin, sinc) rows on the
+    region's modes into the same three buffers at every chunk."""
+    tg = TimeGrid(t_final=0.3, n_steps=13)
+    region = picard._region(grid64, box)
+    profiles = picard._profiles(grid64, tg)
+    starts, first = [], None
+    for nodes, tables in picard._chunk_tables(grid64, tg, region):
+        starts.append(nodes.start)
+        assert nodes.stop == min(nodes.start + DEFAULT_CHUNK, tg.n_nodes)
+        first = first or [table.base for table in tables]
+        for table, base, profile in zip(tables, first, profiles):
+            assert table.base is base
+            assert np.array_equal(table, region.spread(profile[nodes]))
+    assert starts == list(range(0, tg.n_nodes, DEFAULT_CHUNK))
 
 
 @pytest.mark.parametrize("family, d_choice", [("band", "x1"), ("band", "x2"), ("band", "t"),

@@ -397,7 +397,7 @@ def _non_leaf_classes(n, draw):
 
 
 def _chunk_count(tg):
-    return len(list(picard._chunks(tg.n_nodes)))
+    return -(-tg.n_nodes // picard._CHUNK)
 
 
 def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monkeypatch):
@@ -419,14 +419,15 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
     data, tg = small_oracle
     chunks = _chunk_count(tg)
     assert chunks == 2
-    calls = _count_calls(monkeypatch, "_leaf_window", "_box_ifft2", "_box_fft2", "_DuhamelSums")
+    calls = _count_calls(monkeypatch, "_free_derivative_window", "_box_ifft2", "_box_fft2",
+                         "_DuhamelSums")
     _count_calls(monkeypatch, "advance", owner=picard._DuhamelSums, calls=calls)
     _count_calls(monkeypatch, "spread", owner=picard._Region, calls=calls)
     for n, products, per_call, per_chunk in (
-            (0, 0, {"_leaf_window": 4}, {}),
-            (1, 10, {"_leaf_window": 4, "_DuhamelSums": 1},
+            (0, 0, {"_free_derivative_window": 4}, {}),
+            (1, 10, {"_free_derivative_window": 4, "_DuhamelSums": 1},
              {"_box_ifft2": 4, "_box_fft2": 1, "advance": 1, "spread": 3}),
-            (2, 105, {"_leaf_window": 4, "_DuhamelSums": 11},
+            (2, 105, {"_free_derivative_window": 4, "_DuhamelSums": 11},
              {"_box_ifft2": 14, "_box_fft2": 11, "advance": 11, "spread": 3})):
         calls.clear()
         reconstruct_iterate(n, data, tg)
@@ -546,9 +547,11 @@ def test_oracle_calls_keep_no_whole_series_tables():
 
 def test_whole_series_duhamel_and_tree_sum_are_bit_identical_for_every_chunk_length(
         monkeypatch, oracle_data):
-    """duhamel() and the tree sum spread the propagator profiles one chunk of
-    nodes at a time, as the march does, so any chunk length gives the same
-    bits; the source of duhamel() fills the whole lattice."""
+    """duhamel() and the tree sum take the propagator tables one chunk of
+    nodes at a time from the march's chunk driver, so any chunk length gives
+    the same bits: duhamel() on a source that fills the whole lattice, and
+    the tree sum at n = 0 (the leaves alone, no chunks), 1 and 2 for d = x1
+    and d = t (the Duhamel sums' u and dt u paths)."""
     grid = oracle_data.grid
     tg = TimeGrid(t_final=0.5, n_steps=16)
     rng = np.random.default_rng(5)
@@ -558,7 +561,8 @@ def test_whole_series_duhamel_and_tree_sum_are_bit_identical_for_every_chunk_len
 
     def outputs():
         return ([duhamel(source, tg, d).values for d in ("x1", "x2", "t")]
-                + [reconstruct_iterate(2, oracle_data, tg).values])
+                + [reconstruct_iterate(n, oracle_data, tg, d).values
+                   for n in (0, 1, 2) for d in ("x1", "t")])
 
     monkeypatch.setattr(picard, "_CHUNK", tg.n_nodes)
     expect = outputs()
@@ -589,12 +593,12 @@ def test_reconstruction_at_level_3_matches_the_direct_iterate(grid64, monkeypatc
     assert blocks == ((-1, 0), (1, 0))
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     tg = TimeGrid(t_final=0.5, n_steps=16)
-    calls = _count_calls(monkeypatch, "_leaf_window", "_box_fft2", "_DuhamelSums")
+    calls = _count_calls(monkeypatch, "_free_derivative_window", "_box_fft2", "_DuhamelSums")
     _count_calls(monkeypatch, "advance", owner=picard._DuhamelSums, calls=calls)
     rec = reconstruct_iterate(3, data, tg)
     chunks = _chunk_count(tg)
     assert chunks == 6
-    assert calls == {"_leaf_window": 2, "_DuhamelSums": 16, "_box_fft2": 16 * chunks,
+    assert calls == {"_free_derivative_window": 2, "_DuhamelSums": 16, "_box_fft2": 16 * chunks,
                      "advance": 16 * chunks}
     assert _non_leaf_classes(3, data.draw) == 153
     direct = picard_iterate(3, data, tg)
@@ -608,6 +612,10 @@ def test_tree_term_validation(oracle_data, oracle_timegrid):
         evaluate_tree_term(NODE2, ((1, 0),), oracle_data, oracle_timegrid)
     with pytest.raises(ValueError):
         evaluate_tree_term(NODE2, ((1, 0), (7, 7)), oracle_data, oracle_timegrid)
+    # a block is a pair of integers, not anything int() maps onto one
+    for bad in ((1.5, 0), (True, 0), ("1", 0), (1, 0, 7), (1,), "10", 1, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="block"):
+            evaluate_tree_term(NODE2, (bad, (0, 1)), oracle_data, oracle_timegrid)
 
 
 def test_tree_term_takes_blocks_as_any_integer_pairs(small_oracle):

@@ -4,7 +4,8 @@ Subcommands: trees (iterated-integral calculus checks), moments (sign-sum and
 partition combinatorics checks), simulate (Monte Carlo iterate run), scaling
 (interval scaling study), tails (tail domination study), report (re-read a
 written summary and print its verdicts).  Exit code 0 iff every verdict of the
-invoked suite passes; 1 on verdict failure; 2 on configuration errors.
+invoked suite passes; 1 on verdict failure; 2 on configuration errors,
+a run too large for memory included.
 """
 
 from __future__ import annotations
@@ -300,6 +301,11 @@ def main(argv=None) -> int:
         # a run configured by a file names the file in every config error
         prefix = f"{args.config}: " if args.config and args.config not in str(exc) else ""
         print(f"[ERROR] {prefix}{exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a grid or step count too large for this machine is a config error
+        detail = f": {exc}" if str(exc) else ""
+        print(f"[ERROR] the run does not fit in memory{detail}", file=sys.stderr)
         return 2
 
 

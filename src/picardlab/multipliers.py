@@ -1,9 +1,11 @@
 """Fourier multipliers of the half-wave calculus and unit-scale projections.
 
-The module owns the half-wave tables: :func:`halfwave_profiles` is the one
+The module owns the half-wave formula: :func:`halfwave_rows` is the one
 evaluation of cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi|, once per time and
-distinct |xi|, for the symbols below (spread over the lattice by
-:func:`halfwave_tables`) and for the Picard engine's per-node propagators.
+distinct |xi| (:func:`abs_xi_levels`).  The symbols below take it on every
+lattice level (:func:`halfwave_profiles`, spread over the lattice by
+:func:`halfwave_tables`); the Picard engine takes it a chunk of time nodes at
+a time, on the levels of the modes it works on only.
 
 Symbols implemented, as functions of the lattice frequency xi:
 
@@ -114,37 +116,47 @@ def _nyquist_safe_xi(grid: Grid, axis: int) -> np.ndarray:
     return xi
 
 
-@lru_cache(maxsize=8)
-def abs_xi_levels(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of |xi| in ascending order, and per mode the index
-    of its value among them (shape (N, N)), both read-only:
-    ``levels[index]`` is ``grid.abs_xi`` bit for bit."""
-    levels, index = np.unique(grid.abs_xi, return_inverse=True)
-    index = index.reshape(grid.abs_xi.shape)
-    for arr in (levels, index):
-        arr.flags.writeable = False
-    return levels, index
+def abs_xi_levels(abs_xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``abs_xi`` in ascending order, and per entry
+    the index of its value among them (the shape of ``abs_xi``):
+    ``levels[index]`` is ``abs_xi`` bit for bit."""
+    levels, index = np.unique(abs_xi, return_inverse=True)
+    return levels, index.reshape(abs_xi.shape)
+
+
+def halfwave_rows(times: np.ndarray, levels: np.ndarray, out: tuple[np.ndarray, ...]
+                  ) -> tuple[np.ndarray, ...]:
+    """cos(t l), sin(t l) and sin(t l)/l (limit t at l = 0) per time t and
+    level l, the first ``len(out)`` (two or three) of them, written into
+    ``out``, each of shape (len(times), len(levels)).
+
+    The levels ascend from l >= 0 (:func:`abs_xi_levels`), so a level 0
+    comes first and the division runs on a slice of the others.
+    """
+    cos_t, sin_t, *sinc = out
+    np.multiply(times[:, None], levels, out=cos_t)  # the arguments t l
+    np.sin(cos_t, out=sin_t)
+    np.cos(cos_t, out=cos_t)
+    if sinc:
+        zero = int(np.searchsorted(levels, 0.0, side="right"))
+        np.divide(sin_t[:, zero:], levels[zero:], out=sinc[0][:, zero:])
+        sinc[0][:, :zero] = times[:, None]
+    return out
 
 
 def halfwave_profiles(grid: Grid, times) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi| (limit t at xi = 0) per
-    time and distinct |xi|, each of shape (len(times), len(levels)) (see
-    :func:`abs_xi_levels`), and the lattice index that spreads them: table
-    ``np.take(profile, index, axis=1)`` holds every mode.
+    time and distinct |xi| of the lattice (:func:`halfwave_rows`), each of
+    shape (len(times), len(levels)), and the lattice index that spreads
+    them: table ``np.take(profile, index, axis=1)`` holds every mode.
 
     One evaluation per distinct |xi|: 1825 of the 16384 modes at 128^2 with
     L = 16 pi.
     """
     times = np.asarray(times, dtype=float)
-    levels, index = abs_xi_levels(grid)
-    targ = times[:, None] * levels[None, :]
-    cos_t = np.cos(targ)
-    sin_t = np.sin(targ)
-    sinc_t = np.empty_like(sin_t)
-    nz = levels > 0.0
-    sinc_t[:, nz] = sin_t[:, nz] / levels[nz]
-    sinc_t[:, ~nz] = times[:, None]
-    return (cos_t, sin_t, sinc_t), index
+    levels, index = abs_xi_levels(grid.abs_xi)
+    profiles = tuple(np.empty((len(times), len(levels))) for _ in range(3))
+    return halfwave_rows(times, levels, out=profiles), index
 
 
 def halfwave_tables(grid: Grid, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -42,7 +42,9 @@ therefore advance together, a short chunk of nodes at a time, and every
 array a chunk touches stays small; the running sums carry over from chunk
 to chunk in the same operation order, so any chunk length gives the same
 bits.  Every chunked loop, the tree sum's too, walks the chunks of one
-driver, :func:`_chunk_tables`, which spreads each chunk's propagator rows.
+driver, :func:`_chunk_tables`, which forms each chunk's propagator rows on
+the distinct |xi| of the modes it serves and spreads them there; no table
+over the whole series is kept.
 The levels of a chunk run one after another, so one workspace of
 chunk-sized buffers, allocated when the march starts, serves all of them:
 every stage writes into it with ufunc ``out=`` arguments, the same
@@ -77,7 +79,7 @@ import numpy as np
 
 from .grid import (Grid, PHYSICAL, SPECTRAL, _check_integer, _sobolev_sums, _sobolev_weight,
                    lp_nodes)
-from .multipliers import (D_CHOICES, abs_xi_levels, halfwave_profiles, spatial_derivative,
+from .multipliers import (D_CHOICES, abs_xi_levels, halfwave_rows, spatial_derivative,
                           symbol_array)
 from .randomization import RandomizedData
 
@@ -190,18 +192,6 @@ class BlowUpError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _profiles(grid: Grid, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (cos, sin, sinc) at the nodes of ``tg``, one column per
-    distinct |xi| (:func:`.multipliers.halfwave_profiles`): the free
-    propagators and, split by angle addition, every Duhamel kernel's
-    factors.  :meth:`_Region.spread` puts rows of them on the modes."""
-    profiles, _ = halfwave_profiles(grid, tg.times)
-    for arr in profiles:
-        arr.flags.writeable = False
-    return profiles
-
-
-@lru_cache(maxsize=8)
 def _box(grid: Grid) -> tuple[tuple[slice, slice], ...]:
     """The modes the 2/3 rule keeps, |m_1|, |m_2| <= N/3, as the four
     (rows, cols) basic-slice pairs of numpy's unshifted layout: low band
@@ -245,24 +235,26 @@ class _Region:
 
     ``pairs`` maps each (rows, cols) slice pair of the full lattice to its
     place in that compact array; every kernel is pointwise per mode, so the
-    layout changes no value.  ``index`` holds each mode's column of a
-    profile (:func:`_profiles`), ``abs_xi`` its |xi| and ``h1_weight`` its
-    H^1 weight, all in the compact layout.
+    layout changes no value.  ``abs_xi`` holds each mode's |xi| and
+    ``h1_weight`` its H^1 weight, in the compact layout; ``levels`` holds
+    the distinct |xi| of the region in ascending order and ``index`` each
+    mode's place among them (:func:`.multipliers.abs_xi_levels`).
     """
 
     pairs: tuple
     size: int
     grid: Grid
-    index: np.ndarray = field(init=False, repr=False)
     abs_xi: np.ndarray = field(init=False, repr=False)
     h1_weight: np.ndarray = field(init=False, repr=False)
+    levels: np.ndarray = field(init=False, repr=False)
+    index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, full in (("index", abs_xi_levels(self.grid)[1]), ("abs_xi", self.grid.abs_xi),
-                           ("h1_weight", _sobolev_weight(self.grid, 1.0))):
-            compact = self.gather(full)
-            compact.flags.writeable = False
-            object.__setattr__(self, name, compact)
+        abs_xi = self.gather(self.grid.abs_xi)
+        arrays = (abs_xi, self.gather(_sobolev_weight(self.grid, 1.0))) + abs_xi_levels(abs_xi)
+        for name, arr in zip(("abs_xi", "h1_weight", "levels", "index"), arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The region's modes of ``full`` in the compact layout, written into
@@ -276,7 +268,7 @@ class _Region:
         return out
 
     def spread(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Profile ``rows`` (nodes x distinct |xi|) on the region's modes,
+        """``rows`` (nodes x ``levels``) on the region's modes,
         written into ``out`` (or a fresh array) of shape (nodes, size, size).
 
         The indices are in range; mode "clip" writes into ``out`` without
@@ -378,19 +370,25 @@ class _DuhamelSums:
         return u if want_u else None, dt_u if want_dt else None
 
 
-def _chunk_tables(grid: Grid, tg: TimeGrid, region: _Region
+def _chunk_tables(tg: TimeGrid, region: _Region, count: int = 3
                   ) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
-    """The one walk over the chunks of nodes of ``tg``: each chunk with its
-    rows of the (cos, sin, sinc) profiles spread on the modes of ``region``,
-    in three chunk-sized tables allocated at the first chunk and rewritten
-    at each."""
+    """The one walk over the chunks of nodes of ``tg``: each chunk with the
+    first ``count`` of its (cos, sin, sinc) tables on the modes of
+    ``region``, the free propagators and, split by angle addition, every
+    Duhamel kernel's factors.  Each chunk's rows are formed on the region's
+    ``levels`` (:func:`.multipliers.halfwave_rows`) and spread on its modes;
+    the rows and the tables are chunk-sized buffers allocated at the first
+    chunk and rewritten at each."""
     length = _chunk_length(tg)
-    profiles = _profiles(grid, tg)
-    buffers = tuple(np.empty((length, region.size, region.size)) for _ in range(3))
+    times = tg.times
+    rows = tuple(np.empty((length, len(region.levels))) for _ in range(count))
+    tables = tuple(np.empty((length, region.size, region.size)) for _ in range(count))
     for start in range(0, tg.n_nodes, length):
         nodes = slice(start, min(start + length, tg.n_nodes))
-        yield nodes, tuple(region.spread(profile[nodes], out=buf[:nodes.stop - start])
-                           for profile, buf in zip(profiles, buffers))
+        k = nodes.stop - start
+        halfwave_rows(times[nodes], region.levels, out=tuple(row[:k] for row in rows))
+        yield nodes, tuple(region.spread(row[:k], out=table[:k])
+                           for row, table in zip(rows, tables))
 
 
 def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = False, *,
@@ -408,7 +406,7 @@ def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = Fa
     work = sums.region.buffers(_chunk_length(tg))
     outs = [np.empty(source.shape, dtype=complex) if want and dest is None else dest
             for want, dest in zip((want_u, want_dt), out)]
-    for nodes, tables in _chunk_tables(grid, tg, sums.region):
+    for nodes, tables in _chunk_tables(tg, sums.region):
         # the output rows stand in for the workspace's u and dt u buffers
         parts = tuple(buf if dest is None else dest[nodes] for buf, dest in zip(work[3:], outs))
         sums.advance(source[nodes], work[:3] + parts, tables, want_u, want_dt)
@@ -543,9 +541,12 @@ def _free_hats(phi0_hat: np.ndarray, abs_xi: np.ndarray, tables: tuple[np.ndarra
 
 @lru_cache(maxsize=16)
 def _derivative_symbol(grid: Grid, d_choice: str, box: bool) -> np.ndarray:
-    """Read-only i xi_d on the modes of ``_region(grid, box)``."""
-    full = symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid)
-    sym = _region(grid, box).gather(full)
+    """Read-only i xi_d on the modes of ``_region(grid, box)``.  The unpaired
+    Nyquist line, where the lattice symbol is 0, lies outside the box, so
+    the box's symbol is formed from its own modes of xi_d."""
+    if not box:
+        return symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid)
+    sym = 1j * _region(grid, True).gather(grid.xi1 if d_choice == "x1" else grid.xi2)
     sym.flags.writeable = False
     return sym
 
@@ -567,14 +568,17 @@ def _free_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, want_u: bool = 
     """The window of rows and columns where phi0 has a nonzero mode (one
     unit block's, for a tree leaf), and (u, dt u) of the free wave from
     (phi0, 0) on it at every node of ``tg``; a part not asked for is None.
-    Each mode evolves on its own, so the profiles a part needs are spread,
-    for this call only, over the window; outside it both parts are zero."""
+    Each mode evolves on its own, so the (cos, sin) rows are formed, for
+    this call only, on the distinct |xi| of the window and the rows a part
+    needs are spread over it; outside it both parts are zero."""
     window = np.ix_(np.flatnonzero(phi0_hat.any(axis=1)), np.flatnonzero(phi0_hat.any(axis=0)))
-    index = abs_xi_levels(grid)[1][window]
-    cos_t, sin_t = (np.take(profile, index, axis=1) if want else None
-                    for profile, want in zip(_profiles(grid, tg), (want_u, want_dt)))
-    return window, _free_hats(phi0_hat[window], grid.abs_xi[window], (cos_t, sin_t),
-                              scratch=sin_t)
+    abs_xi = grid.abs_xi[window]
+    levels, index = abs_xi_levels(abs_xi)
+    shape = (tg.n_nodes, len(levels))
+    rows = halfwave_rows(tg.times, levels, out=(np.empty(shape), np.empty(shape)))
+    cos_t, sin_t = (np.take(row, index, axis=1) if want else None
+                    for row, want in zip(rows, (want_u, want_dt)))
+    return window, _free_hats(phi0_hat[window], abs_xi, (cos_t, sin_t), scratch=sin_t)
 
 
 def _on_lattice(window: tuple, part: np.ndarray, grid: Grid) -> np.ndarray:
@@ -700,7 +704,7 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
         total_buf = np.empty(chunk, dtype=complex)
     top = n_max
     for (nodes, tables), (gap_pair, gap_h1, gap_l2, gap_phys) in zip(
-            _chunk_tables(grid, tg, box), gaps):
+            _chunk_tables(tg, box), gaps):
         k = nodes.stop - nodes.start
         phys, real, real_box = phys_buf[:k], planes[:, :k], box_planes[:, :k]
         free = _free_hats(phi0_box, box.abs_xi, tables[:2], out=(free_u[:k], free_dt[:k]),
@@ -750,9 +754,9 @@ def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
         phi0[rows, cols] = 0.0
     chunk = planes.shape[1:]
     u_buf, dt_buf, phys_buf = (np.empty(chunk, dtype=complex) for _ in range(3))
-    for nodes, tables in _chunk_tables(grid, tg, _region(grid, False)):
+    for nodes, tables in _chunk_tables(tg, _region(grid, False), count=2):
         k = nodes.stop - nodes.start
-        pair = _free_hats(phi0, grid.abs_xi, tables[:2], out=(u_buf[:k], dt_buf[:k]),
+        pair = _free_hats(phi0, grid.abs_xi, tables, out=(u_buf[:k], dt_buf[:k]),
                           scratch=planes[0, :k])
         du = _derivative_hat(*pair, grid, d_choice, out=phys_buf[:k])
         yield (pair, _sobolev_sums(pair[0], _sobolev_weight(grid, 1.0), planes[:, :k]),

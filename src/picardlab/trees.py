@@ -450,7 +450,7 @@ def reconstruct_iterate(
     box_total = np.empty_like(work[0])
     # one Duhamel integral per node factor, and the last for the top sum
     sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_factors - len(leaves) + 1)]
-    for nodes, tables in _chunk_tables(grid, tg, box):
+    for nodes, tables in _chunk_tables(tg, box):
         k = nodes.stop - nodes.start
         leaf, prod, node_total = lattice[:k], product[:k], box_total[:k]
         for i, (_, (window, part)) in enumerate(leaves):

@@ -199,13 +199,15 @@ def test_one_reference_sample_holds_less_than_one_series_of_memory():
     assert peak < 65 * 128 * 128 * 16
 
 
-def test_a_cold_reference_sample_keeps_only_the_profiles():
+def test_a_cold_reference_sample_keeps_no_whole_series_table():
     """One 128^2, 65-node, n <= 3 sample in a fresh process, every table
-    cache empty: the march spreads each chunk's propagator rows into its
-    workspace, so the traced peak stays below one 65 x 128^2 complex series
-    (where tables over the whole lattice took 45.9 MB), and what the call
-    keeps, mostly the per-|xi| profiles, stays below half of one 65 x 128^2
-    real table (where the cached lattices took 37.2 MB)."""
+    cache empty: the march forms each chunk's propagator rows on the box's
+    own |xi| levels and spreads them into its workspace, so the traced peak
+    stays below one 65 x 128^2 real table (where per-|xi| profiles over the
+    whole series took 10.0 MB, and tables over the whole lattice 45.9 MB),
+    and what the call keeps stays below one whole-series profile of the
+    box's 812 levels, 3 x 65 x 812 doubles (where the cached per-|xi|
+    profiles kept 3.6 MB)."""
     out = run_python(
         "import json, math, tracemalloc\n"
         "from picardlab.harness import ExperimentConfig, _prepare, _run_one\n"
@@ -218,8 +220,8 @@ def test_a_cold_reference_sample_keeps_only_the_profiles():
         "                  peak - before, current - before]))\n")
     levels, finite, peak, held = json.loads(out)
     assert levels == [0, 1, 2, 3] and finite
-    assert peak < 65 * 128 * 128 * 16
-    assert held < 65 * 128 * 128 * 8 / 2
+    assert peak < 65 * 128 * 128 * 8
+    assert held < 3 * 65 * 812 * 8
 
 
 def test_a_warm_reference_march_works_in_box_sized_buffers():
@@ -418,6 +420,22 @@ def test_cli_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("[ERROR] ") and repr(str(out)) in err
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 4.37 TiB for an array", ""])
+def test_cli_run_too_large_for_memory_exits_2(capsys, monkeypatch, message):
+    """A run whose arrays do not fit in memory (``--steps 100000000000``, say)
+    ends in exit 2 with a message, never a traceback; the run is replaced
+    by one that raises, so the test allocates nothing."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_experiment", out_of_memory)
+    assert main(["simulate", "--grid", "64", "--samples", "2", "--n-max", "1",
+                 "--steps", "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and "memory" in err and "Traceback" not in err
+    assert err.rstrip().endswith(message or "memory")
 
 
 def test_scaling_validation():

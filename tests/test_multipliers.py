@@ -14,6 +14,7 @@ from picardlab.multipliers import (
     cos_halfwave,
     gradient_magnitude,
     halfwave_profiles,
+    halfwave_rows,
     halfwave_tables,
     m01,
     sinc_halfwave,
@@ -205,18 +206,30 @@ def test_halfwave_tables_equal_direct_evaluation(n, length, times):
     assert np.array_equal(sin_t, sin_direct)
     assert np.array_equal(sinc_t, sinc_direct)
     assert np.array_equal(symbol_array(cos_halfwave(0.3), grid), np.cos(0.3 * a))
-    # the engine's spreads of the profiles: the whole lattice, and the box in
-    # its compact layout, each also written into a buffer
-    profiles, _ = halfwave_profiles(grid, times)
+    profiles, index = halfwave_profiles(grid, times)
+    assert [profile.shape for profile in profiles] == [(len(times), index.max() + 1)] * 3
+    # the engine's tables: rows on a region's own levels spread on its modes
+    # (the whole lattice, and the box in its compact layout), each also
+    # written into a buffer; two buffers take (cos, sin) only, and levels
+    # without 0 (a leaf window's) the same rows
+    times = np.asarray(times, dtype=float)
     for box in (False, True):
         region = _region(grid, box)
-        for profile, table in zip(profiles, (cos_t, sin_t, sinc_t)):
-            expect = region.gather(table)
-            assert np.array_equal(region.spread(profile), expect)
-            out = np.full(expect.shape, np.nan)
-            assert region.spread(profile, out=out) is out
-            assert np.array_equal(out, expect)
+        assert np.array_equal(region.levels[region.index], region.abs_xi)
         assert np.array_equal(region.abs_xi, region.gather(a))
+        rows = halfwave_rows(times, region.levels,
+                             out=tuple(np.empty((len(times), len(region.levels))) for _ in range(3)))
+        for row, table in zip(rows, (cos_t, sin_t, sinc_t)):
+            expect = region.gather(table)
+            assert np.array_equal(region.spread(row), expect)
+            out = np.full(expect.shape, np.nan)
+            assert region.spread(row, out=out) is out
+            assert np.array_equal(out, expect)
+        assert region.levels[0] == 0.0
+        pair = halfwave_rows(times, region.levels[1:],
+                             out=tuple(np.empty((len(times), len(region.levels) - 1))
+                                       for _ in range(2)))
+        assert all(np.array_equal(got, row[:, 1:]) for got, row in zip(pair, rows))
 
 
 @pytest.mark.parametrize("n, length", [(128, 16.0 * math.pi), (64, 8.0 * math.pi),

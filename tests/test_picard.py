@@ -143,14 +143,17 @@ def _whole_lattice_free(phi0_hat, grid, tg, d_choice):
 @pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
 def test_free_series_equal_the_whole_lattice_expression(grid64, oracle_data, d_choice):
     """Third reference for the free series, which evolve only the window of
-    rows and columns where the datum has a nonzero mode: every block of the
-    criterion-4 datum (a tree leaf; its window is a few of the 64 rows), a
-    band-limited and a Gaussian datum (full support, so the window is the
-    whole lattice) give the bits of the whole-lattice expression."""
+    rows and columns where the datum has a nonzero mode, with propagator
+    rows formed on the |xi| of that window only: every block of the
+    criterion-4 datum (a tree leaf; its window is a few of the 64 rows and
+    holds no |xi| = 0), a band-limited datum (the rows and columns of its
+    band) and a Gaussian datum (full support, so the window is the whole
+    lattice) give the bits of the whole-lattice expression."""
     tg = TimeGrid(t_final=0.5, n_steps=16)
     for k in oracle_data.draw.blocks:
         leaf = unit_projection(oracle_data.phi0, k).values
         assert leaf.any() and not leaf.any(axis=1).all()
+        assert grid64.abs_xi[leaf.any(axis=1)][:, leaf.any(axis=0)].min() > 0.0
         assert np.array_equal(free_derivative_hat(leaf, grid64, tg, d_choice),
                               _whole_lattice_free(leaf, grid64, tg, d_choice)[2]), k
     gaussian = _gaussian_data(grid64)
@@ -370,17 +373,18 @@ def test_product_equals_full_lattice_reference(n, lead, square):
 
 def _march_duhamel(src, grid, tg, start):
     """start + the box Duhamel series, chunk by chunk as the march adds it:
-    one workspace for every chunk, each chunk's rows of the profiles spread
-    on the box, the sum formed in the box's compact layout, and outside the
-    box the start itself."""
+    one workspace for every chunk, each chunk's rows of the whole-series
+    lattice tables (the public halfwave_profiles spread by the lattice
+    index) gathered on the box, the sum formed in the box's compact layout,
+    and outside the box the start itself."""
     step = picard._DuhamelSums(grid, tg, box=True)
     region = step.region
     work = region.buffers(DEFAULT_CHUNK)
-    profiles = picard._profiles(grid, tg)
+    lattice = halfwave_tables(grid, tg.times)
     out = tuple(part.copy() for part in start)
     for first in range(0, tg.n_nodes, DEFAULT_CHUNK):
         nodes = slice(first, first + DEFAULT_CHUNK)
-        tables = tuple(region.spread(profile[nodes]) for profile in profiles)
+        tables = tuple(region.gather(table[nodes]) for table in lattice)
         parts = step.advance(region.gather(src[nodes]), work, tables)
         for part, begin, dest in zip(parts, start, out):
             region.place(np.add(region.gather(begin[nodes]), part, out=part), dest[nodes])
@@ -458,22 +462,54 @@ def _assert_same_chain(got, expect):
 
 
 @pytest.mark.parametrize("box", [True, False])
-def test_chunk_driver_spreads_every_chunk_into_one_set_of_tables(grid64, box):
-    """The chunk driver walks the nodes in order, _CHUNK at a time (the last
-    chunk shorter), and spreads each chunk's (cos, sin, sinc) rows on the
-    region's modes into the same three buffers at every chunk."""
+def test_chunk_driver_spreads_every_chunk_into_one_set_of_tables(monkeypatch, grid64, box):
+    """At chunk lengths 1, 3, 4 and the whole series, at 64^2 and 128^2, the
+    chunk driver walks the nodes in order, _CHUNK at a time (the last chunk
+    shorter), forms each chunk's (cos, sin, sinc) rows on the region's own
+    levels and spreads the first ``count`` of them on its modes into the
+    same buffers at every chunk: the bits of the whole-series lattice tables
+    (the public halfwave_profiles spread by the lattice index) there."""
     tg = TimeGrid(t_final=0.3, n_steps=13)
-    region = picard._region(grid64, box)
-    profiles = picard._profiles(grid64, tg)
-    starts, first = [], None
-    for nodes, tables in picard._chunk_tables(grid64, tg, region):
-        starts.append(nodes.start)
-        assert nodes.stop == min(nodes.start + DEFAULT_CHUNK, tg.n_nodes)
-        first = first or [table.base for table in tables]
-        for table, base, profile in zip(tables, first, profiles):
-            assert table.base is base
-            assert np.array_equal(table, region.spread(profile[nodes]))
-    assert starts == list(range(0, tg.n_nodes, DEFAULT_CHUNK))
+    for grid in (grid64, make_grid(128, 16.0 * math.pi)):
+        region = picard._region(grid, box)
+        lattice = tuple(region.gather(table) for table in halfwave_tables(grid, tg.times))
+        for length in (1, 3, 4, tg.n_nodes):
+            monkeypatch.setattr(picard, "_CHUNK", length)
+            for count in (2, 3):
+                starts, first = [], None
+                for nodes, tables in picard._chunk_tables(tg, region, count):
+                    starts.append(nodes.start)
+                    assert nodes.stop == min(nodes.start + length, tg.n_nodes)
+                    assert len(tables) == count
+                    first = first or [table.base for table in tables]
+                    for table, base, expect in zip(tables, first, lattice):
+                        assert table.base is base
+                        assert np.array_equal(table, expect[nodes])
+                assert starts == list(range(0, tg.n_nodes, length))
+
+
+def test_the_gap_march_spreads_only_the_tables_it_reads(monkeypatch, grid64):
+    """On a Gaussian datum (modes outside the box) each chunk spreads three
+    tables on the box, for the free pair and the Duhamel sums, and two,
+    cos and sin, on the lattice for the gap's free pair: no sinc table is
+    spread over the lattice."""
+    data = _gaussian_data(grid64)
+    assert not picard._inside_box(data.phi0_rand.values, grid64)
+    tg = TimeGrid(t_final=0.3, n_steps=13)
+    spread = picard._Region.spread
+    sizes = []
+
+    def counting_spread(region, rows, out=None):
+        sizes.append(region.size)
+        return spread(region, rows, out=out)
+
+    monkeypatch.setattr(picard._Region, "spread", counting_spread)
+    list(picard._levels(2, data, tg, "x1"))
+    chunks = len(range(0, tg.n_nodes, DEFAULT_CHUNK))
+    box = picard._region(grid64, True).size
+    assert sizes.count(box) == 3 * chunks
+    assert sizes.count(grid64.n_points) == 2 * chunks
+    assert len(sizes) == 5 * chunks
 
 
 @pytest.mark.parametrize("family, d_choice", [("band", "x1"), ("band", "x2"), ("band", "t"),

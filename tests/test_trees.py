@@ -514,9 +514,9 @@ def test_oracle_calls_keep_no_whole_series_tables():
     free_evolution on the benchmark's oracle datum (64^2, 17 nodes), in a
     fresh process: every table is spread at call time or one chunk at a
     time, and the tree factors live only within their call, so what the calls
-    keep (the cached per-|xi| profiles and symbols) stays below one
-    17 x 64^2 complex series.  Whole-series tables cached beside the
-    profiles kept 2.8 MB."""
+    keep (the cached regions and symbols) stays below one 17 x 64^2 complex
+    series.  Whole-series tables cached beside the per-|xi| profiles kept
+    2.8 MB."""
     tests = str(Path(__file__).resolve().parent)
     out = run_python(
         "import json, math, sys, tracemalloc\n"

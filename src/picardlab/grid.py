@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -60,16 +60,16 @@ class Grid:
 
     Notes
     -----
-    Derived arrays (coordinates, frequency meshes, |xi|) are computed once in
-    ``__post_init__`` and cached on the instance; they are excluded from
-    equality and hashing, which use only (n_points, box_length).
+    Derived arrays (frequency meshes, |xi|) are computed once in
+    ``__post_init__`` and cached on the instance; the coordinate meshes x1,
+    x2, which only physical-space data builders read, are formed on first
+    use.  None of them enters equality or hashing, which use only
+    (n_points, box_length).
     """
 
     n_points: int
     box_length: float
 
-    x1: np.ndarray = field(init=False, repr=False, compare=False)
-    x2: np.ndarray = field(init=False, repr=False, compare=False)
     xi1: np.ndarray = field(init=False, repr=False, compare=False)
     xi2: np.ndarray = field(init=False, repr=False, compare=False)
     abs_xi: np.ndarray = field(init=False, repr=False, compare=False)
@@ -91,14 +91,28 @@ class Grid:
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "box_length", length)
 
-        x = np.arange(n) * (length / n)
-        x1, x2 = np.meshgrid(x, x, indexing="ij")
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
         xi1, xi2 = np.meshgrid(k, k, indexing="ij")
         abs_xi = np.sqrt(xi1**2 + xi2**2)
-        for name, arr in (("x1", x1), ("x2", x2), ("xi1", xi1), ("xi2", xi2), ("abs_xi", abs_xi)):
+        for name, arr in (("xi1", xi1), ("xi2", xi2), ("abs_xi", abs_xi)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def _coordinate(self, axis: int) -> np.ndarray:
+        x = np.arange(self.n_points) * (self.box_length / self.n_points)
+        mesh = np.meshgrid(x, x, indexing="ij", copy=False)[axis].copy()
+        mesh.flags.writeable = False
+        return mesh
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        """Read-only sample coordinate x1 at every grid point."""
+        return self._coordinate(0)
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        """Read-only sample coordinate x2 at every grid point."""
+        return self._coordinate(1)
 
     @property
     def dx(self) -> float:

@@ -43,12 +43,15 @@ array a chunk touches stays small; the running sums carry over from chunk
 to chunk in the same operation order, so any chunk length gives the same
 bits.  Every chunked loop, the tree sum's too, walks the chunks of one
 driver, :func:`_chunk_tables`, which forms each chunk's propagator rows on
-the distinct |xi| of the modes it serves and spreads them there; no table
-over the whole series is kept.
+the distinct |xi| of the modes it serves and spreads there the tables its
+caller reads; no table over the whole series is kept.
 The levels of a chunk run one after another, so one workspace of
 chunk-sized buffers, allocated when the march starts, serves all of them:
 every stage writes into it with ufunc ``out=`` arguments, the same
 operations in the same order, and the march maps no fresh memory per chunk.
+A Duhamel step works in four buffers, with dt u written over its sum A,
+and the norms' real planes are laid over buffers that are free while the
+norms are taken, so they take no memory of their own.
 The Monte Carlo harness keeps only per-node norms; the chain, single
 iterates, :func:`duhamel` and the tree terms store every node.
 
@@ -73,7 +76,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from typing import Collection, Iterator
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -276,11 +279,12 @@ class _Region:
         """
         return np.take(rows, self.index, axis=1, out=out, mode="clip")
 
-    def buffers(self, n_nodes: int) -> tuple[np.ndarray, ...]:
-        """A Duhamel step's workspace for up to ``n_nodes`` nodes: scratch
-        (the gathered source), the two sums A and B, and the parts u, dt u."""
-        return tuple(np.empty((n_nodes, self.size, self.size), dtype=complex)
-                     for _ in range(5))
+    def buffers(self, n_nodes: int) -> np.ndarray:
+        """A Duhamel step's workspace for up to ``n_nodes`` nodes, four
+        buffers in one array: scratch (the gathered source), the sum A (dt u
+        once u is formed), the sum B and the part u.  Between steps the
+        whole block is free, so a caller may lay other scratch over it."""
+        return np.empty((4, n_nodes, self.size, self.size), dtype=complex)
 
     def place(self, part: np.ndarray, out: np.ndarray) -> None:
         """Write the compact ``part`` into its modes of ``out``; the other
@@ -310,7 +314,9 @@ class _DuhamelSums:
     dt u = cos A + |xi| sin B.  Each sum is a running sum minus the
     half-weight terms of the first and the current node, one node at a time;
     the running sum and the first half-weight term carry over from one chunk
-    to the next, so any chunking gives the same bits.
+    to the next, so any chunking gives the same bits.  sinc vanishes at the
+    first node t_0 = 0, so B's first half-weight term is zero and B keeps
+    none.
     """
 
     def __init__(self, grid: Grid, tg: TimeGrid, box: bool):
@@ -326,19 +332,22 @@ class _DuhamelSums:
         rest = f
         if self.node == 0:
             self.run[i] = f[0].copy()
-            self.half_first[i] = 0.5 * f[0]
+            self.half_first[i] = 0.5 * f[0] if i == 0 else None
             f[0] = 0.0
             rest = f[1:]
         run, half_first = self.run[i], self.half_first[i]
         for row in rest:
             run += row
-            # row = run - half_first - 0.5 * row
-            np.subtract(run, half_first, out=scratch)
+            # row = run - half_first - 0.5 * row, for B run - 0.5 * row
             np.multiply(0.5, row, out=row)
-            np.subtract(scratch, row, out=row)
+            if half_first is None:
+                np.subtract(run, row, out=row)
+            else:
+                np.subtract(run, half_first, out=scratch)
+                np.subtract(scratch, row, out=row)
         f *= self.dt
 
-    def advance(self, src: np.ndarray, work: tuple[np.ndarray, ...],
+    def advance(self, src: np.ndarray, work: Sequence[np.ndarray],
                 tables: tuple[np.ndarray, ...], want_u: bool = True, want_dt: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(u, dt u) on the region at the next ``len(src)`` nodes from the
@@ -346,13 +355,15 @@ class _DuhamelSums:
         not asked for is None.
 
         ``tables`` holds (cos, sin, sinc) at those nodes on the region's
-        modes (:meth:`_Region.spread`).  Every intermediate and both parts
-        live in ``work`` (:meth:`_Region.buffers`), whose scratch may hold
-        ``src``; the parts are views of it, valid until the next call that
-        uses it.
+        modes (:meth:`_Region.spread`); sin is read only for dt u.  Every
+        intermediate and both parts live in the four buffers of ``work``
+        (:meth:`_Region.buffers`), whose scratch may hold ``src``: u in its
+        own buffer, dt u over the sum A once u is formed.  The parts are
+        views of it, valid until the next call that uses it; B's buffer is
+        free when the call returns.
         """
         nodes = slice(self.node, self.node + len(src))
-        scratch, a, b, u, dt_u = (buf[:len(src)] for buf in work)
+        scratch, a, b, u = (buf[:len(src)] for buf in work)
         c, s, sc = tables
         np.multiply(c, src, out=a)
         np.multiply(sc, src, out=b)
@@ -365,29 +376,31 @@ class _DuhamelSums:
             u -= np.multiply(c, b, out=scratch)
         if want_dt:
             b *= self.region.abs_xi
-            np.multiply(c, a, out=dt_u)
-            dt_u += np.multiply(s, b, out=scratch)
-        return u if want_u else None, dt_u if want_dt else None
+            np.multiply(c, a, out=a)
+            a += np.multiply(s, b, out=scratch)
+        return u if want_u else None, a if want_dt else None
 
 
-def _chunk_tables(tg: TimeGrid, region: _Region, count: int = 3
-                  ) -> Iterator[tuple[slice, tuple[np.ndarray, ...]]]:
-    """The one walk over the chunks of nodes of ``tg``: each chunk with the
-    first ``count`` of its (cos, sin, sinc) tables on the modes of
-    ``region``, the free propagators and, split by angle addition, every
-    Duhamel kernel's factors.  Each chunk's rows are formed on the region's
-    ``levels`` (:func:`.multipliers.halfwave_rows`) and spread on its modes;
-    the rows and the tables are chunk-sized buffers allocated at the first
-    chunk and rewritten at each."""
+def _chunk_tables(tg: TimeGrid, region: _Region, spread: tuple[bool, ...] = (True, True, True)
+                  ) -> Iterator[tuple[slice, tuple[np.ndarray | None, ...]]]:
+    """The one walk over the chunks of nodes of ``tg``: each chunk with its
+    (cos, sin, sinc) tables on the modes of ``region``, the free
+    propagators and, split by angle addition, every Duhamel kernel's
+    factors; a table whose flag in ``spread`` is False is None.  Each
+    chunk's rows are formed on the region's ``levels``
+    (:func:`.multipliers.halfwave_rows`) and the tables asked for are
+    spread on its modes; the rows and the tables are chunk-sized buffers
+    allocated at the first chunk and rewritten at each."""
     length = _chunk_length(tg)
     times = tg.times
-    rows = tuple(np.empty((length, len(region.levels))) for _ in range(count))
-    tables = tuple(np.empty((length, region.size, region.size)) for _ in range(count))
+    rows = tuple(np.empty((length, len(region.levels))) for _ in range(3))
+    tables = tuple(np.empty((length, region.size, region.size)) if want else None
+                   for want in spread)
     for start in range(0, tg.n_nodes, length):
         nodes = slice(start, min(start + length, tg.n_nodes))
         k = nodes.stop - start
         halfwave_rows(times[nodes], region.levels, out=tuple(row[:k] for row in rows))
-        yield nodes, tuple(region.spread(row[:k], out=table[:k])
+        yield nodes, tuple(None if table is None else region.spread(row[:k], out=table[:k])
                            for row, table in zip(rows, tables))
 
 
@@ -403,14 +416,16 @@ def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = Fa
     written straight into the returned series.
     """
     sums = _DuhamelSums(grid, tg, box)
-    work = sums.region.buffers(_chunk_length(tg))
-    outs = [np.empty(source.shape, dtype=complex) if want and dest is None else dest
-            for want, dest in zip((want_u, want_dt), out)]
-    for nodes, tables in _chunk_tables(tg, sums.region):
-        # the output rows stand in for the workspace's u and dt u buffers
-        parts = tuple(buf if dest is None else dest[nodes] for buf, dest in zip(work[3:], outs))
-        sums.advance(source[nodes], work[:3] + parts, tables, want_u, want_dt)
-    return outs[0], outs[1]
+    scratch, a, b, u = sums.region.buffers(_chunk_length(tg))
+    u_out, dt_out = (np.empty(source.shape, dtype=complex) if want and dest is None else dest
+                     for want, dest in zip((want_u, want_dt), out))
+    for nodes, tables in _chunk_tables(tg, sums.region, spread=(True, want_dt, True)):
+        # the output rows stand in for the workspace's u buffer and, as dt u
+        # is formed over the sum A, for A's
+        sums.advance(source[nodes], (scratch, a if dt_out is None else dt_out[nodes], b,
+                                     u if u_out is None else u_out[nodes]),
+                     tables, want_u, want_dt)
+    return u_out, dt_out
 
 
 def _d_duhamel_hat(source: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str, box: bool,
@@ -679,7 +694,13 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     The levels of a chunk run one after another, so one workspace of
     chunk-sized buffers (here and in :func:`_chunk_tables`) serves every
     level of every chunk: each stage writes into it instead of allocating.
-    Nothing in it outlives the march; the kept series are copied out of it.
+    The Duhamel step's four buffers (:meth:`_Region.buffers`) hold a
+    level's u and, over the sum A, its dt u; the norms' real planes are
+    views of them: the box planes in B's buffer, free once the step
+    returns, and the lattice planes of the L^4 norm over all four, free
+    once du's inverse transform has read it.  The gap part's sums use the
+    lattice planes between chunks.  Nothing in the workspace outlives the
+    march; the kept series are copied out of it.
     """
     box = _region(grid, True)
     sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_max)]
@@ -689,13 +710,14 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
             for n in keep}
     chunk = (_chunk_length(tg),) + shape[1:]
     compact = chunk[:1] + (box.size, box.size)
-    # on the box: the free pair; on the lattice: the physical du; the
-    # norms' real planes, whose front also serves the box
+    # on the box: the free pair; on the lattice: the physical du
     free_u, free_dt = (np.empty(compact, dtype=complex) for _ in range(2))
     phys_buf = np.empty(chunk, dtype=complex)
-    planes = np.empty((2,) + chunk)
-    box_planes = planes.reshape(-1)[:2 * math.prod(compact)].reshape((2,) + compact)
     work = box.buffers(chunk[0])
+    # the norms' real planes lie in the workspace: on the box in B's
+    # buffer, free between Duhamel steps; on the lattice over all four
+    # buffers, free once du's inverse transform has read it
+    box_planes, planes = _planes(work[2], compact), _planes(work, chunk)
     phi0_box = box.gather(phi0_hat)
     if _inside_box(phi0_hat, grid):
         gaps, total_buf = repeat(((0.0, 0.0), 0.0, 0.0, None)), None
@@ -737,6 +759,12 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     return per_node[:top + 1], kept
 
 
+def _planes(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Two real planes of ``shape``, the scratch of the norm kernels, laid
+    over the front of the contiguous buffer ``buf``."""
+    return buf.reshape(-1).view(float)[:2 * math.prod(shape)].reshape((2,) + shape)
+
+
 def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
                 planes: np.ndarray) -> Iterator[tuple]:
     """Chunk by chunk, the free wave from the modes of ``phi0_hat`` outside
@@ -747,16 +775,18 @@ def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
     lattice with the box zero, the H^1 sums of u and the L^2 sums of dt u
     (:func:`.grid._sobolev_sums`), and the physical du (one full inverse
     transform).  The arrays are views of buffers reused from chunk to
-    chunk; ``planes`` is the sums' real scratch, free between chunks.
+    chunk; ``planes`` is the sums' real scratch, which need only be free
+    while the next chunk is drawn (the march's lattice planes, laid over
+    its workspace, are free between chunks).
     """
     phi0 = phi0_hat.copy()
     for rows, cols in _box(grid):
         phi0[rows, cols] = 0.0
     chunk = planes.shape[1:]
     u_buf, dt_buf, phys_buf = (np.empty(chunk, dtype=complex) for _ in range(3))
-    for nodes, tables in _chunk_tables(tg, _region(grid, False), count=2):
+    for nodes, tables in _chunk_tables(tg, _region(grid, False), spread=(True, True, False)):
         k = nodes.stop - nodes.start
-        pair = _free_hats(phi0, grid.abs_xi, tables, out=(u_buf[:k], dt_buf[:k]),
+        pair = _free_hats(phi0, grid.abs_xi, tables[:2], out=(u_buf[:k], dt_buf[:k]),
                           scratch=planes[0, :k])
         du = _derivative_hat(*pair, grid, d_choice, out=phys_buf[:k])
         yield (pair, _sobolev_sums(pair[0], _sobolev_weight(grid, 1.0), planes[:, :k]),
@@ -769,10 +799,12 @@ def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
     """(n, norms, kept series or None) of iterates 0..n_max in order: the
     single path through the recursion for the chain, one iterate and the
     harness.  The first level whose norm fails the guard raises
-    :class:`BlowUpError`, norms checked in key order."""
+    :class:`BlowUpError`, norms checked in key order; the guard is the
+    check for a blow-up, so the march's overflows raise no numpy warning."""
     _check_d_choice(d_choice)
     _check_level(n_max, "n_max")
-    per_node, kept = _march(n_max, data.phi0_rand.values, data.grid, tg, d_choice, keep)
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_node, kept = _march(n_max, data.phi0_rand.values, data.grid, tg, d_choice, keep)
     for n, (h1_u, l2_dudt, l4_du) in enumerate(per_node):
         norms = {
             "linf_h1_u": float(h1_u.max()),

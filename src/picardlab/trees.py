@@ -450,7 +450,8 @@ def reconstruct_iterate(
     box_total = np.empty_like(work[0])
     # one Duhamel integral per node factor, and the last for the top sum
     sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_factors - len(leaves) + 1)]
-    for nodes, tables in _chunk_tables(tg, box):
+    # dt u, and with it the sin table, only for d = d/dt
+    for nodes, tables in _chunk_tables(tg, box, spread=(True, d_choice == "t", True)):
         k = nodes.stop - nodes.start
         leaf, prod, node_total = lattice[:k], product[:k], box_total[:k]
         for i, (_, (window, part)) in enumerate(leaves):
@@ -481,7 +482,7 @@ def reconstruct_iterate(
 
 
 def _node_part(product: np.ndarray, sums: _DuhamelSums, grid: Grid, d_choice: str,
-               work: tuple[np.ndarray, ...], tables: tuple[np.ndarray, ...]) -> np.ndarray:
+               work: np.ndarray, tables: tuple[np.ndarray | None, ...]) -> np.ndarray:
     """A chunk of a node term in the box's compact layout: d of the Duhamel
     integral of the dealiased physical ``product``, whose earlier chunks
     ``sums`` has taken, formed in ``work`` (:meth:`.picard._Region.buffers`)

@@ -1,7 +1,9 @@
 """Pinned output bytes: the rows.csv and summary.json of small runs.
 
 tests/golden/ holds the outputs of the runs in tests/golden/regenerate.py
-and the numpy version and machine type they were made with.  With the same
+and the numpy version and machine type they were made with; the datum file
+of the family = file run is named relative to the repository root, where
+the runs are made.  With the same
 numpy on the same kind of machine a run must give the same bytes; otherwise
 every value must agree to 1e-13 relative, since the FFTs' last bits may
 depend on the CPU and the numpy build.
@@ -17,7 +19,8 @@ import pytest
 
 from picardlab.harness import ExperimentConfig, emit_report, run_experiment
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 RUNS = sorted(p.name for p in GOLDEN.iterdir() if (p / "summary.json").is_file())
 REL_TOL = 1e-13
 
@@ -51,13 +54,14 @@ def _same_output(name: str, got: str, expect: str) -> bool:
 
 
 def test_there_are_golden_runs_and_their_provenance():
-    assert RUNS == ["band_x1", "gaussian_t"]
+    assert RUNS == ["band_x1", "band_x2", "file_x1", "gaussian_t"]
     provenance = json.loads((GOLDEN / "provenance.json").read_text())
     assert set(provenance) == {"numpy", "machine"}
 
 
 @pytest.mark.parametrize("run", RUNS)
-def test_a_run_gives_the_golden_bytes(tmp_path, run):
+def test_a_run_gives_the_golden_bytes(tmp_path, monkeypatch, run):
+    monkeypatch.chdir(ROOT)
     expect_dir = GOLDEN / run
     config = ExperimentConfig(**json.loads((expect_dir / "summary.json").read_text())["config"])
     emit_report(run_experiment(config), tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,31 @@ def test_grid_accepts_numpy_integer_points():
     grid = make_grid(np.int64(64), 16.0 * math.pi)
     assert type(grid.n_points) is int
     assert grid == make_grid(64, 16.0 * math.pi)
+
+
+def test_grid_forms_its_coordinates_on_first_use():
+    """x1 and x2 are formed when first read, read-only and the same object
+    afterwards; only (n_points, box_length) enter equality and hashing, and
+    a pickled grid comes back equal, with the same hash and coordinates,
+    whether or not they were formed before pickling."""
+    n, length = 16, 4.0 * math.pi
+    fresh, used = make_grid(n, length), make_grid(n, length)
+    assert "x1" not in vars(fresh) and "x2" not in vars(fresh)
+    x = np.arange(n) * (length / n)
+    expect = np.meshgrid(x, x, indexing="ij")
+    for name, mesh in zip(("x1", "x2"), expect):
+        coords = getattr(used, name)
+        assert np.array_equal(coords, mesh) and not coords.flags.writeable
+        assert getattr(used, name) is coords
+    assert fresh == used and hash(fresh) == hash(used)
+    assert fresh != make_grid(n, 2.0 * length) and fresh != make_grid(2 * n, length)
+    assert repr(fresh) == repr(used) == f"Grid(n_points={n}, box_length={length!r})"
+    for grid in (fresh, used):
+        back = pickle.loads(pickle.dumps(grid))
+        assert back == grid and hash(back) == hash(grid)
+        assert np.array_equal(back.abs_xi, grid.abs_xi)
+        for name, mesh in zip(("x1", "x2"), expect):
+            assert np.array_equal(getattr(back, name), mesh)
 
 
 def test_make_grid_rejects_coarse_frequency():

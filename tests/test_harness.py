@@ -34,6 +34,7 @@ import picardlab.cli as cli
 import picardlab.harness as harness
 from picardlab.cli import main
 from picardlab.harness import (
+    WORKERS_ENV,
     ConfigError,
     _prepare,
     _run_one,
@@ -202,12 +203,13 @@ def test_one_reference_sample_holds_less_than_one_series_of_memory():
 def test_a_cold_reference_sample_keeps_no_whole_series_table():
     """One 128^2, 65-node, n <= 3 sample in a fresh process, every table
     cache empty: the march forms each chunk's propagator rows on the box's
-    own |xi| levels and spreads them into its workspace, so the traced peak
-    stays below one 65 x 128^2 real table (where per-|xi| profiles over the
-    whole series took 10.0 MB, and tables over the whole lattice 45.9 MB),
-    and what the call keeps stays below one whole-series profile of the
-    box's 812 levels, 3 x 65 x 812 doubles (where the cached per-|xi|
-    profiles kept 3.6 MB)."""
+    own |xi| levels and spreads them into its workspace of four Duhamel
+    buffers, over which the norm planes lie, so the traced peak stays below
+    5.8 MB (where the five-buffer workspace with norm planes of its own took
+    6.8 MB, per-|xi| profiles over the whole series 10.0 MB, and tables over
+    the whole lattice 45.9 MB), and what the call keeps stays below one
+    whole-series profile of the box's 812 levels, 3 x 65 x 812 doubles
+    (where the cached per-|xi| profiles kept 3.6 MB)."""
     out = run_python(
         "import json, math, tracemalloc\n"
         "from picardlab.harness import ExperimentConfig, _prepare, _run_one\n"
@@ -220,15 +222,18 @@ def test_a_cold_reference_sample_keeps_no_whole_series_table():
         "                  peak - before, current - before]))\n")
     levels, finite, peak, held = json.loads(out)
     assert levels == [0, 1, 2, 3] and finite
-    assert peak < 65 * 128 * 128 * 8
+    assert peak < 5_800_000
     assert held < 3 * 65 * 812 * 8
 
 
 def test_a_warm_reference_march_works_in_box_sized_buffers():
     """A warm 128^2, 65-node, n <= 3 march in a fresh process: every spectral
-    stage runs on the 85^2 box, so its traced peak, the workspace with the
-    running Duhamel sums, stays below nine 3-node chunks of the 128^2
-    lattice (7.1 MB), where the march on the whole lattice took 9.8 MB."""
+    stage runs on the 85^2 box in four Duhamel buffers, B without a
+    half-weight term and the norm planes laid over the workspace, so its
+    traced peak, the workspace with the running Duhamel sums, stays below
+    6.5 3-node chunks of the 128^2 lattice (5.1 MB), where five buffers
+    with planes of their own took 6.2 MB and the march on the whole lattice
+    9.8 MB."""
     out = run_python(
         "import json, tracemalloc\n"
         "import numpy as np\n"
@@ -246,7 +251,7 @@ def test_a_warm_reference_march_works_in_box_sized_buffers():
         "                  peak - before]))\n")
     shape, finite, chunk, peak = json.loads(out)
     assert shape == [4, 3, 65] and finite
-    assert peak < 9 * chunk * 128 * 128 * 16
+    assert peak < 6.5 * chunk * 128 * 128 * 16
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 64, 200, 511])
@@ -679,6 +684,23 @@ def test_cli_report_on_broken_summary_exits_2(tmp_path, capsys, content):
     assert main(["report", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[ERROR] ") and str(tmp_path / "summary.json") in err
+
+
+def test_a_blown_up_run_prints_only_the_error_line(tmp_path):
+    """At T = 1e300 the iterates overflow; the blow-up guard and the
+    small-interval gate are the checks for that, so the run exits 2 with
+    the gate's one line on stderr and no numpy warning before it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop(WORKERS_ENV, None)
+    done = subprocess.run([sys.executable, "-m", "picardlab", "simulate", "--grid", "64",
+                           "--samples", "2", "--n-max", "1", "--t", "1e300", "--steps", "2",
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("[ERROR] small-interval regime violated")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_python_dash_m_runs_the_cli():

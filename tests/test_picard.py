@@ -466,25 +466,28 @@ def test_chunk_driver_spreads_every_chunk_into_one_set_of_tables(monkeypatch, gr
     """At chunk lengths 1, 3, 4 and the whole series, at 64^2 and 128^2, the
     chunk driver walks the nodes in order, _CHUNK at a time (the last chunk
     shorter), forms each chunk's (cos, sin, sinc) rows on the region's own
-    levels and spreads the first ``count`` of them on its modes into the
-    same buffers at every chunk: the bits of the whole-series lattice tables
-    (the public halfwave_profiles spread by the lattice index) there."""
+    levels and spreads the ones ``spread`` asks for on its modes into the
+    same buffers at every chunk, the others None: the bits of the
+    whole-series lattice tables (the public halfwave_profiles spread by the
+    lattice index) there."""
     tg = TimeGrid(t_final=0.3, n_steps=13)
     for grid in (grid64, make_grid(128, 16.0 * math.pi)):
         region = picard._region(grid, box)
         lattice = tuple(region.gather(table) for table in halfwave_tables(grid, tg.times))
         for length in (1, 3, 4, tg.n_nodes):
             monkeypatch.setattr(picard, "_CHUNK", length)
-            for count in (2, 3):
+            for spread in ((True, True, True), (True, True, False), (True, False, True)):
                 starts, first = [], None
-                for nodes, tables in picard._chunk_tables(tg, region, count):
+                for nodes, tables in picard._chunk_tables(tg, region, spread):
                     starts.append(nodes.start)
                     assert nodes.stop == min(nodes.start + length, tg.n_nodes)
-                    assert len(tables) == count
-                    first = first or [table.base for table in tables]
+                    assert [table is not None for table in tables] == list(spread)
+                    first = first or [table if table is None else table.base
+                                      for table in tables]
                     for table, base, expect in zip(tables, first, lattice):
-                        assert table.base is base
-                        assert np.array_equal(table, expect[nodes])
+                        if table is not None:
+                            assert table.base is base
+                            assert np.array_equal(table, expect[nodes])
                 assert starts == list(range(0, tg.n_nodes, length))
 
 

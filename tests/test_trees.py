@@ -411,11 +411,12 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
     pointwise product added into the top sum, which takes one forward
     transform and one Duhamel sum: 105 pointwise products, 11 forward
     transforms and 11 Duhamel sums in all, each sum advanced once per
-    chunk.  The chunk's three box tables are spread once and shared by
-    every sum.  At n = 1 the 10 pairs are the top terms: 4 inverse
-    transforms, 10 pointwise products, one forward transform and one
-    Duhamel sum per chunk; at n = 0 there is no transform and no sum.  Each
-    pointwise product is one non-leaf class."""
+    chunk.  The box tables a sum reads are spread once per chunk and shared
+    by every sum: cos and sinc for d = d/dx1, and sin too for d = d/dt,
+    whose dt u needs it.  At n = 1 the 10 pairs are the top terms: 4
+    inverse transforms, 10 pointwise products, one forward transform and
+    one Duhamel sum per chunk; at n = 0 there is no transform and no sum.
+    Each pointwise product is one non-leaf class."""
     data, tg = small_oracle
     chunks = _chunk_count(tg)
     assert chunks == 2
@@ -423,16 +424,18 @@ def test_reconstruction_does_each_distinct_piece_of_work_once(small_oracle, monk
                          "_DuhamelSums")
     _count_calls(monkeypatch, "advance", owner=picard._DuhamelSums, calls=calls)
     _count_calls(monkeypatch, "spread", owner=picard._Region, calls=calls)
-    for n, products, per_call, per_chunk in (
-            (0, 0, {"_free_derivative_window": 4}, {}),
-            (1, 10, {"_free_derivative_window": 4, "_DuhamelSums": 1},
-             {"_box_ifft2": 4, "_box_fft2": 1, "advance": 1, "spread": 3}),
-            (2, 105, {"_free_derivative_window": 4, "_DuhamelSums": 11},
-             {"_box_ifft2": 14, "_box_fft2": 11, "advance": 11, "spread": 3})):
-        calls.clear()
-        reconstruct_iterate(n, data, tg)
-        assert calls == per_call | {name: chunks * count for name, count in per_chunk.items()}, n
-        assert _non_leaf_classes(n, data.draw) == products, n
+    for d_choice, spread in (("x1", 2), ("t", 3)):
+        for n, products, per_call, per_chunk in (
+                (0, 0, {"_free_derivative_window": 4}, {}),
+                (1, 10, {"_free_derivative_window": 4, "_DuhamelSums": 1},
+                 {"_box_ifft2": 4, "_box_fft2": 1, "advance": 1, "spread": spread}),
+                (2, 105, {"_free_derivative_window": 4, "_DuhamelSums": 11},
+                 {"_box_ifft2": 14, "_box_fft2": 11, "advance": 11, "spread": spread})):
+            calls.clear()
+            reconstruct_iterate(n, data, tg, d_choice)
+            assert calls == per_call | {name: chunks * count
+                                        for name, count in per_chunk.items()}, (d_choice, n)
+            assert _non_leaf_classes(n, data.draw) == products, n
 
 
 def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeypatch):

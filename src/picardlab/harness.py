@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, Grid, make_grid, parse_field, sobolev_norm
+from .grid import Field, Grid, _check_integer, make_grid, parse_field, sobolev_norm
 from .moments import MomentBound, tail_from_moments
 from .multipliers import D_CHOICES
 from .picard import BlowUpError, TimeGrid, _levels
@@ -115,13 +116,26 @@ class ExperimentConfig:
             raise ConfigError("family 'file' needs data_path")
         if self.d_choice not in D_CHOICES:
             raise ConfigError(f"d_choice must be one of {D_CHOICES}, got {self.d_choice!r}")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1; empty experiments are rejected")
-        if self.n_max < 0:
-            raise ConfigError(f"n_max must be >= 0, got {self.n_max}")
-        for name in ("base_seed", "data_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # numbers are stored as Python ints and floats, which the run and
+        # the hash take; the grid and the time grid check their own bounds
+        for name, least in (("n_points", None), ("n_steps", None), ("n_max", 0), ("samples", 1),
+                            ("base_seed", 0), ("data_seed", 0)):
+            try:
+                value = _check_integer(getattr(self, name), name)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            if least is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
+        for name in ("box_length", "t_final", "band", "h1_norm", "sigma", "amplitude"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if type(value) not in (int, float):
+                object.__setattr__(self, name, float(value))
+        if not isinstance(self.require_small_regime, bool):
+            raise ConfigError(f"require_small_regime must be a bool, "
+                              f"got {self.require_small_regime!r}")
         if not self.p_list or any(p < 2 or p % 2 for p in self.p_list):
             raise ConfigError(f"p_list must be nonempty, of even integers >= 2: {self.p_list}")
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
@@ -382,6 +396,23 @@ def _quantile(x: np.ndarray, q: float | None) -> float:
     return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
+def _level_stats(x: np.ndarray) -> dict:
+    """Statistics of one level's norms over their finite values, and the
+    fraction of the norms that are finite; inf (and 0.0) when none is."""
+    xf = x[np.isfinite(x)]
+    if not xf.size:
+        return {"mean": math.inf, "median": math.inf, "q05": math.inf, "q95": math.inf,
+                "max": math.inf, "finite_fraction": 0.0}
+    return {
+        "mean": float(np.mean(xf)),
+        "median": _quantile(xf, None),
+        "q05": _quantile(xf, 0.05),
+        "q95": _quantile(xf, 0.95),
+        "max": float(np.max(xf)),
+        "finite_fraction": float(xf.size / x.size),
+    }
+
+
 def _bootstrap_upper(x: np.ndarray, p: int, boot_idx: np.ndarray) -> float:
     boots = np.mean(x[boot_idx] ** float(p), axis=1) ** (1.0 / p)
     return max(_quantile(boots, BOOTSTRAP_QUANTILE), _plugin_moment(x, p))
@@ -443,24 +474,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 n=n, p=p, empirical=emp, upper_ci=upper, bound=bound,
                 ratio=ratio, passed=ratio <= 1.0))
 
-    level_stats = {}
-    for n in range(config.n_max + 1):
-        x = by_level[n]
-        xf = x[np.isfinite(x)]
-        if xf.size:
-            level_stats[n] = {
-                "mean": float(np.mean(xf)),
-                "median": _quantile(xf, None),
-                "q05": _quantile(xf, 0.05),
-                "q95": _quantile(xf, 0.95),
-                "max": float(np.max(xf)),
-                "finite_fraction": float(xf.size / x.size),
-            }
-        else:
-            level_stats[n] = {"mean": math.inf, "median": math.inf,
-                              "q05": math.inf, "q95": math.inf, "max": math.inf,
-                              "finite_fraction": 0.0}
-
     small_regime_value = c_cal * phi0_h1 * config.t_final
     verdicts = {
         "all_samples_finite": finite_fraction == 1.0,
@@ -474,7 +487,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         run=run, c_cal=c_cal, rows=rows,
-        moment_verdicts=tuple(verdicts_list), level_stats=level_stats,
+        moment_verdicts=tuple(verdicts_list),
+        level_stats={n: _level_stats(x) for n, x in by_level.items()},
         finite_fraction=finite_fraction, verdicts=verdicts)
 
 
@@ -497,11 +511,8 @@ def interval_scaling_study(config: ExperimentConfig) -> ScalingResult:
     medians: dict = {n: [] for n in range(config.n_max + 1)}
     for t in ts:
         rows = _sample_rows(replace(run, tg=TimeGrid(t_final=t, n_steps=config.n_steps)))
-        by_level = _norms_by_level(rows, config.n_max)
-        for n in range(config.n_max + 1):
-            x = by_level[n]
-            xf = x[np.isfinite(x)]
-            medians[n].append(_quantile(xf, None) if xf.size else math.inf)
+        for n, x in _norms_by_level(rows, config.n_max).items():
+            medians[n].append(_level_stats(x)["median"])
     slopes = {}
     for n, meds in medians.items():
         good = [(t, m) for t, m in zip(ts, meds) if math.isfinite(m) and m > 0]
@@ -534,10 +545,10 @@ def tail_study(config: ExperimentConfig, n: int) -> TailStudyResult:
     report = run_experiment(replace(config, n_max=n))
     if report.phi0_h1 == 0:
         raise ConfigError("tail study needs nonzero data")
-    x = np.array([r.l2t_l4_du for r in report.rows if r.n == n])
-    xf = x[np.isfinite(x)]
-    if xf.size == 0:
+    stats = report.level_stats[n]
+    if not stats["finite_fraction"]:
         raise ConfigError("tail study has no finite samples")
+    x = np.array([r.l2t_l4_du for r in report.rows if r.n == n])
     k = 2**n
     scale = k * report.phi0_h1 * math.sqrt(config.t_final)
     mb = MomentBound(c=report.c_cal * math.factorial(k) / k, alpha=1.0,
@@ -545,15 +556,15 @@ def tail_study(config: ExperimentConfig, n: int) -> TailStudyResult:
     # cover the vacuous region (bound > 1, recorded only) AND a decade of
     # the nonvacuous region; lam_vac is where the bound crosses 1
     lam_vac = math.e * mb.c * scale * mb.p0 ** (k / 2.0)
-    hi = max(4.0 * float(np.max(xf)), 8.0 * lam_vac)
-    lam = tuple(float(v) for v in np.geomspace(0.5 * _quantile(xf, None), hi, 33))
+    hi = max(4.0 * stats["max"], 8.0 * lam_vac)
+    lam = tuple(float(v) for v in np.geomspace(0.5 * stats["median"], hi, 33))
     empirical = tuple(float(np.mean(x > v)) for v in lam)
     bound = tuple(tail_from_moments(mb, v) for v in lam)
     checked = tuple(b <= 1.0 for b in bound)
     passed = all(e <= b for e, b, c in zip(empirical, bound, checked) if c)
     return TailStudyResult(n=n, lam=lam, empirical=empirical,
                            bound=bound, checked=checked, passed=passed,
-                           finite_fraction=float(xf.size / x.size))
+                           finite_fraction=stats["finite_fraction"])
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,17 @@ pointwise square, so the computed system is exactly the truncated Galerkin
 wave system (alias-free) and the product is bilinear in its factors -- the
 property the tree-expansion oracle relies on.
 
-Work the truncation makes zero is skipped, with unchanged values.  numpy's
-2-D transforms are one 1-D pass per axis, each line on its own, so the
-product's inverse transforms run their first pass only on the box rows (the
-others are zero) and its forward transform runs its second pass only on the
-box columns (the others are discarded).  Every Duhamel source is a product,
-zero outside the box, so the recursion and the tree terms form the
-cumulative sums on the box only, with its modes held side by side in one
-compact array: the product's forward transform is gathered straight into
-it, and the Duhamel part and its derivative stay in it.  The public
+The box has one definition, :func:`_region`, which also holds its modes
+side by side in one compact array; every spectral stage takes the region
+whose layout it works in.  Work the truncation makes zero is skipped, with
+unchanged values.  numpy's 2-D transforms are one 1-D pass per axis, each
+line on its own, so the product's inverse transforms run their first pass
+only on the box rows (the others are zero) and its forward transform runs
+its second pass only on the box columns (the others are discarded).  Every
+Duhamel source is a product, zero outside the box, so the recursion and
+the tree terms form the cumulative sums on the box only, in its compact
+array: the product's forward transform is gathered straight into it, and
+the Duhamel part and its derivative stay in it.  The public
 :func:`duhamel` takes arbitrary sources and keeps the whole lattice.
 
 The iterates are computed by one time march.  Duhamel is causal and the
@@ -194,31 +196,6 @@ class BlowUpError(RuntimeError):
 # Propagator tables and the separable Duhamel integral
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _box(grid: Grid) -> tuple[tuple[slice, slice], ...]:
-    """The modes the 2/3 rule keeps, |m_1|, |m_2| <= N/3, as the four
-    (rows, cols) basic-slice pairs of numpy's unshifted layout: low band
-    0..N/3 and high band N-N/3..N-1 on each axis.  Indexing with them gives
-    views."""
-    n = grid.n_points
-    cut = n // 3
-    bands = (slice(0, cut + 1), slice(n - cut, n))
-    return tuple((rows, cols) for rows in bands for cols in bands)
-
-
-def _gap_lines(grid: Grid) -> tuple[tuple, tuple]:
-    """Index tuples of the rows and of the columns N/3 < |m| the box leaves
-    out; together they cover every mode outside it."""
-    box = _box(grid)
-    gap = slice(box[0][0].stop, box[-1][0].start)
-    return (..., gap, slice(None)), (..., slice(None), gap)
-
-
-def _inside_box(hat: np.ndarray, grid: Grid) -> bool:
-    """Whether a spectrum is exactly zero outside the box."""
-    return not any(hat[lines].any() for lines in _gap_lines(grid))
-
-
 # Time nodes per step of the march.  A chunk's arrays stay well inside a 2 MB
 # L2 (0.8 MB each at 128^2).  One 128^2, 65-node, n <= 3 sample took 295,
 # 279, 358 and 395 ms for k = 2, 3, 4 and 6 (median of 15, alternating, on a
@@ -233,8 +210,8 @@ def _chunk_length(tg: TimeGrid) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Region:
-    """The modes a Duhamel sum runs on, held as one contiguous array: the
-    whole lattice, or the box with its four quadrants side by side.
+    """The modes a spectral stage works on, held as one contiguous array:
+    the whole lattice, or the box with its four quadrants side by side.
 
     ``pairs`` maps each (rows, cols) slice pair of the full lattice to its
     place in that compact array; every kernel is pointwise per mode, so the
@@ -295,14 +272,33 @@ class _Region:
 
 @lru_cache(maxsize=8)
 def _region(grid: Grid, box: bool) -> _Region:
+    """The whole lattice or, with ``box``, the box: the one definition of
+    the modes the 2/3 rule keeps, |m_1|, |m_2| <= N/3.  On each axis the
+    box's lattice bands are 0..N/3 and N-N/3..N-1 of numpy's unshifted
+    layout, side by side in the compact layout; its ``pairs`` are basic
+    slices, so indexing with them gives views."""
     n = grid.n_points
     if not box:
         whole = (slice(None), slice(None))
         return _Region(((whole, whole),), n, grid)
     cut = n // 3
-    bands = (slice(0, cut + 1), slice(cut + 1, 2 * cut + 1))
-    compact = tuple((rows, cols) for rows in bands for cols in bands)
-    return _Region(tuple(zip(_box(grid), compact)), 2 * cut + 1, grid)
+    bands = tuple(zip((slice(0, cut + 1), slice(n - cut, n)),
+                      (slice(0, cut + 1), slice(cut + 1, 2 * cut + 1))))
+    return _Region(tuple(((rows, cols), (c_rows, c_cols)) for rows, c_rows in bands
+                         for cols, c_cols in bands), 2 * cut + 1, grid)
+
+
+def _gap_lines(grid: Grid) -> tuple[tuple, tuple]:
+    """Index tuples of the rows and of the columns N/3 < |m| the box leaves
+    out; together they cover every mode outside it."""
+    ((low, _), _), *_, ((high, _), _) = _region(grid, True).pairs
+    gap = slice(low.stop, high.start)
+    return (..., gap, slice(None)), (..., slice(None), gap)
+
+
+def _inside_box(hat: np.ndarray, grid: Grid) -> bool:
+    """Whether a spectrum is exactly zero outside the box."""
+    return not any(hat[lines].any() for lines in _gap_lines(grid))
 
 
 class _DuhamelSums:
@@ -319,8 +315,8 @@ class _DuhamelSums:
     none.
     """
 
-    def __init__(self, grid: Grid, tg: TimeGrid, box: bool):
-        self.region = _region(grid, box)
+    def __init__(self, region: _Region, tg: TimeGrid):
+        self.region = region
         self.dt = tg.dt
         self.node = 0
         self.run: list = [None, None]
@@ -362,7 +358,6 @@ class _DuhamelSums:
         views of it, valid until the next call that uses it; B's buffer is
         free when the call returns.
         """
-        nodes = slice(self.node, self.node + len(src))
         scratch, a, b, u = (buf[:len(src)] for buf in work)
         c, s, sc = tables
         np.multiply(c, src, out=a)
@@ -370,7 +365,7 @@ class _DuhamelSums:
         # A and B hold all the source is needed for: the scratch is free
         self._sum(0, a, scratch[0])
         self._sum(1, b, scratch[0])
-        self.node = nodes.stop
+        self.node += len(src)
         if want_u:
             np.multiply(sc, a, out=u)
             u -= np.multiply(c, b, out=scratch)
@@ -404,22 +399,20 @@ def _chunk_tables(tg: TimeGrid, region: _Region, spread: tuple[bool, ...] = (Tru
                            for row, table in zip(rows, tables))
 
 
-def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = False, *,
-                    want_u: bool = True, want_dt: bool = True, out: tuple = (None, None)
+def _duhamel_series(source: np.ndarray, region: _Region, tg: TimeGrid, *,
+                    want_u: bool = True, want_dt: bool = True
                     ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt' at every
-    node, from the source S and into the pair ``out`` (or fresh arrays),
-    all in the layout of ``_region(grid, box)``: the box's compact layout
-    (``box``) or the whole lattice.  A part not asked for is returned as
-    None.  As in the march, the sums take the chunks of
-    :func:`_chunk_tables` and work in chunk-sized buffers; the parts are
-    written straight into the returned series.
+    node, from the source S, both in the layout of ``region``.  A part not
+    asked for is returned as None.  As in the march, the sums take the
+    chunks of :func:`_chunk_tables` and work in chunk-sized buffers; the
+    parts are written straight into the returned series.
     """
-    sums = _DuhamelSums(grid, tg, box)
-    scratch, a, b, u = sums.region.buffers(_chunk_length(tg))
-    u_out, dt_out = (np.empty(source.shape, dtype=complex) if want and dest is None else dest
-                     for want, dest in zip((want_u, want_dt), out))
-    for nodes, tables in _chunk_tables(tg, sums.region, spread=(True, want_dt, True)):
+    sums = _DuhamelSums(region, tg)
+    scratch, a, b, u = region.buffers(_chunk_length(tg))
+    u_out, dt_out = (np.empty(source.shape, dtype=complex) if want else None
+                     for want in (want_u, want_dt))
+    for nodes, tables in _chunk_tables(tg, region, spread=(True, want_dt, True)):
         # the output rows stand in for the workspace's u buffer and, as dt u
         # is formed over the sum A, for A's
         sums.advance(source[nodes], (scratch, a if dt_out is None else dt_out[nodes], b,
@@ -428,15 +421,13 @@ def _duhamel_series(source: np.ndarray, grid: Grid, tg: TimeGrid, box: bool = Fa
     return u_out, dt_out
 
 
-def _d_duhamel_hat(source: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str, box: bool,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """d of the Duhamel integral, from the one part of (u, dt u) it needs,
-    written into ``out`` (or a fresh array); the source and the result are
-    in the layout of ``_region(grid, box)``."""
-    pair = (out, None) if d_choice != "t" else (None, out)
-    u, dt_u = _duhamel_series(source, grid, tg, box, want_u=d_choice != "t",
-                              want_dt=d_choice == "t", out=pair)
-    return _derivative_hat(u, dt_u, grid, d_choice, out=u, box=box)
+def _d_duhamel_hat(source: np.ndarray, region: _Region, tg: TimeGrid, d_choice: str
+                   ) -> np.ndarray:
+    """d of the Duhamel integral, from the one part of (u, dt u) it needs;
+    the source and the result are in the layout of ``region``."""
+    u, dt_u = _duhamel_series(source, region, tg, want_u=d_choice != "t",
+                              want_dt=d_choice == "t")
+    return _derivative_hat(u, dt_u, region, d_choice, out=u)
 
 
 def _check_d_choice(d_choice: str) -> None:
@@ -463,7 +454,7 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
     src = source.values
     if source.representation != SPECTRAL:
         src = np.fft.fft2(src, norm="ortho", axes=(-2, -1))
-    out = _d_duhamel_hat(src, source.grid, tg, d_choice, box=False)
+    out = _d_duhamel_hat(src, _region(source.grid, False), tg, d_choice)
     return _frozen_series(source.grid, tg, out)
 
 
@@ -471,48 +462,44 @@ def duhamel(source: FieldSeries, tg: TimeGrid, d_choice: str = "x1") -> FieldSer
 # Dealiased products
 # ---------------------------------------------------------------------------
 
-def _box_ifft2(hat: np.ndarray, grid: Grid, out: np.ndarray | None = None,
-               compact: bool = False) -> np.ndarray:
-    """ifft2 of ``hat`` truncated to the box, over the trailing two axes,
-    written into ``out`` (or a fresh array); a ``compact`` hat holds only
-    the box, in the layout of ``_region(grid, True)``.
+def _box_ifft2(hat: np.ndarray, region: _Region, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """ifft2 of ``hat``, in the layout of ``region``, truncated to the box,
+    over the trailing two axes, written into ``out`` (or a fresh array) on
+    the lattice.
 
     numpy's ifft2 is one 1-D pass per axis, last axis first, and each line
     is transformed on its own, so skipping the last-axis pass on rows that
     are zero after truncation gives the same values as the full transform.
     """
-    box = _box(grid)
+    grid = region.grid
     if out is None:
         n = grid.n_points
         out = np.empty(hat.shape[:-2] + (n, n), dtype=complex)
+    region.place(hat, out)
     for lines in _gap_lines(grid):
         out[lines] = 0.0
-    if compact:
-        _region(grid, True).place(hat, out)
-    else:
-        for rows, cols in box:
-            out[..., rows, cols] = hat[..., rows, cols]
-    for rows, _ in box[::2]:  # each row band once
+    for (rows, _), _ in _region(grid, True).pairs[::2]:  # each row band once
         band = out[..., rows, :]
         np.fft.ifft(band, axis=-1, norm="ortho", out=band)
     return np.fft.ifft(out, axis=-2, norm="ortho", out=out)
 
 
-def _box_fft2(phys: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """fft2 of ``phys`` over the trailing two axes, truncated to the box: in
-    place, or gathered into ``out`` in the compact layout of
-    ``_region(grid, True)``.  The second pass runs only on the box columns
-    (see _box_ifft2)."""
-    box = _box(grid)
+def _box_fft2(phys: np.ndarray, region: _Region, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """fft2 of ``phys`` over the trailing two axes, truncated to the box, in
+    the layout of ``region``: in place on the lattice, or gathered into
+    ``out`` (or a fresh array) on the box.  The second pass runs only on the
+    box columns (see _box_ifft2)."""
+    box = _region(region.grid, True)
     np.fft.fft(phys, axis=-1, norm="ortho", out=phys)
-    for _, cols in box[:2]:  # each column band once
+    for (_, cols), _ in box.pairs[:2]:  # each column band once
         band = phys[..., :, cols]
         np.fft.fft(band, axis=-2, norm="ortho", out=band)
-    if out is not None:
-        return _region(grid, True).gather(phys, out=out)
-    for lines in _gap_lines(grid):
-        phys[lines] = 0.0
-    return phys
+    if region is not box:
+        for lines in _gap_lines(region.grid):
+            phys[lines] = 0.0
+    return region.gather(phys, out=out)
 
 
 def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -527,11 +514,12 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     so that P(a, b) equals P(b, a) bit for bit: numpy's complex multiply may
     round fa*fb and fb*fa differently (fused multiply-add).
     """
-    fa = _box_ifft2(a_hat, grid)
+    lattice = _region(grid, False)
+    fa = _box_ifft2(a_hat, lattice)
     if b_hat is a_hat:
-        return _box_fft2(fa * fa, grid)
-    fb = _box_ifft2(b_hat, grid)
-    return _box_fft2(0.5 * (fa * fb + fb * fa), grid)
+        return _box_fft2(fa * fa, lattice)
+    fb = _box_ifft2(b_hat, lattice)
+    return _box_fft2(0.5 * (fa * fb + fb * fa), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -555,27 +543,24 @@ def _free_hats(phi0_hat: np.ndarray, abs_xi: np.ndarray, tables: tuple[np.ndarra
 
 
 @lru_cache(maxsize=16)
-def _derivative_symbol(grid: Grid, d_choice: str, box: bool) -> np.ndarray:
-    """Read-only i xi_d on the modes of ``_region(grid, box)``.  The unpaired
-    Nyquist line, where the lattice symbol is 0, lies outside the box, so
-    the box's symbol is formed from its own modes of xi_d."""
-    if not box:
-        return symbol_array(spatial_derivative(1 if d_choice == "x1" else 2), grid)
-    sym = 1j * _region(grid, True).gather(grid.xi1 if d_choice == "x1" else grid.xi2)
+def _derivative_symbol(region: _Region, d_choice: str) -> np.ndarray:
+    """Read-only i xi_d of :mod:`.multipliers` on the modes of ``region``:
+    the lattice symbol gathered.  It is 0 on the unpaired Nyquist line,
+    which lies outside the box."""
+    axis = 1 if d_choice == "x1" else 2
+    sym = region.gather(symbol_array(spatial_derivative(axis), region.grid))
     sym.flags.writeable = False
     return sym
 
 
 def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
-                    grid: Grid, d_choice: str, out: np.ndarray | None = None,
-                    box: bool = False) -> np.ndarray:
-    """d u from the pair (u, dt u) on the lattice or, with ``box``, in the
-    box's compact layout: dt u itself, or i xi_d u written into ``out`` (or
-    a fresh array); the multiplier is 0 on the unpaired Nyquist line, as in
-    :mod:`.multipliers`."""
+                    region: _Region, d_choice: str, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """d u from the pair (u, dt u) in the layout of ``region``: dt u itself,
+    or i xi_d u written into ``out`` (or a fresh array)."""
     if d_choice == "t":
         return dudt_hat
-    return np.multiply(_derivative_symbol(grid, d_choice, box), u_hat, out=out)
+    return np.multiply(_derivative_symbol(region, d_choice), u_hat, out=out)
 
 
 def _free_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, want_u: bool = True,
@@ -612,7 +597,8 @@ def _free_derivative_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
                                      want_dt=d_choice == "t")
     if d_choice == "t":
         return window, dt_u
-    return window, np.multiply(_derivative_symbol(grid, d_choice, False)[window], u, out=u)
+    symbol = _derivative_symbol(_region(grid, False), d_choice)
+    return window, np.multiply(symbol[window], u, out=u)
 
 
 def free_derivative_hat(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
@@ -638,7 +624,7 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     grid = data.grid
     window, pair = _free_window(data.phi0_rand.values, grid, tg)
     u0, dudt0 = (_on_lattice(window, part, grid) for part in pair)
-    du0 = _derivative_hat(u0, dudt0, grid, d_choice)
+    du0 = _derivative_hat(u0, dudt0, _region(grid, False), d_choice)
     return (
         _frozen_series(grid, tg, u0),
         _frozen_series(grid, tg, dudt0),
@@ -703,21 +689,21 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     march; the kept series are copied out of it.
     """
     box = _region(grid, True)
-    sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_max)]
+    sums = [_DuhamelSums(box, tg) for _ in range(n_max)]
     per_node = np.zeros((n_max + 1, 3, tg.n_nodes))
     shape = (tg.n_nodes, grid.n_points, grid.n_points)
     kept = {n: (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
             for n in keep}
     chunk = (_chunk_length(tg),) + shape[1:]
-    compact = chunk[:1] + (box.size, box.size)
+    box_chunk = chunk[:1] + (box.size, box.size)
     # on the box: the free pair; on the lattice: the physical du
-    free_u, free_dt = (np.empty(compact, dtype=complex) for _ in range(2))
+    free_u, free_dt = (np.empty(box_chunk, dtype=complex) for _ in range(2))
     phys_buf = np.empty(chunk, dtype=complex)
     work = box.buffers(chunk[0])
     # the norms' real planes lie in the workspace: on the box in B's
     # buffer, free between Duhamel steps; on the lattice over all four
     # buffers, free once du's inverse transform has read it
-    box_planes, planes = _planes(work[2], compact), _planes(work, chunk)
+    box_planes, planes = _planes(work[2], box_chunk), _planes(work, chunk)
     phi0_box = box.gather(phi0_hat)
     if _inside_box(phi0_hat, grid):
         gaps, total_buf = repeat(((0.0, 0.0), 0.0, 0.0, None)), None
@@ -738,7 +724,7 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
                 # free part plus the Duhamel integral of (du^(n-1))^2, the
                 # self-square of product_dealias taken in place
                 phys *= phys
-                src = _box_fft2(phys, grid, out=work[0][:k])
+                src = _box_fft2(phys, box, out=work[0][:k])
                 u, dudt = sums[n - 1].advance(src, work, tables)
                 np.add(free[0], u, out=u)
                 np.add(free[1], dudt, out=dudt)
@@ -749,8 +735,8 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
                 out[nodes] = start
                 box.place(part, out[nodes])
             # du in the Duhamel scratch, free until the next level's source
-            du = _derivative_hat(u, dudt, grid, d_choice, out=work[0][:k], box=True)
-            _box_ifft2(du, grid, out=phys, compact=True)
+            du = _derivative_hat(u, dudt, box, d_choice, out=work[0][:k])
+            _box_ifft2(du, box, out=phys)
             full = phys if gap_phys is None else np.add(phys, gap_phys, out=total_buf[:k])
             rows[2] = lp_nodes(full, grid, 4.0, scratch=real)
             if not (np.all(rows[:2] <= BLOWUP_GUARD) and np.all(np.isfinite(rows[2]))):
@@ -780,16 +766,17 @@ def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
     its workspace, are free between chunks).
     """
     phi0 = phi0_hat.copy()
-    for rows, cols in _box(grid):
+    for (rows, cols), _ in _region(grid, True).pairs:
         phi0[rows, cols] = 0.0
+    lattice = _region(grid, False)
     chunk = planes.shape[1:]
     u_buf, dt_buf, phys_buf = (np.empty(chunk, dtype=complex) for _ in range(3))
-    for nodes, tables in _chunk_tables(tg, _region(grid, False), spread=(True, True, False)):
+    for nodes, tables in _chunk_tables(tg, lattice, spread=(True, True, False)):
         k = nodes.stop - nodes.start
-        pair = _free_hats(phi0, grid.abs_xi, tables[:2], out=(u_buf[:k], dt_buf[:k]),
+        pair = _free_hats(phi0, lattice.abs_xi, tables[:2], out=(u_buf[:k], dt_buf[:k]),
                           scratch=planes[0, :k])
-        du = _derivative_hat(*pair, grid, d_choice, out=phys_buf[:k])
-        yield (pair, _sobolev_sums(pair[0], _sobolev_weight(grid, 1.0), planes[:, :k]),
+        du = _derivative_hat(*pair, lattice, d_choice, out=phys_buf[:k])
+        yield (pair, _sobolev_sums(pair[0], lattice.h1_weight, planes[:, :k]),
                _sobolev_sums(pair[1], None, planes[:, :k]),
                np.fft.ifft2(du, norm="ortho", axes=(-2, -1), out=phys_buf[:k]))
 
@@ -825,7 +812,8 @@ def _record(n: int, norms: dict[str, float], series: tuple, data: RandomizedData
         n=n,
         u=_frozen_series(grid, tg, u_hat),
         du_dt=_frozen_series(grid, tg, dudt_hat),
-        du=_frozen_series(grid, tg, _derivative_hat(u_hat, dudt_hat, grid, d_choice)),
+        du=_frozen_series(grid, tg, _derivative_hat(u_hat, dudt_hat, _region(grid, False),
+                                                    d_choice)),
         norms=norms,
     )
 

@@ -78,7 +78,7 @@ from .picard import (
     _region,
     free_derivative_hat,
 )
-from .grid import Grid, _check_integer
+from .grid import _check_integer
 from .multipliers import unit_projection
 from .randomization import RademacherDraw, RandomizedData
 
@@ -326,10 +326,9 @@ def _keyed_term(tree: BinaryTree, blocks: tuple[tuple[int, int], ...], data: Ran
     (ka, ta), (kb, tb) = sorted((_keyed_term(tree.left, blocks[:split], data, tg, d_choice),
                                  _keyed_term(tree.right, blocks[split:], data, tg, d_choice)),
                                 key=lambda child: child[0])
-    grid = data.grid
-    box = _region(grid, True)
-    product = np.multiply(_box_ifft2(ta, grid), _box_ifft2(tb, grid))
-    term = _d_duhamel_hat(box.gather(_box_fft2(product, grid)), grid, tg, d_choice, box=True)
+    whole, box = _region(data.grid, False), _region(data.grid, True)
+    product = np.multiply(_box_ifft2(ta, whole), _box_ifft2(tb, whole))
+    term = _d_duhamel_hat(_box_fft2(product, box), box, tg, d_choice)
     hat = np.zeros_like(ta)
     box.place(term, hat)
     return _node_key(ka, kb), hat
@@ -445,11 +444,11 @@ def reconstruct_iterate(
     chunk = (_chunk_length(tg), grid.n_points, grid.n_points)
     lattice, product = np.empty(chunk, dtype=complex), np.empty(chunk, dtype=complex)
     factors = np.empty((n_factors,) + chunk, dtype=complex)
-    box = _region(grid, True)
+    whole, box = _region(grid, False), _region(grid, True)
     work = box.buffers(chunk[0])
     box_total = np.empty_like(work[0])
     # one Duhamel integral per node factor, and the last for the top sum
-    sums = [_DuhamelSums(grid, tg, box=True) for _ in range(n_factors - len(leaves) + 1)]
+    sums = [_DuhamelSums(box, tg) for _ in range(n_factors - len(leaves) + 1)]
     # dt u, and with it the sin table, only for d = d/dt
     for nodes, tables in _chunk_tables(tg, box, spread=(True, d_choice == "t", True)):
         k = nodes.stop - nodes.start
@@ -457,16 +456,16 @@ def reconstruct_iterate(
         for i, (_, (window, part)) in enumerate(leaves):
             leaf.fill(0.0)
             leaf[(slice(None),) + window] = part[nodes]
-            _box_ifft2(leaf, grid, out=factors[i, :k])
+            _box_ifft2(leaf, whole, out=factors[i, :k])
         # a node term is zero outside the box: the nodes are summed on the
         # box, from the leaves' sum there
         box.gather(total[nodes], out=node_total)
         for i, (_, coef, _, (a, b)) in enumerate(classes[len(leaves):n_factors], len(leaves)):
             term = _node_part(np.multiply(factors[a, :k], factors[b, :k], out=prod),
-                              sums[i - len(leaves)], grid, d_choice, work, tables)
+                              sums[i - len(leaves)], d_choice, work, tables)
             # later products read only its box inverse transform, taken
             # before the term is scaled
-            _box_ifft2(term, grid, out=factors[i, :k], compact=True)
+            _box_ifft2(term, box, out=factors[i, :k])
             _add_scaled(node_total, coef, term)
         # a term of height n is no factor at level n, and the transform,
         # Duhamel sum and derivative after its product are linear: only the
@@ -476,20 +475,21 @@ def reconstruct_iterate(
         top.fill(0.0)
         for _, coef, _, (a, b) in classes[n_factors:]:
             _add_scaled(top, coef, np.multiply(factors[a, :k], factors[b, :k], out=prod))
-        node_total += _node_part(top, sums[-1], grid, d_choice, work, tables)
+        node_total += _node_part(top, sums[-1], d_choice, work, tables)
         box.place(node_total, total[nodes])
     return _frozen_series(grid, tg, total)
 
 
-def _node_part(product: np.ndarray, sums: _DuhamelSums, grid: Grid, d_choice: str,
-               work: np.ndarray, tables: tuple[np.ndarray | None, ...]) -> np.ndarray:
+def _node_part(product: np.ndarray, sums: _DuhamelSums, d_choice: str, work: np.ndarray,
+               tables: tuple[np.ndarray | None, ...]) -> np.ndarray:
     """A chunk of a node term in the box's compact layout: d of the Duhamel
     integral of the dealiased physical ``product``, whose earlier chunks
-    ``sums`` has taken, formed in ``work`` (:meth:`.picard._Region.buffers`)
-    with the chunk's box ``tables``.  ``product`` is transformed in place."""
-    src = _box_fft2(product, grid, out=work[0][:len(product)])
+    ``sums`` has taken on the box, formed in ``work``
+    (:meth:`.picard._Region.buffers`) with the chunk's box ``tables``.
+    ``product`` is transformed in place."""
+    src = _box_fft2(product, sums.region, out=work[0][:len(product)])
     u, dt_u = sums.advance(src, work, tables, want_u=d_choice != "t", want_dt=d_choice == "t")
-    return _derivative_hat(u, dt_u, grid, d_choice, out=u, box=True)
+    return _derivative_hat(u, dt_u, sums.region, d_choice, out=u)
 
 
 def _add_scaled(acc: np.ndarray, coef: int, term: np.ndarray) -> None:

@@ -86,6 +86,24 @@ def test_config_validation():
             ExperimentConfig(**{name: -1})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("samples", 2.0), ("samples", True), ("base_seed", 1.5), ("n_max", 1.0), ("data_seed", 2.5),
+    ("n_points", "64"), ("n_steps", np.float64(8.0)), ("t_final", "0.2"), ("box_length", True),
+    ("sigma", 1 + 2j), ("require_small_regime", "no"), ("require_small_regime", 0)])
+def test_config_refuses_values_it_cannot_run_or_hash(name, value):
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig(**{name: value})
+
+
+def test_config_stores_numpy_numbers_as_python_ones():
+    """numpy integers and reals are stored as int and float, so a config
+    hashes as one built from the same Python numbers."""
+    got = ExperimentConfig(samples=np.int64(4), n_points=np.int64(64), t_final=np.float32(0.2))
+    assert [type(got.samples), type(got.n_points), type(got.t_final)] == [int, int, float]
+    expect = ExperimentConfig(samples=4, n_points=64, t_final=float(np.float32(0.2)))
+    assert got.config_hash == expect.config_hash
+
+
 def test_bad_grid_and_band_surface_as_config_errors():
     with pytest.raises(ConfigError):
         run_experiment(replace(SMALL, n_points=12))

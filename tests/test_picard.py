@@ -27,7 +27,7 @@ from picardlab import (
 )
 from picardlab.grid import _sobolev_sums, _sobolev_weight, as_spectral, lp_nodes
 from picardlab.multipliers import halfwave_tables, spatial_derivative, symbol_array, unit_projection
-from picardlab.picard import (_box, _duhamel_series, free_derivative_hat, product_dealias,
+from picardlab.picard import (_duhamel_series, _region, free_derivative_hat, product_dealias,
                               series_to_physical)
 from picardlab.randomization import (
     RademacherDraw,
@@ -281,7 +281,7 @@ def test_duhamel_matches_direct_trapezoid_sum(t_xi_max, n_steps):
     tg = TimeGrid(t_final=t_xi_max / grid.xi_max, n_steps=n_steps)
     src = _random_source(grid, tg, seed=n_steps)
     kernels = _direct_kernels(grid)
-    u, dt_u = _duhamel_series(src, grid, tg)
+    u, dt_u = _duhamel_series(src, _region(grid, False), tg)
     assert _rel(u, _direct_trapezoid(kernels["u"], src, tg)) <= 1e-12
     assert _rel(dt_u, _direct_trapezoid(kernels["dt"], src, tg)) <= 1e-12
     series = FieldSeries(grid, tg, src, "spectral")
@@ -371,13 +371,36 @@ def test_product_equals_full_lattice_reference(n, lead, square):
     assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("n", [8, 16, 64, 128, 256])
+def test_the_box_region_is_the_two_thirds_box_with_its_derivative_symbol(n):
+    """A third reference for the box the march and the tree oracle share:
+    the box region's lattice slices cover each mode of the 2/3 mask once,
+    its compact side is 2 floor(N/3) + 1, and its i xi_d is, byte for byte,
+    i times xi_d on the masked modes in lattice order (the Nyquist line,
+    where the lattice symbol is 0, lies outside)."""
+    grid = make_grid(n, 4.0 * math.pi)
+    box, mask = _region(grid, True), box_mask(n)
+    covered = np.zeros((n, n), dtype=int)
+    for (rows, cols), _ in box.pairs:
+        covered[rows, cols] += 1
+    assert np.array_equal(covered, mask)
+    assert box.size == 2 * (n // 3) + 1
+    assert not mask[n // 2].any()
+    for d_choice, xi in (("x1", grid.xi1), ("x2", grid.xi2)):
+        symbol = picard._derivative_symbol(box, d_choice)
+        expect = 1j * xi[mask].reshape(box.size, box.size)
+        assert symbol.dtype == expect.dtype and symbol.tobytes() == expect.tobytes()
+        assert not symbol.flags.writeable
+        assert picard._derivative_symbol(box, d_choice) is symbol
+
+
 def _march_duhamel(src, grid, tg, start):
     """start + the box Duhamel series, chunk by chunk as the march adds it:
     one workspace for every chunk, each chunk's rows of the whole-series
     lattice tables (the public halfwave_profiles spread by the lattice
     index) gathered on the box, the sum formed in the box's compact layout,
     and outside the box the start itself."""
-    step = picard._DuhamelSums(grid, tg, box=True)
+    step = picard._DuhamelSums(_region(grid, True), tg)
     region = step.region
     work = region.buffers(DEFAULT_CHUNK)
     lattice = halfwave_tables(grid, tg.times)
@@ -404,13 +427,13 @@ def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     tg = TimeGrid(t_final=0.9, n_steps=12)
     mask = box_mask(n)
     src = _random_source(grid, tg, seed=n) * mask
+    box = _region(grid, True)
     from_box = np.zeros((n, n), dtype=bool)
-    for rows, cols in _box(grid):
+    for (rows, cols), _ in box.pairs:
         from_box[rows, cols] = True
     assert np.array_equal(from_box, mask)
-    whole_u, whole_dt = _duhamel_series(src, grid, tg)
-    box = picard._region(grid, True)
-    u, dt_u = (_placed(part, box) for part in _duhamel_series(box.gather(src), grid, tg, box=True))
+    whole_u, whole_dt = _duhamel_series(src, _region(grid, False), tg)
+    u, dt_u = (_placed(part, box) for part in _duhamel_series(box.gather(src), box, tg))
     assert np.array_equal(u, whole_u) and np.array_equal(dt_u, whole_dt)
 
     free_u, free_dt = _random_source(grid, tg, seed=n + 1), _random_source(grid, tg, seed=n + 2)
@@ -420,8 +443,8 @@ def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     assert np.array_equal(u[:, ~mask], free_u[:, ~mask])
     assert np.array_equal(dt_u[:, ~mask], free_dt[:, ~mask])
 
-    only_u, none_dt = _duhamel_series(box.gather(src), grid, tg, box=True, want_dt=False)
-    none_u, only_dt = _duhamel_series(box.gather(src), grid, tg, box=True, want_u=False)
+    only_u, none_dt = _duhamel_series(box.gather(src), box, tg, want_dt=False)
+    none_u, only_dt = _duhamel_series(box.gather(src), box, tg, want_u=False)
     assert none_u is None and none_dt is None
     assert np.array_equal(_placed(only_u, box), whole_u)
     assert np.array_equal(_placed(only_dt, box), whole_dt)
@@ -580,7 +603,7 @@ def test_march_equals_the_level_by_level_recursion(grid64, family, d_choice):
         else:
             src = product_dealias(prev.du.values, prev.du.values, grid64)
             part_u, part_dt = (_placed(part, box)
-                               for part in _duhamel_series(box.gather(src), grid64, tg, box=True))
+                               for part in _duhamel_series(box.gather(src), box, tg))
             u, dt_u = free_u.values + part_u, free_dt.values + part_dt
         assert np.array_equal(rec.u.values, u) and np.array_equal(rec.du_dt.values, dt_u)
         du_phys = sum(np.fft.ifft2(rec.du.values * part, norm="ortho", axes=(-2, -1))

@@ -455,13 +455,13 @@ def test_reconstruction_drops_terms_that_are_never_factors(small_oracle, monkeyp
     def address(array):
         return array.__array_interface__["data"][0]
 
-    def counted(hat, grid, out=None, compact=False):
+    def counted(hat, region, out=None):
         if not block:
             block.append(weakref.ref(out.base))
         base = out.base
         assert base is block[0]()
         rows.append((base.shape, len(out), (address(out) - address(base)) // base.strides[0]))
-        return original(hat, grid, out=out, compact=compact)
+        return original(hat, region, out=out)
 
     monkeypatch.setattr(trees, "_box_ifft2", counted)
     for n, held in ((0, 0), (1, 4), (2, 14)):

@@ -148,6 +148,15 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
+def _exists(path: Path) -> bool:
+    """``path.exists()``; a path the system cannot even look up (a name too
+    long, say) is a ConfigError naming it."""
+    try:
+        return path.exists()
+    except OSError as exc:
+        raise ConfigError(f"cannot look up {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def _out_dir(args) -> Path | None:
     """The ``--out`` directory of a run, checked before the run starts: if it,
     or the nearest of its parents that exists, is not a directory, writing
@@ -155,7 +164,7 @@ def _out_dir(args) -> Path | None:
     if not args.out:
         return None
     out = Path(args.out)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    existing = next(p for p in (out, *out.parents) if _exists(p))
     if not existing.is_dir():
         raise ConfigError(f"--out {args.out!r}: {str(existing)!r} is not a directory")
     return out
@@ -243,7 +252,7 @@ def _run_report(args) -> int:
     if not args.out:
         raise ConfigError("report needs --out pointing at a finished run")
     path = Path(args.out) / "summary.json"
-    if not path.exists():
+    if not _exists(path):
         raise ConfigError(f"no summary.json under {args.out}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))

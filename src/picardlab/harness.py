@@ -548,7 +548,7 @@ def tail_study(config: ExperimentConfig, n: int) -> TailStudyResult:
     stats = report.level_stats[n]
     if not stats["finite_fraction"]:
         raise ConfigError("tail study has no finite samples")
-    x = np.array([r.l2t_l4_du for r in report.rows if r.n == n])
+    x = _norms_by_level(report.rows, n)[n]
     k = 2**n
     scale = k * report.phi0_h1 * math.sqrt(config.t_final)
     mb = MomentBound(c=report.c_cal * math.factorial(k) / k, alpha=1.0,

@@ -52,6 +52,8 @@ MAX_EXACT_K = 24
 MAX_EXACT_P = 12
 MC_SAMPLES = 10**6
 _MC_SEED_TAG = 0x4B48
+# the largest measured decoupling constant the check accepts
+DECOUPLING_C_MAX = 1.2
 
 
 @dataclass(frozen=True)
@@ -170,11 +172,10 @@ class DecoupledMomentResult:
     c_measured: float
     term_identity_ok: bool
     trials: int
-    threshold: float = 1.2
 
     @property
     def ok(self) -> bool:
-        return self.term_identity_ok and self.c_measured <= self.threshold
+        return self.term_identity_ok and self.c_measured <= DECOUPLING_C_MAX
 
 
 def _term_coefficient_identity(j: int, ks: tuple[int, ...]) -> bool:

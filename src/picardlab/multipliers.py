@@ -31,7 +31,7 @@ supported in the open square (-1, 1)^2 and equals 1 on the block interior
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -168,9 +168,9 @@ def halfwave_tables(grid: Grid, times) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return tuple(np.take(profile, index, axis=1) for profile in profiles)
 
 
-@lru_cache(maxsize=256)
 def symbol_array(kind: MultiplierKind, grid: Grid) -> np.ndarray:
-    """Evaluate the symbol on the grid's frequency lattice (read-only array)."""
+    """Evaluate the symbol on the grid's frequency lattice (a fresh read-only
+    array, formed per call: the engine keeps its own cached i xi_d)."""
     if kind.tag == "gradient_magnitude":
         sym = grid.abs_xi.copy()
     elif kind.tag == "spatial_derivative":

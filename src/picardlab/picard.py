@@ -36,6 +36,9 @@ the tree terms form the cumulative sums on the box only, in its compact
 array: the product's forward transform is gathered straight into it, and
 the Duhamel part and its derivative stay in it.  The public
 :func:`duhamel` takes arbitrary sources and keeps the whole lattice.
+The choice of d has one owner, :func:`_d_duhamel_part`, the Duhamel step
+of :func:`duhamel` and the tree terms: it forms only the part of (u, dt u)
+that d reads.  The march forms both parts, which its norms read.
 
 The iterates are computed by one time march.  Duhamel is causal and the
 product is pointwise in time, so du^(n) at the nodes up to t_m needs only
@@ -399,35 +402,30 @@ def _chunk_tables(tg: TimeGrid, region: _Region, spread: tuple[bool, ...] = (Tru
                            for row, table in zip(rows, tables))
 
 
-def _duhamel_series(source: np.ndarray, region: _Region, tg: TimeGrid, *,
-                    want_u: bool = True, want_dt: bool = True
-                    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(u, dt u) of u(t) = int_0^t sin((t-t')|grad|)/|grad| S(t') dt' at every
-    node, from the source S, both in the layout of ``region``.  A part not
-    asked for is returned as None.  As in the march, the sums take the
-    chunks of :func:`_chunk_tables` and work in chunk-sized buffers; the
-    parts are written straight into the returned series.
-    """
-    sums = _DuhamelSums(region, tg)
-    scratch, a, b, u = region.buffers(_chunk_length(tg))
-    u_out, dt_out = (np.empty(source.shape, dtype=complex) if want else None
-                     for want in (want_u, want_dt))
-    for nodes, tables in _chunk_tables(tg, region, spread=(True, want_dt, True)):
-        # the output rows stand in for the workspace's u buffer and, as dt u
-        # is formed over the sum A, for A's
-        sums.advance(source[nodes], (scratch, a if dt_out is None else dt_out[nodes], b,
-                                     u if u_out is None else u_out[nodes]),
-                     tables, want_u, want_dt)
-    return u_out, dt_out
+def _d_duhamel_part(src: np.ndarray, sums: _DuhamelSums, work: Sequence[np.ndarray],
+                    tables: tuple[np.ndarray | None, ...], d_choice: str) -> np.ndarray:
+    """d of the Duhamel integral at the next ``len(src)`` nodes, in the
+    region of ``sums``: the one place d picks its part of (u, dt u), dt u
+    or u times i xi_d, formed in the buffers ``work`` with the chunk's
+    ``tables`` (see :meth:`_DuhamelSums.advance`), where the result lies."""
+    u, dt_u = sums.advance(src, work, tables, want_u=d_choice != "t", want_dt=d_choice == "t")
+    return _derivative_hat(u, dt_u, sums.region, d_choice, out=u)
 
 
 def _d_duhamel_hat(source: np.ndarray, region: _Region, tg: TimeGrid, d_choice: str
                    ) -> np.ndarray:
-    """d of the Duhamel integral, from the one part of (u, dt u) it needs;
-    the source and the result are in the layout of ``region``."""
-    u, dt_u = _duhamel_series(source, region, tg, want_u=d_choice != "t",
-                              want_dt=d_choice == "t")
-    return _derivative_hat(u, dt_u, region, d_choice, out=u)
+    """d of the Duhamel integral at every node, the source and the result
+    in the layout of ``region``, a chunk of :func:`_chunk_tables` at a time
+    in chunk-sized buffers; the result's rows stand in for the buffer d's
+    part is formed in (dt u over the sum A, or u's)."""
+    sums = _DuhamelSums(region, tg)
+    work = list(region.buffers(_chunk_length(tg)))
+    slot = 1 if d_choice == "t" else 3
+    out = np.empty(source.shape, dtype=complex)
+    for nodes, tables in _chunk_tables(tg, region, spread=(True, d_choice == "t", True)):
+        work[slot] = out[nodes]
+        _d_duhamel_part(source[nodes], sums, work, tables, d_choice)
+    return out
 
 
 def _check_d_choice(d_choice: str) -> None:
@@ -528,16 +526,14 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
 
 def _free_hats(phi0_hat: np.ndarray, abs_xi: np.ndarray, tables: tuple[np.ndarray, ...],
                out: tuple = (None, None),
-               scratch: np.ndarray | None = None) -> tuple[np.ndarray | None, np.ndarray | None]:
+               scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(u, dt u) of the free wave from (phi0, 0) at the nodes of the
     (cos, sin) ``tables``, with phi0, |xi| and the tables on the same modes
     (the lattice, a region's compact layout or a window), written into the
     pair ``out`` (or fresh arrays) with a real ``scratch`` of the same
-    shape; a part whose table is None is not formed and is None."""
+    shape."""
     cos_t, sin_t = tables
-    u = None if cos_t is None else np.multiply(cos_t, phi0_hat, out=out[0])
-    if sin_t is None:
-        return u, None
+    u = np.multiply(cos_t, phi0_hat, out=out[0])
     speed = np.multiply(abs_xi, sin_t, out=scratch)
     return u, np.multiply(np.negative(speed, out=speed), phi0_hat, out=out[1])
 
@@ -545,8 +541,8 @@ def _free_hats(phi0_hat: np.ndarray, abs_xi: np.ndarray, tables: tuple[np.ndarra
 @lru_cache(maxsize=16)
 def _derivative_symbol(region: _Region, d_choice: str) -> np.ndarray:
     """Read-only i xi_d of :mod:`.multipliers` on the modes of ``region``:
-    the lattice symbol gathered.  It is 0 on the unpaired Nyquist line,
-    which lies outside the box."""
+    the lattice symbol gathered, and the engine's one cached copy of it.
+    It is 0 on the unpaired Nyquist line, which lies outside the box."""
     axis = 1 if d_choice == "x1" else 2
     sym = region.gather(symbol_array(spatial_derivative(axis), region.grid))
     sym.flags.writeable = False
@@ -563,21 +559,18 @@ def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
     return np.multiply(_derivative_symbol(region, d_choice), u_hat, out=out)
 
 
-def _free_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, want_u: bool = True,
-                 want_dt: bool = True) -> tuple[tuple, tuple]:
+def _free_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid) -> tuple[tuple, tuple]:
     """The window of rows and columns where phi0 has a nonzero mode (one
     unit block's, for a tree leaf), and (u, dt u) of the free wave from
-    (phi0, 0) on it at every node of ``tg``; a part not asked for is None.
-    Each mode evolves on its own, so the (cos, sin) rows are formed, for
-    this call only, on the distinct |xi| of the window and the rows a part
-    needs are spread over it; outside it both parts are zero."""
+    (phi0, 0) on it at every node of ``tg``.  Each mode evolves on its own,
+    so the (cos, sin) rows are formed, for this call only, on the distinct
+    |xi| of the window and spread over it; outside it both parts are zero."""
     window = np.ix_(np.flatnonzero(phi0_hat.any(axis=1)), np.flatnonzero(phi0_hat.any(axis=0)))
     abs_xi = grid.abs_xi[window]
     levels, index = abs_xi_levels(abs_xi)
     shape = (tg.n_nodes, len(levels))
     rows = halfwave_rows(tg.times, levels, out=(np.empty(shape), np.empty(shape)))
-    cos_t, sin_t = (np.take(row, index, axis=1) if want else None
-                    for row, want in zip(rows, (want_u, want_dt)))
+    cos_t, sin_t = (np.take(row, index, axis=1) for row in rows)
     return window, _free_hats(phi0_hat[window], abs_xi, (cos_t, sin_t), scratch=sin_t)
 
 
@@ -591,10 +584,9 @@ def _on_lattice(window: tuple, part: np.ndarray, grid: Grid) -> np.ndarray:
 def _free_derivative_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid,
                             d_choice: str) -> tuple[tuple, np.ndarray]:
     """The window of :func:`_free_window` and, at every node of ``tg``, d of
-    the free wave from (phi0, 0) on it, from the one part of the free pair
-    d needs (dt u, or u times i xi_d): a tree leaf's part."""
-    window, (u, dt_u) = _free_window(phi0_hat, grid, tg, want_u=d_choice != "t",
-                                     want_dt=d_choice == "t")
+    the free wave from (phi0, 0) on it, from the part of the free pair d
+    reads (dt u, or u times i xi_d): a tree leaf's part."""
+    window, (u, dt_u) = _free_window(phi0_hat, grid, tg)
     if d_choice == "t":
         return window, dt_u
     symbol = _derivative_symbol(_region(grid, False), d_choice)

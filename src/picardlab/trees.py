@@ -37,8 +37,10 @@ products are summed in physical space and that one sum takes one transform
 and one Duhamel sum (at n = 2 with 4 blocks: 109 classes, 14 factors, 105
 products, 11 Duhamel sums).  A leaf evolves only its block's window.  With
 b blocks there are C_h = b + C_{h-1} (C_{h-1} + 1) / 2 classes of height
-<= h (C_0 = b), C_{n-1} of them factors.  MAX_CLASSES admits n = 3 with 4
-blocks (5,999 classes) and refuses n = 4 with 4 blocks and n = 3 with 5.
+<= h (C_0 = b), C_{n-1} of them factors.  MAX_CLASSES, the one cap,
+bounds the work and the factors together: it admits n = 1 with up to 108
+blocks, n = 2 with up to 13 and n = 3 with 4 (5,999 classes, 109
+factors), and refuses n = 4 with 4 blocks and n = 3 with 5.
 
 The sum marches in time on the chunks and box tables of the iterate march
 (:func:`.picard._chunk_tables`): every class advances together, a chunk of
@@ -47,7 +49,8 @@ pointwise in time, so a node term on a chunk needs its factors on that
 chunk only, and each node class carries its own running Duhamel sums from
 chunk to chunk.  A node term is zero outside the 2/3 box, so it is formed
 and summed in the box's compact layout; outside the box the sum is the
-leaves'.  Every term is formed in one chunk-sized workspace per call.
+leaves'.  Every term is formed in one chunk-sized workspace per call, by
+the Duhamel step of :func:`.picard.duhamel` (:func:`.picard._d_duhamel_part`).
 Beside the result, only the leaves' parts on their blocks' windows
 (:func:`.picard._free_derivative_window`) are whole series, so the memory
 the sum holds does not grow with the number of nodes.
@@ -71,7 +74,7 @@ from .picard import (
     _chunk_length,
     _chunk_tables,
     _d_duhamel_hat,
-    _derivative_hat,
+    _d_duhamel_part,
     _DuhamelSums,
     _free_derivative_window,
     _frozen_series,
@@ -98,7 +101,6 @@ __all__ = [
 ]
 
 MAX_LEAVES = 14
-MAX_BLOCKS = 6
 MAX_CLASSES = 6_000
 ORACLE_NODES = 32
 
@@ -416,14 +418,12 @@ def reconstruct_iterate(
     leaves' window parts, the call holds chunk-sized buffers -- a row per
     factor (class of height < n) -- and the running sums of one Duhamel
     integral per node factor and one for the top sum.
-    Resource-capped: at most MAX_BLOCKS active blocks, the few blocks an
-    oracle datum has, and MAX_CLASSES swap classes, which bound the work
-    and the rows of the factor block.
+    Resource-capped: at most MAX_CLASSES swap classes, which bound the
+    work and the rows of the factor block, and are counted before any
+    leaf is evolved.
     """
     _check_level(n, "n")
     _check_d_choice(d_choice)
-    if len(data.draw.blocks) > MAX_BLOCKS:
-        raise ValueError(f"{len(data.draw.blocks)} active blocks exceed the cap {MAX_BLOCKS}")
     classes = _swap_classes(n, data.draw)
     grid = data.grid
     leaves = [(coef, _free_derivative_window(unit_projection(data.phi0, key[1][0]).values,
@@ -461,8 +461,9 @@ def reconstruct_iterate(
         # box, from the leaves' sum there
         box.gather(total[nodes], out=node_total)
         for i, (_, coef, _, (a, b)) in enumerate(classes[len(leaves):n_factors], len(leaves)):
-            term = _node_part(np.multiply(factors[a, :k], factors[b, :k], out=prod),
-                              sums[i - len(leaves)], d_choice, work, tables)
+            np.multiply(factors[a, :k], factors[b, :k], out=prod)
+            term = _d_duhamel_part(_box_fft2(prod, box, out=work[0][:k]),
+                                   sums[i - len(leaves)], work, tables, d_choice)
             # later products read only its box inverse transform, taken
             # before the term is scaled
             _box_ifft2(term, box, out=factors[i, :k])
@@ -475,21 +476,10 @@ def reconstruct_iterate(
         top.fill(0.0)
         for _, coef, _, (a, b) in classes[n_factors:]:
             _add_scaled(top, coef, np.multiply(factors[a, :k], factors[b, :k], out=prod))
-        node_total += _node_part(top, sums[-1], d_choice, work, tables)
+        node_total += _d_duhamel_part(_box_fft2(top, box, out=work[0][:k]), sums[-1], work,
+                                      tables, d_choice)
         box.place(node_total, total[nodes])
     return _frozen_series(grid, tg, total)
-
-
-def _node_part(product: np.ndarray, sums: _DuhamelSums, d_choice: str, work: np.ndarray,
-               tables: tuple[np.ndarray | None, ...]) -> np.ndarray:
-    """A chunk of a node term in the box's compact layout: d of the Duhamel
-    integral of the dealiased physical ``product``, whose earlier chunks
-    ``sums`` has taken on the box, formed in ``work``
-    (:meth:`.picard._Region.buffers`) with the chunk's box ``tables``.
-    ``product`` is transformed in place."""
-    src = _box_fft2(product, sums.region, out=work[0][:len(product)])
-    u, dt_u = sums.advance(src, work, tables, want_u=d_choice != "t", want_dt=d_choice == "t")
-    return _derivative_hat(u, dt_u, sums.region, d_choice, out=u)
 
 
 def _add_scaled(acc: np.ndarray, coef: int, term: np.ndarray) -> None:

@@ -227,7 +227,9 @@ def test_a_cold_reference_sample_keeps_no_whole_series_table():
     6.8 MB, per-|xi| profiles over the whole series 10.0 MB, and tables over
     the whole lattice 45.9 MB), and what the call keeps stays below one
     whole-series profile of the box's 812 levels, 3 x 65 x 812 doubles
-    (where the cached per-|xi| profiles kept 3.6 MB)."""
+    (where the cached per-|xi| profiles kept 3.6 MB), and below 0.45 MB:
+    the box's i xi_1 is the one symbol table it keeps (0.31 MB in all,
+    where a cached lattice i xi_1 beside it kept 0.57 MB)."""
     out = run_python(
         "import json, math, tracemalloc\n"
         "from picardlab.harness import ExperimentConfig, _prepare, _run_one\n"
@@ -241,7 +243,7 @@ def test_a_cold_reference_sample_keeps_no_whole_series_table():
     levels, finite, peak, held = json.loads(out)
     assert levels == [0, 1, 2, 3] and finite
     assert peak < 5_800_000
-    assert held < 3 * 65 * 812 * 8
+    assert held < 3 * 65 * 812 * 8 and held < 450_000
 
 
 def test_a_warm_reference_march_works_in_box_sized_buffers():
@@ -443,6 +445,17 @@ def test_cli_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("[ERROR] ") and repr(str(out)) in err
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "scaling", "tails", "report"])
+def test_cli_out_too_long_to_look_up_exits_2(tmp_path, capsys, command):
+    """An ``--out`` with a name over the 255-byte limit of a path component
+    makes the existence probe itself fail: exit 2 with a message naming the
+    path, never a traceback, and no run."""
+    out = tmp_path / ("x" * 300)
+    assert main([command, "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[ERROR] ") and str(out) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 4.37 TiB for an array", ""])

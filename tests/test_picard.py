@@ -27,7 +27,7 @@ from picardlab import (
 )
 from picardlab.grid import _sobolev_sums, _sobolev_weight, as_spectral, lp_nodes
 from picardlab.multipliers import halfwave_tables, spatial_derivative, symbol_array, unit_projection
-from picardlab.picard import (_duhamel_series, _region, free_derivative_hat, product_dealias,
+from picardlab.picard import (_d_duhamel_hat, _region, free_derivative_hat, product_dealias,
                               series_to_physical)
 from picardlab.randomization import (
     RademacherDraw,
@@ -281,7 +281,7 @@ def test_duhamel_matches_direct_trapezoid_sum(t_xi_max, n_steps):
     tg = TimeGrid(t_final=t_xi_max / grid.xi_max, n_steps=n_steps)
     src = _random_source(grid, tg, seed=n_steps)
     kernels = _direct_kernels(grid)
-    u, dt_u = _duhamel_series(src, _region(grid, False), tg)
+    u, dt_u = _march_duhamel(src, _region(grid, False), tg)
     assert _rel(u, _direct_trapezoid(kernels["u"], src, tg)) <= 1e-12
     assert _rel(dt_u, _direct_trapezoid(kernels["dt"], src, tg)) <= 1e-12
     series = FieldSeries(grid, tg, src, "spectral")
@@ -394,16 +394,18 @@ def test_the_box_region_is_the_two_thirds_box_with_its_derivative_symbol(n):
         assert picard._derivative_symbol(box, d_choice) is symbol
 
 
-def _march_duhamel(src, grid, tg, start):
-    """start + the box Duhamel series, chunk by chunk as the march adds it:
-    one workspace for every chunk, each chunk's rows of the whole-series
-    lattice tables (the public halfwave_profiles spread by the lattice
-    index) gathered on the box, the sum formed in the box's compact layout,
-    and outside the box the start itself."""
-    step = picard._DuhamelSums(_region(grid, True), tg)
-    region = step.region
+def _march_duhamel(src, region, tg, start=None):
+    """start (zero if None) + the (u, dt u) Duhamel series on ``region``, on
+    the lattice, chunk by chunk as the march adds it: one workspace for
+    every chunk, each chunk's rows of the whole-series lattice tables (the
+    public halfwave_profiles spread by the lattice index) gathered on the
+    region, the sum formed in the region's compact layout, and outside the
+    region the start itself."""
+    step = picard._DuhamelSums(region, tg)
     work = region.buffers(DEFAULT_CHUNK)
-    lattice = halfwave_tables(grid, tg.times)
+    lattice = halfwave_tables(region.grid, tg.times)
+    if start is None:
+        start = (np.zeros(src.shape, dtype=complex),) * 2
     out = tuple(part.copy() for part in start)
     for first in range(0, tg.n_nodes, DEFAULT_CHUNK):
         nodes = slice(first, first + DEFAULT_CHUNK)
@@ -432,22 +434,21 @@ def test_box_duhamel_equals_whole_lattice_on_box_sources(n):
     for (rows, cols), _ in box.pairs:
         from_box[rows, cols] = True
     assert np.array_equal(from_box, mask)
-    whole_u, whole_dt = _duhamel_series(src, _region(grid, False), tg)
-    u, dt_u = (_placed(part, box) for part in _duhamel_series(box.gather(src), box, tg))
+    whole_u, whole_dt = _march_duhamel(src, _region(grid, False), tg)
+    u, dt_u = _march_duhamel(src, box, tg)
     assert np.array_equal(u, whole_u) and np.array_equal(dt_u, whole_dt)
 
     free_u, free_dt = _random_source(grid, tg, seed=n + 1), _random_source(grid, tg, seed=n + 2)
-    u, dt_u = _march_duhamel(src, grid, tg, start=(free_u, free_dt))
+    u, dt_u = _march_duhamel(src, box, tg, start=(free_u, free_dt))
     assert np.array_equal(u, free_u + whole_u)
     assert np.array_equal(dt_u, free_dt + whole_dt)
     assert np.array_equal(u[:, ~mask], free_u[:, ~mask])
     assert np.array_equal(dt_u[:, ~mask], free_dt[:, ~mask])
 
-    only_u, none_dt = _duhamel_series(box.gather(src), box, tg, want_dt=False)
-    none_u, only_dt = _duhamel_series(box.gather(src), box, tg, want_u=False)
-    assert none_u is None and none_dt is None
-    assert np.array_equal(_placed(only_u, box), whole_u)
-    assert np.array_equal(_placed(only_dt, box), whole_dt)
+    for d_choice in ("x1", "x2", "t"):
+        whole = _d_duhamel_hat(src, _region(grid, False), tg, d_choice)
+        assert np.array_equal(_placed(_d_duhamel_hat(box.gather(src), box, tg, d_choice), box),
+                              whole), d_choice
 
 
 def test_chain_matches_stepwise_bit_for_bit(grid64):
@@ -602,8 +603,7 @@ def test_march_equals_the_level_by_level_recursion(grid64, family, d_choice):
             u, dt_u = free_u.values, free_dt.values
         else:
             src = product_dealias(prev.du.values, prev.du.values, grid64)
-            part_u, part_dt = (_placed(part, box)
-                               for part in _duhamel_series(box.gather(src), box, tg))
+            part_u, part_dt = _march_duhamel(src, box, tg)
             u, dt_u = free_u.values + part_u, free_dt.values + part_dt
         assert np.array_equal(rec.u.values, u) and np.array_equal(rec.du_dt.values, dt_u)
         du_phys = sum(np.fft.ifft2(rec.du.values * part, norm="ortho", axes=(-2, -1))

@@ -34,6 +34,7 @@ from picardlab import (
     sobolev_norm,
 )
 from picardlab import picard, trees
+from picardlab.harness import ExperimentConfig, _prepare, _sample_data
 from picardlab.multipliers import unit_projection
 from picardlab.picard import FieldSeries, free_derivative_hat, product_dealias
 from picardlab.randomization import active_blocks, draw_rademacher, randomize
@@ -51,6 +52,17 @@ def small_oracle():
     assert len(blocks) == 4
     data = randomize(phi0, None, draw_rademacher(99, blocks, sample_index=1))
     return data, TimeGrid(t_final=0.5, n_steps=5)
+
+
+@pytest.fixture(scope="module")
+def monte_carlo_sample():
+    """Sample 0 of the criteria 10/11 config (64^2, L = 16 pi, T = 0.2, 32
+    steps, band 2): the Monte Carlo's own datum, 25 active blocks."""
+    run = _prepare(ExperimentConfig(n_points=64, box_length=16.0 * math.pi, t_final=0.2,
+                                    n_steps=32, n_max=1, samples=1, band=2.0))
+    data = _sample_data(run, 0)
+    assert len(data.draw.blocks) == 25
+    return data, run.tg
 
 
 def _key(tree, blocks):
@@ -786,7 +798,18 @@ def test_reconstruction_matches_direct_iterate_n1(oracle_data, oracle_timegrid):
     assert rel <= 1e-6
 
 
-def test_reconstruction_budget_errors(oracle_data, oracle_timegrid, monkeypatch):
+@pytest.mark.parametrize("n", [0, 1])
+def test_reconstruction_matches_direct_on_the_monte_carlo_datum(monte_carlo_sample, n):
+    """The oracle on the datum the Monte Carlo runs, not only on the few
+    blocks of the criterion-4 datum: 25 blocks, 350 swap classes at n = 1."""
+    data, tg = monte_carlo_sample
+    rec = reconstruct_iterate(n, data, tg)
+    direct = picard_iterate(n, data, tg)
+    assert _rel_linf_l2(rec.values, direct.du.values, data.grid) <= 1e-12
+
+
+def test_reconstruction_budget_errors(oracle_data, oracle_timegrid, monte_carlo_sample,
+                                      monkeypatch):
     with pytest.raises(ValueError, match=r"at least 17997004 .* cap 6000"):
         reconstruct_iterate(4, oracle_data, oracle_timegrid)
     five = draw_rademacher(99, ((-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)))
@@ -794,9 +817,14 @@ def test_reconstruction_budget_errors(oracle_data, oracle_timegrid, monkeypatch)
         trees._swap_classes(3, five)
     with pytest.raises(ValueError):
         reconstruct_iterate(-1, oracle_data, oracle_timegrid)
-    monkeypatch.setattr(trees, "MAX_BLOCKS", 2)
-    with pytest.raises(ValueError, match="active blocks exceed the cap 2"):
-        reconstruct_iterate(1, oracle_data, oracle_timegrid)
+    # the class count alone refuses a datum with many blocks, before any
+    # leaf is evolved
+    def no_leaf(*args):
+        raise AssertionError("a leaf was evolved")
+
+    monkeypatch.setattr(trees, "_free_derivative_window", no_leaf)
+    with pytest.raises(ValueError, match=r"25 active blocks has at least 61450 .* cap 6000"):
+        reconstruct_iterate(2, *monte_carlo_sample)
 
 
 def test_reconstruction_class_cap_counts_swap_classes(small_oracle, monkeypatch):

@@ -49,23 +49,11 @@ def _check_integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic N x N grid on [0, L)^2 with its frequency lattice.
-
-    Parameters
-    ----------
-    n_points : int
-        Samples per axis; power of two, at least 8.
-    box_length : float
-        Side L of the periodic square.
-
-    Notes
-    -----
-    Derived arrays (frequency meshes, |xi|) are computed once in
-    ``__post_init__`` and cached on the instance; the coordinate meshes x1,
-    x2, which only physical-space data builders read, are formed on first
-    use.  None of them enters equality or hashing, which use only
-    (n_points, box_length).
-    """
+    """Periodic N x N grid on [0, L)^2 with its frequency lattice: N
+    (``n_points``) a power of two >= 8, L (``box_length``) the side of the
+    square.  The frequency meshes and |xi| are formed once, read-only; the
+    coordinate meshes x1, x2 on first use.  Equality and hashing use
+    (n_points, box_length) only."""
 
     n_points: int
     box_length: float
@@ -264,12 +252,11 @@ def _sobolev_sums(hat: np.ndarray, weight: np.ndarray | None,
     return np.sum(sq, axis=(-2, -1))
 
 
-def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+def sobolev_nodes(hat: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     """Homogeneous H^s norm of spectral values over the trailing two axes,
     dx (sum |xi|^(2s) |fhat|^2)^(1/2) from :func:`_sobolev_sums`; xi = 0 is
     dropped for s != 0."""
-    return grid.dx * np.sqrt(_sobolev_sums(hat, _sobolev_weight(grid, s), scratch))
+    return grid.dx * np.sqrt(_sobolev_sums(hat, _sobolev_weight(grid, s)))
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -1,14 +1,11 @@
 """Monte Carlo experiment runner for randomized Picard iterates.
 
 Pipeline per sample: derive the sign draw from (base_seed, sample_index),
-randomize the datum, draw the records of levels 0..n_max one at a time from the
-iterate generator and keep their three tracked norms.  Datum, time grid,
-||phi0||, active blocks and config hash are resolved once per run into one
-:class:`PreparedRun` (a data file is read once and hashed as parsed) that every
-sample, worker, report and field dump uses.  Samples are independent and merged
-by sample index, so the report is a pure function of (config, base_seed, data
-bytes) regardless of worker count (set PICARDLAB_WORKERS to parallelize;
-default serial; never more workers than samples or CPUs).
+randomize the datum, march levels 0..n_max and keep their three tracked norms.
+A run is resolved once into one :class:`PreparedRun` that every sample,
+worker, report and field dump uses.  Samples are independent and merged by
+sample index, so the report is a pure function of (config, base_seed, data
+bytes) regardless of worker count (PICARDLAB_WORKERS, default serial).
 
 The moment verdicts compare the empirical L^p_omega norm of
 ||du^(n)||_{L^2_t L^4_x} (plug-in estimator, bootstrap upper confidence bound
@@ -17,15 +14,14 @@ with 200 resamples) against the growth bound
     C_cal * p^(2^n / 2) * ||phi0||_{H^1} * T^(1/2) * (2^n)!
 
 C_cal is calibrated once per run from the n = 0 moments (the leading term of
-the expansion): 1.05 times the worst observed ratio against sqrt(p) ||phi0||
-sqrt(T).  Verdicts are relative to this frozen calibration and the report says
-so.  The small-interval regime requires C_cal * ||phi0||_{H^1} * T < 1/2.
+the expansion) of the one moment pass the verdicts read: 1.05 times the worst
+observed ratio against sqrt(p) ||phi0|| sqrt(T).  Verdicts are relative to this
+frozen calibration and the report says so.  The small-interval regime requires
+C_cal * ||phi0||_{H^1} * T < 1/2.
 
-The interval scaling study fits log(median norm) against log T over a
-geometric ladder of halved intervals; the tail study compares the empirical
-survival function of ||du^(n)|| against the sub-Weibull bound obtained by
-feeding the calibrated moment growth (k = 2^n, alpha = 1) through
-tail_from_moments.
+The interval scaling study fits log(median norm) against log T over halved
+intervals; the tail study checks the empirical survival function of
+||du^(n)|| against the calibrated moment growth fed through tail_from_moments.
 """
 
 from __future__ import annotations
@@ -112,8 +108,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.family not in DATA_FAMILIES:
             raise ConfigError(f"unknown data family {self.family!r}")
-        if self.family == "file" and not self.data_path:
-            raise ConfigError("family 'file' needs data_path")
+        if self.family == "file" and not (self.data_path and isinstance(self.data_path, str)):
+            raise ConfigError(f"family 'file' needs data_path, a file name; "
+                              f"got {self.data_path!r}")
         if self.d_choice not in D_CHOICES:
             raise ConfigError(f"d_choice must be one of {D_CHOICES}, got {self.d_choice!r}")
         # numbers are stored as Python ints and floats, which the run and
@@ -136,11 +133,16 @@ class ExperimentConfig:
         if not isinstance(self.require_small_regime, bool):
             raise ConfigError(f"require_small_regime must be a bool, "
                               f"got {self.require_small_regime!r}")
-        if not self.p_list or any(p < 2 or p % 2 for p in self.p_list):
-            raise ConfigError(f"p_list must be nonempty, of even integers >= 2: {self.p_list}")
-        object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
-        object.__setattr__(self, "interval_list",
-                           tuple(float(t) for t in self.interval_list))
+        for name, number, must in (("p_list", int, "nonempty, of even integers >= 2"),
+                                   ("interval_list", float, "a sequence of real numbers")):
+            values = getattr(self, name)
+            try:
+                entries = tuple(values)
+                if name == "p_list" and (not entries or any(p < 2 or p % 2 for p in entries)):
+                    raise ValueError
+                object.__setattr__(self, name, tuple(number(v) for v in entries))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be {must}, got {values!r}") from None
 
     @property
     def config_hash(self) -> str:
@@ -153,7 +155,7 @@ def _data_digest(config: ExperimentConfig) -> tuple[bytes, str]:
         return b"", ""
     try:
         raw = Path(config.data_path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise ConfigError(f"cannot read data file {config.data_path!r}: {exc}") from exc
     return raw, hashlib.sha256(raw).hexdigest()
 
@@ -360,10 +362,7 @@ def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
 # ---------------------------------------------------------------------------
 
 def _norms_by_level(rows, n_max: int) -> dict:
-    out = {}
-    for n in range(n_max + 1):
-        out[n] = np.array([r.l2t_l4_du for r in rows if r.n == n])
-    return out
+    return {n: np.array([r.l2t_l4_du for r in rows if r.n == n]) for n in range(n_max + 1)}
 
 
 def _plugin_moment(x: np.ndarray, p: int) -> float:
@@ -375,8 +374,8 @@ def _quantile(x: np.ndarray, q: float | None) -> float:
     for q None, bit for bit on a nonempty array of finite floats none of
     which is -0.0 (numpy may pick either zero of a tie of 0.0 and -0.0).
 
-    numpy 2.x reaches both through code that imports numpy.ma on first use
-    (some 14 ms); this sorts and follows numpy's arithmetic step by step.
+    numpy 2.x reaches both through code that imports numpy.ma on first use;
+    this sorts and follows numpy's arithmetic step by step.
     """
     s = np.sort(x)
     n = s.size
@@ -435,37 +434,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     phi0_h1 = run.phi0_h1
     rows = _sample_rows(run)
     by_level = _norms_by_level(rows, config.n_max)
-    finite = np.array([r.finite for r in rows])
-    finite_fraction = float(np.mean(finite))
+    finite_fraction = float(np.mean([r.finite for r in rows]))
 
     rng = np.random.Generator(np.random.Philox(
         seed=np.random.SeedSequence((config.base_seed, 0xB007))))
     boot_idx = rng.integers(0, config.samples,
                             size=(BOOTSTRAP_RESAMPLES, config.samples))
 
+    # (p, plug-in, bootstrap upper) per level and p; inf for a level with a
+    # non-finite norm
+    moments = {n: [(p, _plugin_moment(x, p), _bootstrap_upper(x, p, boot_idx))
+                   if np.all(np.isfinite(x)) else (p, math.inf, math.inf) for p in config.p_list]
+               for n, x in by_level.items()}
     root_t = math.sqrt(config.t_final)
+    c_cal = 0.0
     if phi0_h1 > 0:
-        x0 = by_level[0]
-        if np.all(np.isfinite(x0)):
-            c_cal = CALIBRATION_MARGIN * max(
-                _bootstrap_upper(x0, p, boot_idx) / (math.sqrt(p) * phi0_h1 * root_t)
-                for p in config.p_list)
-        else:
-            c_cal = math.inf
-    else:
-        c_cal = 0.0
+        c_cal = CALIBRATION_MARGIN * max(
+            upper / (math.sqrt(p) * phi0_h1 * root_t) for p, _, upper in moments[0])
 
     verdicts_list = []
-    for n in range(config.n_max + 1):
-        x = by_level[n]
-        ok_samples = np.all(np.isfinite(x))
-        for p in config.p_list:
+    for n, level in moments.items():
+        for p, emp, upper in level:
             bound = _moment_bound(c_cal, n, p, phi0_h1, config.t_final)
-            if ok_samples:
-                emp = _plugin_moment(x, p)
-                upper = _bootstrap_upper(x, p, boot_idx)
-            else:
-                emp = upper = math.inf
             if bound == 0.0:
                 ratio = 0.0 if upper == 0.0 else math.inf
             else:

@@ -2,10 +2,9 @@
 
 The module owns the half-wave formula: :func:`halfwave_rows` is the one
 evaluation of cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi|, once per time and
-distinct |xi| (:func:`abs_xi_levels`).  The symbols below take it on every
-lattice level (:func:`halfwave_profiles`, spread over the lattice by
-:func:`halfwave_tables`); the Picard engine takes it a chunk of time nodes at
-a time, on the levels of the modes it works on only.
+distinct |xi| (:func:`abs_xi_levels`); :func:`halfwave_tables` spreads it
+over an array of |xi|: the lattice for the symbols below, a datum's window
+for the free wave.
 
 Symbols implemented, as functions of the lattice frequency xi:
 
@@ -22,9 +21,8 @@ Odd symbols zero the unpaired Nyquist frequency on the differentiated axis so
 real fields stay exactly real.
 
 The unit-scale partition splits frequency space into integer-translated bumps
-psi(xi - k) = eta(xi_1 - k_1) * eta(xi_2 - k_2); eta is a C^2 quintic plateau
-profile with sum_m eta(x - m) = 1 and supp eta = [-3/4, 3/4], so psi is
-supported in the open square (-1, 1)^2 and equals 1 on the block interior
+psi(xi - k) = eta(xi_1 - k_1) * eta(xi_2 - k_2) (eta: :func:`bump_profile`),
+supported in the open square (-1, 1)^2 and 1 on the block interior
 [-1/4, 1/4]^2.
 """
 
@@ -144,28 +142,16 @@ def halfwave_rows(times: np.ndarray, levels: np.ndarray, out: tuple[np.ndarray, 
     return out
 
 
-def halfwave_profiles(grid: Grid, times) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi| (limit t at xi = 0) per
-    time and distinct |xi| of the lattice (:func:`halfwave_rows`), each of
-    shape (len(times), len(levels)), and the lattice index that spreads
-    them: table ``np.take(profile, index, axis=1)`` holds every mode.
-
-    One evaluation per distinct |xi|: 1825 of the 16384 modes at 128^2 with
-    L = 16 pi.
-    """
+def halfwave_tables(abs_xi: np.ndarray, times, count: int = 3) -> tuple[np.ndarray, ...]:
+    """The first ``count`` of cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi|
+    (limit t at xi = 0) per time and entry of ``abs_xi``, each of shape
+    (len(times),) + abs_xi.shape: :func:`halfwave_rows` on the distinct
+    |xi|, spread by ``np.take``, the same bits as evaluating every entry."""
     times = np.asarray(times, dtype=float)
-    levels, index = abs_xi_levels(grid.abs_xi)
-    profiles = tuple(np.empty((len(times), len(levels))) for _ in range(3))
-    return halfwave_rows(times, levels, out=profiles), index
-
-
-def halfwave_tables(grid: Grid, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(t|xi|), sin(t|xi|) and sin(t|xi|)/|xi| (limit t at xi = 0), each of
-    shape (len(times), N, N): the profiles of :func:`halfwave_profiles`
-    spread over the lattice, the same bits as evaluating every mode.
-    """
-    profiles, index = halfwave_profiles(grid, times)
-    return tuple(np.take(profile, index, axis=1) for profile in profiles)
+    levels, index = abs_xi_levels(abs_xi)
+    rows = halfwave_rows(times, levels, out=tuple(np.empty((len(times), len(levels)))
+                                                  for _ in range(count)))
+    return tuple(np.take(row, index, axis=1) for row in rows)
 
 
 def symbol_array(kind: MultiplierKind, grid: Grid) -> np.ndarray:
@@ -176,7 +162,7 @@ def symbol_array(kind: MultiplierKind, grid: Grid) -> np.ndarray:
     elif kind.tag == "spatial_derivative":
         sym = 1j * _nyquist_safe_xi(grid, kind.axis)
     else:
-        cos_t, sin_t, sinc_t = (table[0] for table in halfwave_tables(grid, [kind.t]))
+        cos_t, sin_t, sinc_t = (table[0] for table in halfwave_tables(grid.abs_xi, [kind.t]))
         if kind.tag == "sinc_halfwave":
             sym = sinc_t
         elif kind.tag == "cos_halfwave" or kind.d_choice == "t":

@@ -22,52 +22,35 @@ The quadratic nonlinearity is Galerkin-truncated with the 2/3 rule: factors
 and product are projected onto the box |m_i| <= N/3 before and after the
 pointwise square, so the computed system is exactly the truncated Galerkin
 wave system (alias-free) and the product is bilinear in its factors -- the
-property the tree-expansion oracle relies on.
+property the tree-expansion oracle relies on.  :func:`_region` is the box's
+one definition and holds its modes side by side in one compact array; every
+spectral stage takes the region whose layout it works in.  Work the
+truncation makes zero is skipped with unchanged values: numpy's 2-D
+transforms are one 1-D pass per axis, each line on its own, so the inverse
+transform of a box spectrum runs its first pass on the box rows only and a
+forward transform truncated to the box runs its second pass on the box
+columns only.  Every Duhamel source of the recursion and of the tree terms
+is a product, zero outside the box, so its sums, its parts and their
+derivative stay in the compact box; the public :func:`duhamel` takes
+arbitrary sources and keeps the whole lattice.
 
-The box has one definition, :func:`_region`, which also holds its modes
-side by side in one compact array; every spectral stage takes the region
-whose layout it works in.  Work the truncation makes zero is skipped, with
-unchanged values.  numpy's 2-D transforms are one 1-D pass per axis, each
-line on its own, so the product's inverse transforms run their first pass
-only on the box rows (the others are zero) and its forward transform runs
-its second pass only on the box columns (the others are discarded).  Every
-Duhamel source is a product, zero outside the box, so the recursion and
-the tree terms form the cumulative sums on the box only, in its compact
-array: the product's forward transform is gathered straight into it, and
-the Duhamel part and its derivative stay in it.  The public
-:func:`duhamel` takes arbitrary sources and keeps the whole lattice.
-The choice of d has one owner, :func:`_d_duhamel_part`, the Duhamel step
-of :func:`duhamel` and the tree terms: it forms only the part of (u, dt u)
-that d reads.  The march forms both parts, which its norms read.
-
-The iterates are computed by one time march.  Duhamel is causal and the
-product is pointwise in time, so du^(n) at the nodes up to t_m needs only
-du^(n-1) at those nodes and the running sums of level n.  Levels 0..n_max
-therefore advance together, a short chunk of nodes at a time, and every
-array a chunk touches stays small; the running sums carry over from chunk
-to chunk in the same operation order, so any chunk length gives the same
-bits.  Every chunked loop, the tree sum's too, walks the chunks of one
-driver, :func:`_chunk_tables`, which forms each chunk's propagator rows on
-the distinct |xi| of the modes it serves and spreads there the tables its
-caller reads; no table over the whole series is kept.
-The levels of a chunk run one after another, so one workspace of
-chunk-sized buffers, allocated when the march starts, serves all of them:
-every stage writes into it with ufunc ``out=`` arguments, the same
-operations in the same order, and the march maps no fresh memory per chunk.
-A Duhamel step works in four buffers, with dt u written over its sum A,
-and the norms' real planes are laid over buffers that are free while the
-norms are taken, so they take no memory of their own.
-The Monte Carlo harness keeps only per-node norms; the chain, single
-iterates, :func:`duhamel` and the tree terms store every node.
-
-Every spectral stage of the march stays in the compact box: the free pair,
-each level's u and dt u, their Sobolev sums and du.  The only lattice-sized
-stage is the physical du, one box inverse transform per level that gives
-the L^4 norm and is squared for the next level's product.  A datum with
-modes outside the box (a Gaussian bump, say) runs the same march: outside
-the box every iterate is its free part, the same at every level, so that
-part's Sobolev sums and its physical du (one full inverse transform) are
-formed once per chunk and added to every level's.
+The iterates come from one time march.  Duhamel is causal and the product is
+pointwise in time, so du^(n) at the nodes up to t_m needs only du^(n-1) at
+those nodes and the running sums of level n.  Levels 0..n_max therefore
+advance together, a short chunk of nodes at a time, and the running sums
+carry over from chunk to chunk in the same operation order, so any chunk
+length gives the same bits.  Every chunked loop, the tree sum's too, walks
+:func:`_chunk_tables`, which forms each chunk's propagator rows on the
+distinct |xi| of the modes it serves; no table over the whole series is
+kept.  The levels of a chunk run one after another, so one workspace of
+chunk-sized buffers, allocated when the march starts, serves all of them and
+the march maps no fresh memory per chunk.  The one lattice-sized stage is a
+level's physical du, which gives its L^4 norm and is squared for the next
+level's product.  Outside the box every iterate is its free part, the same
+at every level, so a datum with modes there (a Gaussian bump, say) adds that
+part's norm sums and physical du, formed once per chunk, to every level's.
+:func:`_d_duhamel_part` is the one place d picks the part of (u, dt u) it
+reads; the march forms both, since its norms read both.
 
 Iterates can grow factorially outside the small-interval regime, so every
 norm is checked against a blow-up guard and :class:`BlowUpError` carries the
@@ -87,8 +70,8 @@ import numpy as np
 
 from .grid import (Grid, PHYSICAL, SPECTRAL, _check_integer, _sobolev_sums, _sobolev_weight,
                    lp_nodes)
-from .multipliers import (D_CHOICES, abs_xi_levels, halfwave_rows, spatial_derivative,
-                          symbol_array)
+from .multipliers import (D_CHOICES, abs_xi_levels, halfwave_rows, halfwave_tables,
+                          spatial_derivative, symbol_array)
 from .randomization import RandomizedData
 
 __all__ = [
@@ -199,10 +182,8 @@ class BlowUpError(RuntimeError):
 # Propagator tables and the separable Duhamel integral
 # ---------------------------------------------------------------------------
 
-# Time nodes per step of the march.  A chunk's arrays stay well inside a 2 MB
-# L2 (0.8 MB each at 128^2).  One 128^2, 65-node, n <= 3 sample took 295,
-# 279, 358 and 395 ms for k = 2, 3, 4 and 6 (median of 15, alternating, on a
-# 2-core 2.1 GHz Xeon).
+# Time nodes per step of the march: a chunk's arrays stay well inside a 2 MB
+# L2 (0.8 MB each at 128^2).
 _CHUNK = 3
 
 
@@ -215,14 +196,11 @@ def _chunk_length(tg: TimeGrid) -> int:
 class _Region:
     """The modes a spectral stage works on, held as one contiguous array:
     the whole lattice, or the box with its four quadrants side by side.
-
     ``pairs`` maps each (rows, cols) slice pair of the full lattice to its
-    place in that compact array; every kernel is pointwise per mode, so the
-    layout changes no value.  ``abs_xi`` holds each mode's |xi| and
-    ``h1_weight`` its H^1 weight, in the compact layout; ``levels`` holds
-    the distinct |xi| of the region in ascending order and ``index`` each
-    mode's place among them (:func:`.multipliers.abs_xi_levels`).
-    """
+    place in that array; every kernel is pointwise per mode, so the layout
+    changes no value.  In that layout ``abs_xi`` holds each mode's |xi|,
+    ``h1_weight`` its H^1 weight and ``index`` its place among ``levels``,
+    the region's distinct |xi| (:func:`.multipliers.abs_xi_levels`)."""
 
     pairs: tuple
     size: int
@@ -306,17 +284,12 @@ def _inside_box(hat: np.ndarray, grid: Grid) -> bool:
 
 class _DuhamelSums:
     """The Duhamel integral of a source that arrives a chunk of nodes at a
-    time: the one Duhamel body of the engine.
-
-    With A = sum''(cos S) and B = sum''(sinc S), the trapezoid sums up to
-    each node (see the module docstring), u = sinc A - cos B and
-    dt u = cos A + |xi| sin B.  Each sum is a running sum minus the
-    half-weight terms of the first and the current node, one node at a time;
-    the running sum and the first half-weight term carry over from one chunk
-    to the next, so any chunking gives the same bits.  sinc vanishes at the
-    first node t_0 = 0, so B's first half-weight term is zero and B keeps
-    none.
-    """
+    time, the one Duhamel body of the engine: with the trapezoid sums
+    A = sum''(cos S) and B = sum''(sinc S) up to each node, u = sinc A -
+    cos B and dt u = cos A + |xi| sin B.  Each sum is a running sum minus
+    the half-weight terms of the first and the current node; both carry
+    over from chunk to chunk.  sinc vanishes at t_0 = 0, so B keeps no
+    first half-weight term."""
 
     def __init__(self, region: _Region, tg: TimeGrid):
         self.region = region
@@ -349,18 +322,13 @@ class _DuhamelSums:
     def advance(self, src: np.ndarray, work: Sequence[np.ndarray],
                 tables: tuple[np.ndarray, ...], want_u: bool = True, want_dt: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(u, dt u) on the region at the next ``len(src)`` nodes from the
-        source ``src`` there, both in the region's compact layout; a part
-        not asked for is None.
-
-        ``tables`` holds (cos, sin, sinc) at those nodes on the region's
-        modes (:meth:`_Region.spread`); sin is read only for dt u.  Every
-        intermediate and both parts live in the four buffers of ``work``
-        (:meth:`_Region.buffers`), whose scratch may hold ``src``: u in its
-        own buffer, dt u over the sum A once u is formed.  The parts are
-        views of it, valid until the next call that uses it; B's buffer is
-        free when the call returns.
-        """
+        """(u, dt u) at the next ``len(src)`` nodes from the source ``src``
+        there, in the region's layout, with the (cos, sin, sinc) ``tables``
+        on its modes (sin read only for dt u); a part not asked for is None.
+        All work is done in the four buffers of ``work``
+        (:meth:`_Region.buffers`), whose scratch may hold ``src``; the parts
+        are views of them, valid until the next call that uses them, and
+        B's buffer is free on return."""
         scratch, a, b, u = (buf[:len(src)] for buf in work)
         c, s, sc = tables
         np.multiply(c, src, out=a)
@@ -382,13 +350,10 @@ class _DuhamelSums:
 def _chunk_tables(tg: TimeGrid, region: _Region, spread: tuple[bool, ...] = (True, True, True)
                   ) -> Iterator[tuple[slice, tuple[np.ndarray | None, ...]]]:
     """The one walk over the chunks of nodes of ``tg``: each chunk with its
-    (cos, sin, sinc) tables on the modes of ``region``, the free
-    propagators and, split by angle addition, every Duhamel kernel's
-    factors; a table whose flag in ``spread`` is False is None.  Each
-    chunk's rows are formed on the region's ``levels``
-    (:func:`.multipliers.halfwave_rows`) and the tables asked for are
-    spread on its modes; the rows and the tables are chunk-sized buffers
-    allocated at the first chunk and rewritten at each."""
+    (cos, sin, sinc) tables on the modes of ``region``, None where
+    ``spread`` is False, spread from rows on the region's ``levels``.  The
+    rows and the tables are chunk-sized buffers allocated at the first
+    chunk and rewritten at each."""
     length = _chunk_length(tg)
     times = tg.times
     rows = tuple(np.empty((length, len(region.levels))) for _ in range(3))
@@ -415,9 +380,8 @@ def _d_duhamel_part(src: np.ndarray, sums: _DuhamelSums, work: Sequence[np.ndarr
 def _d_duhamel_hat(source: np.ndarray, region: _Region, tg: TimeGrid, d_choice: str
                    ) -> np.ndarray:
     """d of the Duhamel integral at every node, the source and the result
-    in the layout of ``region``, a chunk of :func:`_chunk_tables` at a time
-    in chunk-sized buffers; the result's rows stand in for the buffer d's
-    part is formed in (dt u over the sum A, or u's)."""
+    in the layout of ``region``, a chunk at a time; the result's rows stand
+    in for the buffer d's part is formed in (dt u over the sum A, or u's)."""
     sums = _DuhamelSums(region, tg)
     work = list(region.buffers(_chunk_length(tg)))
     slot = 1 if d_choice == "t" else 3
@@ -464,12 +428,7 @@ def _box_ifft2(hat: np.ndarray, region: _Region, out: np.ndarray | None = None
                ) -> np.ndarray:
     """ifft2 of ``hat``, in the layout of ``region``, truncated to the box,
     over the trailing two axes, written into ``out`` (or a fresh array) on
-    the lattice.
-
-    numpy's ifft2 is one 1-D pass per axis, last axis first, and each line
-    is transformed on its own, so skipping the last-axis pass on rows that
-    are zero after truncation gives the same values as the full transform.
-    """
+    the lattice; the first pass runs on the box rows only."""
     grid = region.grid
     if out is None:
         n = grid.n_points
@@ -487,8 +446,8 @@ def _box_fft2(phys: np.ndarray, region: _Region, out: np.ndarray | None = None
               ) -> np.ndarray:
     """fft2 of ``phys`` over the trailing two axes, truncated to the box, in
     the layout of ``region``: in place on the lattice, or gathered into
-    ``out`` (or a fresh array) on the box.  The second pass runs only on the
-    box columns (see _box_ifft2)."""
+    ``out`` (or a fresh array) on the box; the second pass runs on the box
+    columns only."""
     box = _region(region.grid, True)
     np.fft.fft(phys, axis=-1, norm="ortho", out=phys)
     for (_, cols), _ in box.pairs[:2]:  # each column band once
@@ -504,13 +463,12 @@ def product_dealias(a_hat: np.ndarray, b_hat: np.ndarray, grid: Grid) -> np.ndar
     """Galerkin product: truncate both factors, multiply pointwise, truncate.
 
     Exactly bilinear in (a, b) and alias-free on the retained modes; the
-    pointwise values stay complex (randomized data need not be real).  The
-    transforms skip the lines the truncation zeroes, with the same values as
-    full transforms of the masked arrays.  A square (``b_hat is a_hat``)
-    transforms its factor once; the result is the same bits as transforming
-    it twice.  Distinct factors are multiplied in both orders and averaged,
-    so that P(a, b) equals P(b, a) bit for bit: numpy's complex multiply may
-    round fa*fb and fb*fa differently (fused multiply-add).
+    pointwise values stay complex (randomized data need not be real).  A
+    square (``b_hat is a_hat``) transforms its factor once; the result is
+    the same bits as transforming it twice.  Distinct factors are
+    multiplied in both orders and averaged, so that P(a, b) equals P(b, a)
+    bit for bit: numpy's complex multiply may round fa*fb and fb*fa
+    differently (fused multiply-add).
     """
     lattice = _region(grid, False)
     fa = _box_ifft2(a_hat, lattice)
@@ -528,10 +486,9 @@ def _free_hats(phi0_hat: np.ndarray, abs_xi: np.ndarray, tables: tuple[np.ndarra
                out: tuple = (None, None),
                scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(u, dt u) of the free wave from (phi0, 0) at the nodes of the
-    (cos, sin) ``tables``, with phi0, |xi| and the tables on the same modes
-    (the lattice, a region's compact layout or a window), written into the
-    pair ``out`` (or fresh arrays) with a real ``scratch`` of the same
-    shape."""
+    (cos, sin) ``tables``, phi0, |xi| and the tables on the same modes,
+    written into the pair ``out`` (or fresh arrays); ``scratch`` is real,
+    of the same shape."""
     cos_t, sin_t = tables
     u = np.multiply(cos_t, phi0_hat, out=out[0])
     speed = np.multiply(abs_xi, sin_t, out=scratch)
@@ -562,15 +519,11 @@ def _derivative_hat(u_hat: np.ndarray | None, dudt_hat: np.ndarray | None,
 def _free_window(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid) -> tuple[tuple, tuple]:
     """The window of rows and columns where phi0 has a nonzero mode (one
     unit block's, for a tree leaf), and (u, dt u) of the free wave from
-    (phi0, 0) on it at every node of ``tg``.  Each mode evolves on its own,
-    so the (cos, sin) rows are formed, for this call only, on the distinct
-    |xi| of the window and spread over it; outside it both parts are zero."""
+    (phi0, 0) on it at every node of ``tg``, from (cos, sin) tables formed
+    for this call on the window only; outside it both parts are zero."""
     window = np.ix_(np.flatnonzero(phi0_hat.any(axis=1)), np.flatnonzero(phi0_hat.any(axis=0)))
     abs_xi = grid.abs_xi[window]
-    levels, index = abs_xi_levels(abs_xi)
-    shape = (tg.n_nodes, len(levels))
-    rows = halfwave_rows(tg.times, levels, out=(np.empty(shape), np.empty(shape)))
-    cos_t, sin_t = (np.take(row, index, axis=1) for row in rows)
+    cos_t, sin_t = halfwave_tables(abs_xi, tg.times, count=2)
     return window, _free_hats(phi0_hat[window], abs_xi, (cos_t, sin_t), scratch=sin_t)
 
 
@@ -617,11 +570,7 @@ def free_evolution(data: RandomizedData, tg: TimeGrid,
     window, pair = _free_window(data.phi0_rand.values, grid, tg)
     u0, dudt0 = (_on_lattice(window, part, grid) for part in pair)
     du0 = _derivative_hat(u0, dudt0, _region(grid, False), d_choice)
-    return (
-        _frozen_series(grid, tg, u0),
-        _frozen_series(grid, tg, dudt0),
-        _frozen_series(grid, tg, du0),
-    )
+    return tuple(_frozen_series(grid, tg, part) for part in (u0, dudt0, du0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,35 +599,16 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
 def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
            keep: Collection[int]) -> tuple[np.ndarray, dict]:
     """Per-node norms of iterates 0..n_max from the signed datum ``phi0_hat``
-    (zero velocity), and the (u, dt u) series of the levels in
-    ``keep``, all levels advancing together a chunk of nodes at a time.
+    (zero velocity), and the (u, dt u) series of the levels in ``keep``
+    on the lattice, all levels advancing together a chunk of nodes at a
+    time (see the module docstring).
 
     Row n of the norms holds (H^1 of u, L^2 of dt u, L^4 of du) per node.
     Once a level is sure to fail the blow-up guard (a node's sup-norm term
     above it, or a non-finite term), the levels after it are dropped: the
-    rows end at that level.
-
-    Every spectral stage runs on the box, in the compact layout of the
-    Duhamel sums: the free pair from the chunk's box tables, a level as
-    free + part, its Sobolev sums and its du.  The product's forward
-    transform is gathered straight into the box, and the compact du is
-    scattered only into the input of the box inverse transform, whose
-    physical du gives the L^4 norm and is squared for the next level.  A
-    datum with modes outside the box adds its free part there (the gap
-    part), the same at every level: its Sobolev sums and its physical du
-    (one full inverse transform) are formed once per chunk and added to
-    every level's.
-
-    The levels of a chunk run one after another, so one workspace of
-    chunk-sized buffers (here and in :func:`_chunk_tables`) serves every
-    level of every chunk: each stage writes into it instead of allocating.
-    The Duhamel step's four buffers (:meth:`_Region.buffers`) hold a
-    level's u and, over the sum A, its dt u; the norms' real planes are
-    views of them: the box planes in B's buffer, free once the step
-    returns, and the lattice planes of the L^4 norm over all four, free
-    once du's inverse transform has read it.  The gap part's sums use the
-    lattice planes between chunks.  Nothing in the workspace outlives the
-    march; the kept series are copied out of it.
+    rows end at that level.  A level is free + Duhamel part on the compact
+    box.  The workspace (laid out below) does not outlive the call; kept
+    series are copied out of it.
     """
     box = _region(grid, True)
     sums = [_DuhamelSums(box, tg) for _ in range(n_max)]
@@ -745,18 +675,12 @@ def _planes(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
                 planes: np.ndarray) -> Iterator[tuple]:
-    """Chunk by chunk, the free wave from the modes of ``phi0_hat`` outside
-    the box: the part of every iterate there, since each Duhamel sum lies in
-    the box.
-
-    Yields, per chunk of :func:`_chunk_tables`, the pair (u, dt u) on the
-    lattice with the box zero, the H^1 sums of u and the L^2 sums of dt u
-    (:func:`.grid._sobolev_sums`), and the physical du (one full inverse
-    transform).  The arrays are views of buffers reused from chunk to
-    chunk; ``planes`` is the sums' real scratch, which need only be free
-    while the next chunk is drawn (the march's lattice planes, laid over
-    its workspace, are free between chunks).
-    """
+    """Per chunk of :func:`_chunk_tables`, the part of every iterate outside
+    the box, the free wave from the modes of ``phi0_hat`` there: the pair
+    (u, dt u) on the lattice with the box zero, the H^1 sums of u and the
+    L^2 sums of dt u, and the physical du.  The arrays are views of buffers
+    reused from chunk to chunk; ``planes``, the sums' real scratch, need
+    only be free while the next chunk is drawn."""
     phi0 = phi0_hat.copy()
     for (rows, cols), _ in _region(grid, True).pairs:
         phi0[rows, cols] = 0.0

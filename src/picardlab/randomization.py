@@ -87,13 +87,11 @@ def _spectral_bbox_blocks(phi_hat: np.ndarray, grid: Grid) -> list[tuple[int, in
         return []
     xi = grid.xi1[:, 0]
     active = mag > BLOCK_NORM_THRESHOLD * scale
-    xi1_hit = xi[active.any(axis=1)]
-    xi2_hit = xi[active.any(axis=0)]
-    k1_lo = max(lo, int(np.ceil(xi1_hit.min() - 0.75)))
-    k1_hi = min(hi, int(np.floor(xi1_hit.max() + 0.75)))
-    k2_lo = max(lo, int(np.ceil(xi2_hit.min() - 0.75)))
-    k2_hi = min(hi, int(np.floor(xi2_hit.max() + 0.75)))
-    return [(k1, k2) for k1 in range(k1_lo, k1_hi + 1) for k2 in range(k2_lo, k2_hi + 1)]
+    # per axis, the blocks whose bump (half-width 3/4) meets a hit frequency
+    k1, k2 = (range(max(lo, int(np.ceil(hit.min() - 0.75))),
+                    min(hi, int(np.floor(hit.max() + 0.75))) + 1)
+              for hit in (xi[active.any(axis=1)], xi[active.any(axis=0)]))
+    return [(a, b) for a in k1 for b in k2]
 
 
 def active_blocks(phi0: Field) -> tuple[tuple[int, int], ...]:

@@ -19,41 +19,27 @@ cross-check against the direct recursion, sharing the product and the Duhamel
 implementation but never squaring a running iterate.
 
 The sum does each distinct piece of work once.  The product is bilinear and
-symmetric, so a tree term does not change when the children of a node swap
-places together with their blocks, and neither does the tuple's sign, the
-product of its blocks' Rademacher signs.  So each swap class is computed and
-added once, scaled by its sign times its number of (tree, tuple) pairs.  The
-classes are generated in height order: the leaves, then for h = 1..n the
-unordered pairs {A, B} of earlier classes of which at least one has height
-h - 1, with coefficient c_A * c_B, times 2 if A != B.  A class's key (shape
-encoding, blocks) is built from its children's keys in key order, and each
-product multiplies its two factors in that order: numpy's complex multiply
-may round fa*fb and fb*fa differently, and the key order gives every member
-of a class the same bits.  The factors, the classes of height < n, come
-first; each is held as its box inverse transform, so no spectral series is
-kept.  Everything after a top term's product (height n) -- the forward
-transform, the Duhamel sum and the derivative -- is linear, so the top
-products are summed in physical space and that one sum takes one transform
-and one Duhamel sum (at n = 2 with 4 blocks: 109 classes, 14 factors, 105
-products, 11 Duhamel sums).  A leaf evolves only its block's window.  With
-b blocks there are C_h = b + C_{h-1} (C_{h-1} + 1) / 2 classes of height
-<= h (C_0 = b), C_{n-1} of them factors.  MAX_CLASSES, the one cap,
-bounds the work and the factors together: it admits n = 1 with up to 108
-blocks, n = 2 with up to 13 and n = 3 with 4 (5,999 classes, 109
-factors), and refuses n = 4 with 4 blocks and n = 3 with 5.
+symmetric, so a tree term and its tuple's sign (the product of its blocks'
+Rademacher signs) do not change when the children of a node swap places
+together with their blocks: each swap class is computed and added once,
+scaled by its sign times its number of (tree, tuple) pairs.  Each product
+multiplies its two factors in the order of their class keys: numpy's complex
+multiply may round fa*fb and fb*fa differently, and the key order gives
+every member of a class the same bits.  Everything after a top term's
+product (height n) -- the forward transform, the Duhamel sum and the
+derivative -- is linear, so the top products are summed in physical space
+and that one sum takes one transform and one Duhamel sum.  MAX_CLASSES, the
+one cap, bounds the work and the factors together.
 
 The sum marches in time on the chunks and box tables of the iterate march
-(:func:`.picard._chunk_tables`): every class advances together, a chunk of
-time nodes at a time.  The Duhamel integral is causal and each product is
-pointwise in time, so a node term on a chunk needs its factors on that
-chunk only, and each node class carries its own running Duhamel sums from
-chunk to chunk.  A node term is zero outside the 2/3 box, so it is formed
-and summed in the box's compact layout; outside the box the sum is the
-leaves'.  Every term is formed in one chunk-sized workspace per call, by
-the Duhamel step of :func:`.picard.duhamel` (:func:`.picard._d_duhamel_part`).
-Beside the result, only the leaves' parts on their blocks' windows
-(:func:`.picard._free_derivative_window`) are whole series, so the memory
-the sum holds does not grow with the number of nodes.
+(:func:`.picard._chunk_tables`): the Duhamel integral is causal and each
+product is pointwise in time, so a node term on a chunk needs its factors
+on that chunk only, and each node class carries its own running Duhamel
+sums from chunk to chunk.  A node term is zero outside the 2/3 box, so it
+is formed and summed in the box's compact layout, by the Duhamel step of
+:func:`.picard.duhamel`; outside the box the sum is the leaves'.  Beside
+the result, only the leaves' parts on their blocks' windows are whole
+series, so the memory the sum holds does not grow with the number of nodes.
 """
 
 from __future__ import annotations
@@ -260,11 +246,7 @@ def _collocation(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v_mat = legendre.legvander(u, ORACLE_NODES - 1)
     degrees = np.arange(ORACLE_NODES)
     coeff_of_values = ((2.0 * degrees + 1.0) / 2.0)[:, None] * (v_mat.T * w[None, :])
-    anti = np.zeros((ORACLE_NODES + 1, ORACLE_NODES))
-    for col in range(ORACLE_NODES):
-        c = np.zeros(ORACLE_NODES)
-        c[col] = 1.0
-        anti[:, col] = legendre.legint(c, lbnd=-1.0)
+    anti = legendre.legint(np.eye(ORACLE_NODES), lbnd=-1.0)  # one column per degree
     eval_nodes = legendre.legvander(u, ORACLE_NODES)
     q_mat = 0.5 * t * (eval_nodes @ anti @ coeff_of_values)
     end_row = 0.5 * t * (legendre.legvander(np.array([1.0]), ORACLE_NODES)[0] @ anti
@@ -374,10 +356,14 @@ def _check_block(block) -> tuple[int, int]:
 def _swap_classes(n: int, draw: RademacherDraw) -> list[tuple]:
     """The swap classes of the level-n tree sum over the blocks of ``draw``
     in height order, each as (key, coefficient, height, children): the
-    leaves in block order with their signs and no children, then per height
-    the pairs in the order of their positions, a pair's children being
-    those positions in key order.  Each height's class count is checked
-    against MAX_CLASSES before it is built."""
+    leaves in block order with their signs and no children, then for
+    h = 1..n the unordered pairs {A, B} of earlier classes of which at least
+    one has height h - 1, in the order of their positions, with coefficient
+    c_A c_B (times 2 if A != B) and the two positions in key order as
+    children.  A key is (shape encoding, blocks), built from the children's
+    keys in key order.  Each height's class count, b + C (C + 1) / 2 with b
+    blocks and C earlier classes, is checked against MAX_CLASSES before the
+    height is built."""
     blocks = sorted(draw.blocks)
     classes = [(("o", (k,)), draw.eps(k), 0, None) for k in blocks]
     start = 0  # the position of the first class of height h - 1
@@ -406,21 +392,13 @@ def reconstruct_iterate(
 
     Sums, over j = 1..2^n, every j-tuple of active blocks and every tree
     realizable at level n, the term G^tau weighted by the product of the
-    tuple's Rademacher signs.  The sum is taken once per swap class, as
-    (sign x multiplicity) x term, in the height order of the generated
-    classes.  For n >= 1 the classes of height n (the top terms) are summed
-    as their children's physical products; that sum takes one box forward
-    transform and one Duhamel sum and is added last.  The result differs
-    from summing each top term on its own by rounding only.
-
-    At n = 0 the result is the signed sum of the leaves.  Above it the sum
-    marches in time (see the module docstring): beside the result and the
-    leaves' window parts, the call holds chunk-sized buffers -- a row per
-    factor (class of height < n) -- and the running sums of one Duhamel
-    integral per node factor and one for the top sum.
-    Resource-capped: at most MAX_CLASSES swap classes, which bound the
-    work and the rows of the factor block, and are counted before any
-    leaf is evolved.
+    tuple's Rademacher signs, once per swap class (see the module
+    docstring) in class order.  The top terms (height n) enter as one sum
+    of their products, added last, so the result differs from summing each
+    top term on its own by rounding only.  At n = 0 it is the signed sum of
+    the leaves.  At most MAX_CLASSES swap classes, counted before any leaf
+    is evolved; the call holds a chunk-sized row per factor (class of
+    height < n).
     """
     _check_level(n, "n")
     _check_d_choice(d_choice)
@@ -468,10 +446,8 @@ def reconstruct_iterate(
             # before the term is scaled
             _box_ifft2(term, box, out=factors[i, :k])
             _add_scaled(node_total, coef, term)
-        # a term of height n is no factor at level n, and the transform,
-        # Duhamel sum and derivative after its product are linear: only the
-        # product enters the top sum, in class order, and the tail is
-        # applied to that sum
+        # no top term is a factor: the top products are summed in class
+        # order, and the sum takes one transform and one Duhamel sum
         top = leaf
         top.fill(0.0)
         for _, coef, _, (a, b) in classes[n_factors:]:

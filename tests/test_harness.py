@@ -89,18 +89,32 @@ def test_config_validation():
 @pytest.mark.parametrize("name, value", [
     ("samples", 2.0), ("samples", True), ("base_seed", 1.5), ("n_max", 1.0), ("data_seed", 2.5),
     ("n_points", "64"), ("n_steps", np.float64(8.0)), ("t_final", "0.2"), ("box_length", True),
-    ("sigma", 1 + 2j), ("require_small_regime", "no"), ("require_small_regime", 0)])
+    ("sigma", 1 + 2j), ("require_small_regime", "no"), ("require_small_regime", 0),
+    ("p_list", ("4",)), ("p_list", 4), ("p_list", (4, None)), ("interval_list", ("a",)),
+    ("interval_list", 0.5), ("interval_list", (0.1, 1j)), ("data_path", 5), ("data_path", None)])
 def test_config_refuses_values_it_cannot_run_or_hash(name, value):
+    extra = {"family": "file"} if name == "data_path" else {}
     with pytest.raises(ConfigError, match=name):
-        ExperimentConfig(**{name: value})
+        ExperimentConfig(**{name: value}, **extra)
+
+
+def test_data_path_with_a_nul_is_a_config_error():
+    config = ExperimentConfig(family="file", data_path="a\0b")
+    with pytest.raises(ConfigError, match="data file"):
+        config.config_hash
 
 
 def test_config_stores_numpy_numbers_as_python_ones():
-    """numpy integers and reals are stored as int and float, so a config
-    hashes as one built from the same Python numbers."""
-    got = ExperimentConfig(samples=np.int64(4), n_points=np.int64(64), t_final=np.float32(0.2))
+    """numpy integers and reals are stored as int and float, in the list
+    fields too, so a config hashes as one built from the same Python
+    numbers."""
+    got = ExperimentConfig(samples=np.int64(4), n_points=np.int64(64), t_final=np.float32(0.2),
+                           p_list=(4.0, np.int64(6)), interval_list=[np.float32(0.5), 1])
     assert [type(got.samples), type(got.n_points), type(got.t_final)] == [int, int, float]
-    expect = ExperimentConfig(samples=4, n_points=64, t_final=float(np.float32(0.2)))
+    assert got.p_list == (4, 6) and got.interval_list == (0.5, 1.0)
+    assert [type(v) for v in got.p_list + got.interval_list] == [int, int, float, float]
+    expect = ExperimentConfig(samples=4, n_points=64, t_final=float(np.float32(0.2)),
+                              p_list=(4, 6), interval_list=(0.5, 1.0))
     assert got.config_hash == expect.config_hash
 
 
@@ -127,6 +141,17 @@ def test_run_experiment_shape_and_verdicts():
         if v.n == 0:
             assert v.passed and v.ratio <= 1.0
     assert set(report.level_stats) == {0, 1}
+
+
+def test_run_experiment_bootstraps_each_level_and_p_once(monkeypatch):
+    """One moment pass per level: C_cal reads level 0's bootstrap uppers
+    from the same pass as the verdicts."""
+    calls = []
+    upper = harness._bootstrap_upper
+    monkeypatch.setattr(harness, "_bootstrap_upper",
+                        lambda x, p, idx: calls.append(p) or upper(x, p, idx))
+    run_experiment(SMALL)
+    assert sorted(calls) == sorted(SMALL.p_list * (SMALL.n_max + 1))
 
 
 def test_rows_are_deterministic_and_worker_free(tmp_path, monkeypatch):
@@ -544,6 +569,13 @@ def test_load_config_overrides_and_unknown_key(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.ini")
+
+
+@pytest.mark.parametrize("command", ["trees", "moments"])
+def test_cli_verification_suites_pass(capsys, command):
+    assert main([command]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("[PASS]") for line in lines), lines
 
 
 def test_cli_simulate_report_and_errors(tmp_path, capsys):

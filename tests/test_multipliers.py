@@ -13,7 +13,6 @@ from picardlab.multipliers import (
     bump_profile,
     cos_halfwave,
     gradient_magnitude,
-    halfwave_profiles,
     halfwave_rows,
     halfwave_tables,
     m01,
@@ -201,13 +200,17 @@ def test_halfwave_tables_equal_direct_evaluation(n, length, times):
     arg = t * a
     sin_direct = np.sin(arg)
     sinc_direct = np.where(a > 0.0, sin_direct / np.where(a > 0.0, a, 1.0), t)
-    cos_t, sin_t, sinc_t = halfwave_tables(grid, times)
+    cos_t, sin_t, sinc_t = halfwave_tables(a, times)
     assert np.array_equal(cos_t, np.cos(arg))
     assert np.array_equal(sin_t, sin_direct)
     assert np.array_equal(sinc_t, sinc_direct)
     assert np.array_equal(symbol_array(cos_halfwave(0.3), grid), np.cos(0.3 * a))
-    profiles, index = halfwave_profiles(grid, times)
-    assert [profile.shape for profile in profiles] == [(len(times), index.max() + 1)] * 3
+    # on a window of the lattice (a free datum's), the first two only
+    window = np.ix_([1, 2, n - 1], [0, 3])
+    pair = halfwave_tables(a[window], times, count=2)
+    assert len(pair) == 2
+    assert all(np.array_equal(got, table[(slice(None),) + window])
+               for got, table in zip(pair, (cos_t, sin_t)))
     # the engine's tables: rows on a region's own levels spread on its modes
     # (the whole lattice, and the box in its compact layout), each also
     # written into a buffer; two buffers take (cos, sin) only, and levels

@@ -132,7 +132,7 @@ def _whole_lattice_free(phi0_hat, grid, tg, d_choice):
     """(u, dt u, d u) of the free wave from (phi0, 0) on every mode of the
     lattice: the full cos and sin tables of halfwave_tables and the public
     derivative symbol, with no window."""
-    cos_t, sin_t, _ = halfwave_tables(grid, tg.times)
+    cos_t, sin_t, _ = halfwave_tables(grid.abs_xi, tg.times)
     u = cos_t * phi0_hat
     dudt = -(grid.abs_xi * sin_t) * phi0_hat
     if d_choice == "t":
@@ -398,12 +398,12 @@ def _march_duhamel(src, region, tg, start=None):
     """start (zero if None) + the (u, dt u) Duhamel series on ``region``, on
     the lattice, chunk by chunk as the march adds it: one workspace for
     every chunk, each chunk's rows of the whole-series lattice tables (the
-    public halfwave_profiles spread by the lattice index) gathered on the
+    public halfwave_tables of the lattice's |xi|) gathered on the
     region, the sum formed in the region's compact layout, and outside the
     region the start itself."""
     step = picard._DuhamelSums(region, tg)
     work = region.buffers(DEFAULT_CHUNK)
-    lattice = halfwave_tables(region.grid, tg.times)
+    lattice = halfwave_tables(region.grid.abs_xi, tg.times)
     if start is None:
         start = (np.zeros(src.shape, dtype=complex),) * 2
     out = tuple(part.copy() for part in start)
@@ -492,12 +492,12 @@ def test_chunk_driver_spreads_every_chunk_into_one_set_of_tables(monkeypatch, gr
     shorter), forms each chunk's (cos, sin, sinc) rows on the region's own
     levels and spreads the ones ``spread`` asks for on its modes into the
     same buffers at every chunk, the others None: the bits of the
-    whole-series lattice tables (the public halfwave_profiles spread by the
-    lattice index) there."""
+    whole-series lattice tables (the public halfwave_tables of the
+    lattice's |xi|) there."""
     tg = TimeGrid(t_final=0.3, n_steps=13)
     for grid in (grid64, make_grid(128, 16.0 * math.pi)):
         region = picard._region(grid, box)
-        lattice = tuple(region.gather(table) for table in halfwave_tables(grid, tg.times))
+        lattice = tuple(region.gather(table) for table in halfwave_tables(grid.abs_xi, tg.times))
         for length in (1, 3, 4, tg.n_nodes):
             monkeypatch.setattr(picard, "_CHUNK", length)
             for spread in ((True, True, True), (True, True, False), (True, False, True)):

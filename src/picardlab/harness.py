@@ -37,12 +37,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, Grid, _check_integer, make_grid, parse_field, sobolev_norm
+from .grid import Field, Grid, _check_integer, as_spectral, make_grid, parse_field, sobolev_norm
 from .moments import MomentBound, tail_from_moments
 from .multipliers import D_CHOICES
-from .picard import BlowUpError, TimeGrid, _levels
+from .picard import BlowUpError, TimeGrid, _batch_levels, _batch_size
 from .randomization import (
     RandomizedData,
+    _block_projections,
+    _signed_sum,
     active_blocks,
     band_limited_field,
     draw_rademacher,
@@ -80,6 +82,11 @@ DATA_FAMILIES = ("band_limited", "gaussian", "file", "zero")
 
 class ConfigError(ValueError):
     """Configuration violates a run invariant."""
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool; a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
         for name in ("box_length", "t_final", "band", "h1_norm", "sigma", "amplitude"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             if type(value) not in (int, float):
                 object.__setattr__(self, name, float(value))
@@ -138,7 +145,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             try:
                 entries = tuple(values)
-                if name == "p_list" and (not entries or any(p < 2 or p % 2 for p in entries)):
+                if not all(map(_is_real, entries)) or name == "p_list" and (
+                        not entries or any(p < 2 or p % 2 for p in entries)):
                     raise ValueError
                 object.__setattr__(self, name, tuple(number(v) for v in entries))
             except (TypeError, ValueError):
@@ -170,13 +178,16 @@ def _hash_config(config: ExperimentConfig, data_sha256: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class PreparedRun:
-    """What :func:`_prepare` resolves once per run; one value for all its samples."""
+    """What :func:`_prepare` resolves once per run; one value for all its
+    samples.  ``projections`` holds each block's projection of phi0 on its
+    window, in block order, which every sample's datum signs and sums."""
 
     config: ExperimentConfig
     phi0: Field
     tg: TimeGrid
     phi0_h1: float
     blocks: tuple[tuple[int, int], ...]
+    projections: tuple
     data_sha256: str
     config_hash: str
 
@@ -297,7 +308,8 @@ def _prepare(config: ExperimentConfig) -> PreparedRun:
             raise ConfigError(
                 f"t_final {config.t_final} reaches the box boundary "
                 f"(support margin {margin:.3g}); shrink T or enlarge the box")
-    return PreparedRun(config, phi0, tg, phi0_h1, blocks, data_sha256,
+    return PreparedRun(config, phi0, tg, phi0_h1, blocks,
+                       _block_projections(as_spectral(phi0), blocks), data_sha256,
                        _hash_config(config, data_sha256))
 
 
@@ -307,26 +319,34 @@ def _sample_data(run: PreparedRun, idx: int) -> RandomizedData:
     return randomize(run.phi0, None, draw)
 
 
-def _run_one(run: PreparedRun, idx: int) -> list[SampleRow]:
-    """Rows (levels 0..n_max) of sample ``idx``."""
-    n_max = run.config.n_max
+def _run_batch(run: PreparedRun, indices: range) -> list[SampleRow]:
+    """Rows (levels 0..n_max) of the samples ``indices``, marched together;
+    a sample's datum is its sign draw applied to the run's projections, the
+    bits of :func:`_sample_data`."""
+    n_max, grid = run.config.n_max, run.phi0.grid
     if not run.blocks:
-        return [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for n in range(n_max + 1)]
+        return [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for idx in indices for n in range(n_max + 1)]
+    phi0 = np.zeros((len(indices), grid.n_points, grid.n_points), dtype=complex)
+    for idx, total in zip(indices, phi0):
+        draw = draw_rademacher(run.config.base_seed, run.blocks, sample_index=idx)
+        _signed_sum(run.projections, map(draw.eps, run.blocks), total)
     rows: list[SampleRow] = []
-    try:
-        for n, norms, _ in _levels(n_max, _sample_data(run, idx), run.tg, run.config.d_choice):
-            rows.append(SampleRow(idx, n, True, **norms))
-    except BlowUpError as exc:
-        rows.extend(SampleRow(idx, m, False, math.inf, math.inf, math.inf)
-                    for m in range(exc.n, n_max + 1))
+    for idx, levels in zip(indices, _batch_levels(n_max, phi0, grid, run.tg,
+                                                  run.config.d_choice)):
+        try:
+            for n, norms, _ in levels:
+                rows.append(SampleRow(idx, n, True, **norms))
+        except BlowUpError as exc:
+            rows.extend(SampleRow(idx, m, False, math.inf, math.inf, math.inf)
+                        for m in range(exc.n, n_max + 1))
     return rows
 
 
-def _worker_count(samples: int) -> int:
-    """PICARDLAB_WORKERS (an integer >= 1, unset means 1) capped at the sample
-    count and at the CPUs this process may run on (its affinity set under
-    taskset or a cpuset, where the platform reports one): a fork pool starts
-    all its workers on the first task."""
+def _worker_count(tasks: int) -> int:
+    """PICARDLAB_WORKERS (an integer >= 1, unset means 1) capped at the
+    number of ``tasks`` (the run's batches) and at the CPUs this process may
+    run on (its affinity set under taskset or a cpuset, where the platform
+    reports one): a fork pool starts all its workers on the first task."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(raw)
@@ -338,23 +358,25 @@ def _worker_count(samples: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(workers, samples, cpus)
+    return min(workers, tasks, cpus)
 
 
 def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
-    """All per-sample rows, sorted by (sample_index, n); schedule-independent."""
-    samples = run.config.samples
-    workers = _worker_count(samples)
-    runs, indices = repeat(run, samples), range(samples)
+    """All per-sample rows, sorted by (sample_index, n); schedule-independent.
+    Consecutive samples are marched in batches of
+    :func:`.picard._batch_size`, serially or one batch per pool task."""
+    size, indices = _batch_size(run.phi0.grid), range(run.config.samples)
+    batches = [indices[start:start + size] for start in indices[::size]]
+    workers = _worker_count(len(batches))
     if workers > 1:
         # the pool loads multiprocessing and socket; a serial run never needs them
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_sample = list(pool.map(_run_one, runs, indices))
+            per_batch = list(pool.map(_run_batch, repeat(run), batches))
     else:
-        per_sample = list(map(_run_one, runs, indices))
-    return tuple(row for rows in per_sample for row in rows)
+        per_batch = list(map(_run_batch, repeat(run), batches))
+    return tuple(row for rows in per_batch for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +434,11 @@ def _level_stats(x: np.ndarray) -> dict:
     }
 
 
-def _bootstrap_upper(x: np.ndarray, p: int, boot_idx: np.ndarray) -> float:
+def _bootstrap_upper(x: np.ndarray, p: int, boot_idx: np.ndarray, plugin: float) -> float:
+    """The bootstrap quantile of the p-th moment of ``x``, and at least its
+    ``plugin`` estimate."""
     boots = np.mean(x[boot_idx] ** float(p), axis=1) ** (1.0 / p)
-    return max(_quantile(boots, BOOTSTRAP_QUANTILE), _plugin_moment(x, p))
+    return max(_quantile(boots, BOOTSTRAP_QUANTILE), plugin)
 
 
 def _moment_bound(c_cal: float, n: int, p: int, phi0_h1: float, t_final: float) -> float:
@@ -443,7 +467,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     # (p, plug-in, bootstrap upper) per level and p; inf for a level with a
     # non-finite norm
-    moments = {n: [(p, _plugin_moment(x, p), _bootstrap_upper(x, p, boot_idx))
+    moments = {n: [(p, emp := _plugin_moment(x, p), _bootstrap_upper(x, p, boot_idx, emp))
                    if np.all(np.isfinite(x)) else (p, math.inf, math.inf) for p in config.p_list]
                for n, x in by_level.items()}
     root_t = math.sqrt(config.t_final)

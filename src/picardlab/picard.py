@@ -52,10 +52,21 @@ part's norm sums and physical du, formed once per chunk, to every level's.
 :func:`_d_duhamel_part` is the one place d picks the part of (u, dt u) it
 reads; the march forms both, since its norms read both.
 
+The march takes a stack of data, the samples of a Monte Carlo batch, with a
+sample axis after the node axis: the samples advance together through one
+set of chunk tables (broadcast over them) and one workspace, and each keeps
+the bits of its march alone, since every transform, product and sum acts on
+one sample's lines.  A batch is as many samples as one step of
+``_STEP_BYTES`` holds at 2 nodes each on the lattice (:func:`_batch_size`):
+4 at 64^2, and one from 128^2 on, where a single sample's chunk already
+fills the cache.  A single datum marches alone in chunks of ``_CHUNK`` = 3
+nodes.
+
 Iterates can grow factorially outside the small-interval regime, so every
 norm is checked against a blow-up guard and :class:`BlowUpError` carries the
-diagnostic of the first failing level; the levels after a level sure to fail
-are not advanced further.
+diagnostic of a sample's first failing level; a sample's levels after one
+sure to fail are dropped, and advanced further only while a batch-mate
+needs them.
 """
 
 from __future__ import annotations
@@ -182,14 +193,22 @@ class BlowUpError(RuntimeError):
 # Propagator tables and the separable Duhamel integral
 # ---------------------------------------------------------------------------
 
-# Time nodes per step of the march: a chunk's arrays stay well inside a 2 MB
-# L2 (0.8 MB each at 128^2).
+# Time nodes per step of a one-sample march: a chunk's arrays stay well
+# inside a 2 MB L2 (0.8 MB each at 128^2).
 _CHUNK = 3
+# Lattice bytes of one step of a batched march, B samples x 2 nodes.
+_STEP_BYTES = 1 << 19
 
 
-def _chunk_length(tg: TimeGrid) -> int:
-    """Nodes in the first, longest chunk: the length of every chunk buffer."""
-    return min(_CHUNK, tg.n_nodes)
+def _batch_size(grid: Grid) -> int:
+    """Samples a Monte Carlo run marches together on ``grid``."""
+    return max(1, _STEP_BYTES // (2 * 16 * grid.n_points**2))
+
+
+def _chunk_length(tg: TimeGrid, batch: int = 1) -> int:
+    """Nodes in the first, longest chunk of a march of ``batch`` samples:
+    the length of every chunk buffer."""
+    return min(_CHUNK if batch == 1 else 2, tg.n_nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +256,13 @@ class _Region:
         """
         return np.take(rows, self.index, axis=1, out=out, mode="clip")
 
-    def buffers(self, n_nodes: int) -> np.ndarray:
-        """A Duhamel step's workspace for up to ``n_nodes`` nodes, four
-        buffers in one array: scratch (the gathered source), the sum A (dt u
-        once u is formed), the sum B and the part u.  Between steps the
-        whole block is free, so a caller may lay other scratch over it."""
-        return np.empty((4, n_nodes, self.size, self.size), dtype=complex)
+    def buffers(self, *lead: int) -> np.ndarray:
+        """A Duhamel step's workspace of leading shape ``lead`` (up to so
+        many nodes, or nodes x samples), four buffers in one array: scratch
+        (the gathered source), the sum A (dt u once u is formed), the sum B
+        and the part u.  Between steps the whole block is free, so a caller
+        may lay other scratch over it."""
+        return np.empty((4,) + lead + (self.size, self.size), dtype=complex)
 
     def place(self, part: np.ndarray, out: np.ndarray) -> None:
         """Write the compact ``part`` into its modes of ``out``; the other
@@ -347,14 +367,15 @@ class _DuhamelSums:
         return u if want_u else None, a if want_dt else None
 
 
-def _chunk_tables(tg: TimeGrid, region: _Region, spread: tuple[bool, ...] = (True, True, True)
-                  ) -> Iterator[tuple[slice, tuple[np.ndarray | None, ...]]]:
-    """The one walk over the chunks of nodes of ``tg``: each chunk with its
+def _chunk_tables(tg: TimeGrid, region: _Region, spread: tuple[bool, ...] = (True, True, True),
+                  batch: int = 1) -> Iterator[tuple[slice, tuple[np.ndarray | None, ...]]]:
+    """The one walk over the chunks of nodes of ``tg`` (of a march of
+    ``batch`` samples, :func:`_chunk_length`): each chunk with its
     (cos, sin, sinc) tables on the modes of ``region``, None where
     ``spread`` is False, spread from rows on the region's ``levels``.  The
     rows and the tables are chunk-sized buffers allocated at the first
     chunk and rewritten at each."""
-    length = _chunk_length(tg)
+    length = _chunk_length(tg, batch)
     times = tg.times
     rows = tuple(np.empty((length, len(region.levels))) for _ in range(3))
     tables = tuple(np.empty((length, region.size, region.size)) if want else None
@@ -597,31 +618,36 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
 
 
 def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
-           keep: Collection[int]) -> tuple[np.ndarray, dict]:
-    """Per-node norms of iterates 0..n_max from the signed datum ``phi0_hat``
-    (zero velocity), and the (u, dt u) series of the levels in ``keep``
-    on the lattice, all levels advancing together a chunk of nodes at a
-    time (see the module docstring).
+           keep: Collection[int]) -> tuple[list[np.ndarray], dict]:
+    """Per-node norms of iterates 0..n_max from each signed datum (zero
+    velocity) of the stack ``phi0_hat`` (samples x lattice), and the
+    (u, dt u) series of the levels in ``keep`` on the lattice (nodes x
+    samples), all samples and levels advancing together a chunk of nodes at
+    a time (see the module docstring).
 
-    Row n of the norms holds (H^1 of u, L^2 of dt u, L^4 of du) per node.
-    Once a level is sure to fail the blow-up guard (a node's sup-norm term
-    above it, or a non-finite term), the levels after it are dropped: the
-    rows end at that level.  A level is free + Duhamel part on the compact
-    box.  The workspace (laid out below) does not outlive the call; kept
-    series are copied out of it.
+    Row n of a sample's norms holds (H^1 of u, L^2 of dt u, L^4 of du) per
+    node.  Once a level of a sample is sure to fail the blow-up guard (a
+    node's sup-norm term above it, or a non-finite term), the sample's rows
+    end at that level; its later levels march on only while a batch-mate
+    needs them, and are dropped.  A level is free + Duhamel part on the
+    compact box; the free part is formed again at each level from the
+    chunk's tables.  The workspace (laid out below) does not outlive the
+    call; kept series are copied out of it.
     """
     box = _region(grid, True)
+    batch = len(phi0_hat)
     sums = [_DuhamelSums(box, tg) for _ in range(n_max)]
-    per_node = np.zeros((n_max + 1, 3, tg.n_nodes))
-    shape = (tg.n_nodes, grid.n_points, grid.n_points)
+    per_node = np.zeros((batch, n_max + 1, 3, tg.n_nodes))
+    shape = (tg.n_nodes, batch, grid.n_points, grid.n_points)
     kept = {n: (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
             for n in keep}
-    chunk = (_chunk_length(tg),) + shape[1:]
-    box_chunk = chunk[:1] + (box.size, box.size)
-    # on the box: the free pair; on the lattice: the physical du
-    free_u, free_dt = (np.empty(box_chunk, dtype=complex) for _ in range(2))
+    chunk = (_chunk_length(tg, batch),) + shape[1:]
+    box_chunk = chunk[:2] + (box.size, box.size)
+    # on the box: -|xi| sin, the free dt u of a unit datum; on the lattice:
+    # the physical du
+    speeds = np.empty((chunk[0], 1, box.size, box.size))
     phys_buf = np.empty(chunk, dtype=complex)
-    work = box.buffers(chunk[0])
+    work = box.buffers(*chunk[:2])
     # the norms' real planes lie in the workspace: on the box in B's
     # buffer, free between Duhamel steps; on the lattice over all four
     # buffers, free once du's inverse transform has read it
@@ -632,25 +658,26 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     else:
         gaps = _gap_chunks(phi0_hat, grid, tg, d_choice, planes)
         total_buf = np.empty(chunk, dtype=complex)
-    top = n_max
+    tops = np.full(batch, n_max)
     for (nodes, tables), (gap_pair, gap_h1, gap_l2, gap_phys) in zip(
-            _chunk_tables(tg, box), gaps):
+            _chunk_tables(tg, box, batch=batch), gaps):
         k = nodes.stop - nodes.start
         phys, real, real_box = phys_buf[:k], planes[:, :k], box_planes[:, :k]
-        free = _free_hats(phi0_box, box.abs_xi, tables[:2], out=(free_u[:k], free_dt[:k]),
-                          scratch=real_box[0])
-        for n in range(top + 1):
+        tables = tuple(table[:, None] for table in tables)  # to the samples
+        speed = np.negative(np.multiply(box.abs_xi, tables[1], out=speeds[:k]), out=speeds[:k])
+        for n in range(tops.max() + 1):
             if n == 0:
-                u, dudt = free
+                u = np.multiply(tables[0], phi0_box, out=work[3][:k])
+                dudt = np.multiply(speed, phi0_box, out=work[1][:k])
             else:
-                # free part plus the Duhamel integral of (du^(n-1))^2, the
-                # self-square of product_dealias taken in place
+                # the Duhamel integral of (du^(n-1))^2, the self-square of
+                # product_dealias taken in place, plus the free part
                 phys *= phys
                 src = _box_fft2(phys, box, out=work[0][:k])
                 u, dudt = sums[n - 1].advance(src, work, tables)
-                np.add(free[0], u, out=u)
-                np.add(free[1], dudt, out=dudt)
-            rows = per_node[n, :, nodes]
+                u += np.multiply(tables[0], phi0_box, out=src)
+                dudt += np.multiply(speed, phi0_box, out=src)
+            rows = per_node[:, n, :, nodes].transpose(1, 2, 0)
             rows[0] = grid.dx * np.sqrt(_sobolev_sums(u, box.h1_weight, real_box) + gap_h1)
             rows[1] = grid.dx * np.sqrt(_sobolev_sums(dudt, None, real_box) + gap_l2)
             for part, out, start in zip((u, dudt), kept.get(n, ()), gap_pair):
@@ -661,10 +688,11 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
             _box_ifft2(du, box, out=phys)
             full = phys if gap_phys is None else np.add(phys, gap_phys, out=total_buf[:k])
             rows[2] = lp_nodes(full, grid, 4.0, scratch=real)
-            if not (np.all(rows[:2] <= BLOWUP_GUARD) and np.all(np.isfinite(rows[2]))):
-                top = n
+            ok = (rows[:2].max(axis=(0, 1)) <= BLOWUP_GUARD) & np.isfinite(rows[2]).all(axis=0)
+            np.minimum(tops, n, out=tops, where=~ok)
+            if tops.max() <= n:
                 break
-    return per_node[:top + 1], kept
+    return [rows[:top + 1] for rows, top in zip(per_node, tops)], kept
 
 
 def _planes(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -676,38 +704,46 @@ def _planes(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
                 planes: np.ndarray) -> Iterator[tuple]:
     """Per chunk of :func:`_chunk_tables`, the part of every iterate outside
-    the box, the free wave from the modes of ``phi0_hat`` there: the pair
-    (u, dt u) on the lattice with the box zero, the H^1 sums of u and the
-    L^2 sums of dt u, and the physical du.  The arrays are views of buffers
+    the box, the free wave from the modes of each datum of the stack
+    ``phi0_hat`` there: the pair (u, dt u) on the lattice with the box zero,
+    the H^1 sums of u and the L^2 sums of dt u, and the physical du, in the
+    march's layout (nodes x samples).  The arrays are views of buffers
     reused from chunk to chunk; ``planes``, the sums' real scratch, need
     only be free while the next chunk is drawn."""
     phi0 = phi0_hat.copy()
     for (rows, cols), _ in _region(grid, True).pairs:
-        phi0[rows, cols] = 0.0
+        phi0[..., rows, cols] = 0.0
     lattice = _region(grid, False)
     chunk = planes.shape[1:]
     u_buf, dt_buf, phys_buf = (np.empty(chunk, dtype=complex) for _ in range(3))
-    for nodes, tables in _chunk_tables(tg, lattice, spread=(True, True, False)):
+    for nodes, tables in _chunk_tables(tg, lattice, spread=(True, True, False), batch=chunk[1]):
         k = nodes.stop - nodes.start
-        pair = _free_hats(phi0, lattice.abs_xi, tables[:2], out=(u_buf[:k], dt_buf[:k]),
-                          scratch=planes[0, :k])
+        pair = _free_hats(phi0, lattice.abs_xi, tuple(table[:, None] for table in tables[:2]),
+                          out=(u_buf[:k], dt_buf[:k]), scratch=planes[0, :k, :1])
         du = _derivative_hat(*pair, lattice, d_choice, out=phys_buf[:k])
         yield (pair, _sobolev_sums(pair[0], lattice.h1_weight, planes[:, :k]),
                _sobolev_sums(pair[1], None, planes[:, :k]),
                np.fft.ifft2(du, norm="ortho", axes=(-2, -1), out=phys_buf[:k]))
 
 
-def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
-            keep: Collection[int] = ()) -> Iterator[tuple[int, dict[str, float], tuple | None]]:
-    """(n, norms, kept series or None) of iterates 0..n_max in order: the
-    single path through the recursion for the chain, one iterate and the
-    harness.  The first level whose norm fails the guard raises
-    :class:`BlowUpError`, norms checked in key order; the guard is the
-    check for a blow-up, so the march's overflows raise no numpy warning."""
+def _batch_levels(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
+                  keep: Collection[int] = ()) -> list[Iterator[tuple]]:
+    """Per signed datum of the stack ``phi0_hat``, an iterator of (n, norms,
+    kept series or None) of iterates 0..n_max in order, from one march:
+    the single path through the recursion for the chain, one iterate and
+    the harness.  A sample's first level whose norm fails the guard raises
+    :class:`BlowUpError` from its iterator, norms checked in key order; the
+    guard is the check for a blow-up, so the march's overflows raise no
+    numpy warning."""
     _check_d_choice(d_choice)
     _check_level(n_max, "n_max")
     with np.errstate(over="ignore", invalid="ignore"):
-        per_node, kept = _march(n_max, data.phi0_rand.values, data.grid, tg, d_choice, keep)
+        per_node, kept = _march(n_max, phi0_hat, grid, tg, d_choice, keep)
+    return [_sample_levels(rows, tg, {n: (u[:, b], dt_u[:, b]) for n, (u, dt_u) in kept.items()})
+            for b, rows in enumerate(per_node)]
+
+
+def _sample_levels(per_node: np.ndarray, tg: TimeGrid, kept: dict) -> Iterator[tuple]:
     for n, (h1_u, l2_dudt, l4_du) in enumerate(per_node):
         norms = {
             "linf_h1_u": float(h1_u.max()),
@@ -718,6 +754,12 @@ def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str,
             if not math.isfinite(value) or value > BLOWUP_GUARD:
                 raise BlowUpError(n, name, value)
         yield n, norms, kept.get(n)
+
+
+def _levels(n_max: int, data: RandomizedData, tg: TimeGrid, d_choice: str, keep=()) -> Iterator:
+    """:func:`_batch_levels` of one randomized datum: the iterator of
+    (n, norms, kept series or None) the chain and one iterate read."""
+    return _batch_levels(n_max, data.phi0_rand.values[None], data.grid, tg, d_choice, keep)[0]
 
 
 def _record(n: int, norms: dict[str, float], series: tuple, data: RandomizedData,

@@ -124,21 +124,33 @@ def randomize(phi0: Field, phi1: None, draw: RademacherDraw) -> RandomizedData:
     """Assemble the randomized datum for a given draw.
 
     The velocity slot ``phi1`` must be None: the data lie in H^1 x {0}.  The
-    signed projections are added one at a time, in the draw's block order,
-    into one running sum, each on the window of its weight (11 x 11 modes at
-    frequency spacing 1/8): outside it the full-lattice term is zero and
-    adding it changes no bit.
+    datum is :func:`_signed_sum` of the draw's block projections.
     """
     if phi1 is not None:
         raise ValueError("the velocity datum is zero: data in H^1 x {0}")
     g0 = as_spectral(phi0)
-    part = UnitPartition(g0.grid)
-    total = np.zeros_like(g0.values)
-    for k in draw.blocks:
-        rows, cols, w = part.window(k)
-        win = np.ix_(rows, cols)
-        total[win] += draw.eps(k) * (w * g0.values[win])
+    total = _signed_sum(_block_projections(g0, draw.blocks), map(draw.eps, draw.blocks),
+                        np.zeros_like(g0.values))
     return RandomizedData(draw=draw, phi0=g0, phi0_rand=Field(g0.grid, total, SPECTRAL))
+
+
+def _block_projections(g0: Field, blocks) -> tuple[tuple[tuple, np.ndarray], ...]:
+    """P_k phi0 of the spectral datum ``g0`` for each block k of ``blocks``,
+    in order, on the window of its weight (at most 11 x 11 modes at
+    frequency spacing 1/8): (the window's index, the values there)."""
+    part = UnitPartition(g0.grid)
+    windows = [(np.ix_(rows, cols), w) for rows, cols, w in map(part.window, blocks)]
+    return tuple((win, w * g0.values[win]) for win, w in windows)
+
+
+def _signed_sum(projections, signs, out: np.ndarray) -> np.ndarray:
+    """sum_k eps_k P_k phi0 written into the zero lattice array ``out``: the
+    signed ``projections`` (:func:`_block_projections`) added one at a time,
+    in order, into one running sum on their windows; outside a window the
+    full-lattice term is zero and adding it changes no bit."""
+    for (win, proj), eps in zip(projections, signs):
+        out[win] += eps * proj
+    return out
 
 
 # ---------------------------------------------------------------------------

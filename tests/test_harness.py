@@ -32,12 +32,13 @@ from picardlab import (
 )
 import picardlab.cli as cli
 import picardlab.harness as harness
+import picardlab.picard as picard
 from picardlab.cli import main
 from picardlab.harness import (
     WORKERS_ENV,
     ConfigError,
     _prepare,
-    _run_one,
+    _run_batch,
     _worker_count,
     emit_report,
     interval_scaling_study,
@@ -91,7 +92,8 @@ def test_config_validation():
     ("n_points", "64"), ("n_steps", np.float64(8.0)), ("t_final", "0.2"), ("box_length", True),
     ("sigma", 1 + 2j), ("require_small_regime", "no"), ("require_small_regime", 0),
     ("p_list", ("4",)), ("p_list", 4), ("p_list", (4, None)), ("interval_list", ("a",)),
-    ("interval_list", 0.5), ("interval_list", (0.1, 1j)), ("data_path", 5), ("data_path", None)])
+    ("interval_list", 0.5), ("interval_list", (0.1, 1j)), ("interval_list", ("0.5",)),
+    ("interval_list", (0.5, True)), ("data_path", 5), ("data_path", None)])
 def test_config_refuses_values_it_cannot_run_or_hash(name, value):
     extra = {"family": "file"} if name == "data_path" else {}
     with pytest.raises(ConfigError, match=name):
@@ -149,7 +151,7 @@ def test_run_experiment_bootstraps_each_level_and_p_once(monkeypatch):
     calls = []
     upper = harness._bootstrap_upper
     monkeypatch.setattr(harness, "_bootstrap_upper",
-                        lambda x, p, idx: calls.append(p) or upper(x, p, idx))
+                        lambda x, p, idx, plugin: calls.append(p) or upper(x, p, idx, plugin))
     run_experiment(SMALL)
     assert sorted(calls) == sorted(SMALL.p_list * (SMALL.n_max + 1))
 
@@ -168,6 +170,72 @@ def test_rows_are_deterministic_and_worker_free(tmp_path, monkeypatch):
         (tmp_path / "b" / "summary.json").read_bytes()
     assert rows_a.decode().splitlines()[0] == (
         f"# picardlab rows v1 config={SMALL.config_hash} seed={SMALL.base_seed}")
+
+
+@pytest.mark.parametrize("family, d_choice", [("band_limited", "x1"), ("gaussian", "t")])
+def test_rows_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, family, d_choice):
+    """7 samples at 64^2 march in batches of four and three; with the step
+    bytes cut to one sample each marches alone, and rows.csv and
+    summary.json keep their bytes."""
+    config = replace(SMALL, n_points=64, samples=7, family=family, d_choice=d_choice)
+    grid = make_grid(64, config.box_length)
+    assert picard._batch_size(grid) == 4
+    emit_report(run_experiment(config), tmp_path / "batched")
+    monkeypatch.setattr(picard, "_STEP_BYTES", 1)
+    assert picard._batch_size(grid) == 1
+    emit_report(run_experiment(config), tmp_path / "alone")
+    for name in ("rows.csv", "summary.json"):
+        assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+@pytest.mark.parametrize("family", ["band_limited", "gaussian"])
+def test_batched_data_are_the_bits_of_randomize(monkeypatch, family):
+    """The run forms each block's projection once, on its window of at most
+    11 x 11 modes;
+    every datum the batches march, signed and summed from them, is
+    randomize's phi0_rand of that sample index bit for bit."""
+    run = _prepare(replace(SMALL, n_points=64, samples=9, family=family))
+    assert len(run.projections) == len(run.blocks)
+    assert max(max(proj.shape) for _, proj in run.projections) == 11
+    stacks = []
+    batch_levels = harness._batch_levels
+    monkeypatch.setattr(harness, "_batch_levels",
+                        lambda n_max, phi0, *args: stacks.append(phi0.copy())
+                        or batch_levels(n_max, phi0, *args))
+    harness._sample_rows(run)
+    assert [len(stack) for stack in stacks] == [4, 4, 1]
+    for idx, phi0 in enumerate(np.concatenate(stacks)):
+        assert phi0.tobytes() == harness._sample_data(run, idx).phi0_rand.values.tobytes()
+
+
+def test_the_pool_is_capped_at_the_number_of_batches(monkeypatch):
+    """8 samples at 64^2 form two batches of four, so a pool of eight asked
+    for starts two workers; 6 samples at 32^2 form one batch and start no
+    pool.  The rows are the serial run's."""
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    config = replace(SMALL, n_points=64, samples=8)
+    serial = run_experiment(config).rows, run_experiment(SMALL).rows
+    monkeypatch.setenv(WORKERS_ENV, "8")
+    assert (run_experiment(config).rows, run_experiment(SMALL).rows) == serial
+    assert started == [2]
 
 
 def test_zero_family_runs_and_passes():
@@ -232,10 +300,10 @@ def test_one_reference_sample_holds_less_than_one_series_of_memory():
     """One 128^2, 65-node, n <= 3 sample, after a warm-up has built the cached
     tables: its traced peak stays below one 65 x 128^2 complex series."""
     run = _prepare(REF128)
-    _run_one(run, 0)
+    _run_batch(run, range(1))
     tracemalloc.start()
     try:
-        rows = _run_one(run, 1)
+        rows = _run_batch(run, range(1, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,9 +315,11 @@ def test_a_cold_reference_sample_keeps_no_whole_series_table():
     """One 128^2, 65-node, n <= 3 sample in a fresh process, every table
     cache empty: the march forms each chunk's propagator rows on the box's
     own |xi| levels and spreads them into its workspace of four Duhamel
-    buffers, over which the norm planes lie, so the traced peak stays below
-    5.8 MB (where the five-buffer workspace with norm planes of its own took
-    6.8 MB, per-|xi| profiles over the whole series 10.0 MB, and tables over
+    buffers, over which the norm planes lie, and forms the free part again
+    at each level, so the traced peak stays below 5.3 MB (4.8 MB measured;
+    a free pair kept per chunk took 5.3 MB, the five-buffer workspace with
+    norm planes of its own 6.8 MB, per-|xi| profiles over the whole series
+    10.0 MB, and tables over
     the whole lattice 45.9 MB), and what the call keeps stays below one
     whole-series profile of the box's 812 levels, 3 x 65 x 812 doubles
     (where the cached per-|xi| profiles kept 3.6 MB), and below 0.45 MB:
@@ -257,28 +327,29 @@ def test_a_cold_reference_sample_keeps_no_whole_series_table():
     where a cached lattice i xi_1 beside it kept 0.57 MB)."""
     out = run_python(
         "import json, math, tracemalloc\n"
-        "from picardlab.harness import ExperimentConfig, _prepare, _run_one\n"
+        "from picardlab.harness import ExperimentConfig, _prepare, _run_batch\n"
         f"run = _prepare({REF128!r})\n"
         "tracemalloc.start()\n"
         "before = tracemalloc.get_traced_memory()[0]\n"
-        "rows = _run_one(run, 0)\n"
+        "rows = _run_batch(run, range(1))\n"
         "current, peak = tracemalloc.get_traced_memory()\n"
         "print(json.dumps([[r.n for r in rows], all(r.finite for r in rows),\n"
         "                  peak - before, current - before]))\n")
     levels, finite, peak, held = json.loads(out)
     assert levels == [0, 1, 2, 3] and finite
-    assert peak < 5_800_000
+    assert peak < 5_300_000
     assert held < 3 * 65 * 812 * 8 and held < 450_000
 
 
 def test_a_warm_reference_march_works_in_box_sized_buffers():
     """A warm 128^2, 65-node, n <= 3 march in a fresh process: every spectral
     stage runs on the 85^2 box in four Duhamel buffers, B without a
-    half-weight term and the norm planes laid over the workspace, so its
-    traced peak, the workspace with the running Duhamel sums, stays below
-    6.5 3-node chunks of the 128^2 lattice (5.1 MB), where five buffers
-    with planes of their own took 6.2 MB and the march on the whole lattice
-    9.8 MB."""
+    half-weight term, the norm planes laid over the workspace and the free
+    part formed again at each level, so its traced peak, the workspace with
+    the running Duhamel sums, stays below 6 3-node chunks of the 128^2
+    lattice (4.7 MB; 4.2 MB measured), where a free pair kept per chunk
+    took 4.75 MB, five buffers with planes of their own 6.2 MB and the
+    march on the whole lattice 9.8 MB."""
     out = run_python(
         "import json, tracemalloc\n"
         "import numpy as np\n"
@@ -286,17 +357,42 @@ def test_a_warm_reference_march_works_in_box_sized_buffers():
         "from picardlab.picard import _CHUNK, _march\n"
         f"run = _prepare({REF128!r})\n"
         "data = _sample_data(run, 0)\n"
-        "args = (3, data.phi0_rand.values, data.grid, run.tg, 'x1', ())\n"
+        "args = (3, data.phi0_rand.values[None], data.grid, run.tg, 'x1', ())\n"
         "_march(*args)\n"
         "tracemalloc.start()\n"
         "before = tracemalloc.get_traced_memory()[0]\n"
-        "per_node, kept = _march(*args)\n"
+        "(per_node,), kept = _march(*args)\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
         "print(json.dumps([per_node.shape, bool(np.isfinite(per_node).all()), _CHUNK,\n"
         "                  peak - before]))\n")
     shape, finite, chunk, peak = json.loads(out)
     assert shape == [4, 3, 65] and finite
-    assert peak < 6.5 * chunk * 128 * 128 * 16
+    assert peak < 6 * chunk * 128 * 128 * 16
+
+
+# the criteria 10/11 config, whose samples march four at a time
+ENS64 = ExperimentConfig(n_points=64, box_length=16.0 * math.pi, t_final=0.2,
+                         n_steps=32, n_max=1, samples=16, band=2.0)
+
+
+def test_a_warm_batch_of_four_64_samples_holds_its_step_workspace():
+    """One warm batch of four 64^2, 33-node, n <= 1 samples in 2-node
+    chunks: the physical du (0.52 MB), the four Duhamel buffers (0.95 MB),
+    the level's running sums (0.35 MB) and the four data on the lattice and
+    the box (0.38 MB) keep its traced peak below 2.7 MB (2.48 MB measured),
+    where four samples marched one at a time peaked at 1.26 MB."""
+    run = _prepare(ENS64)
+    assert picard._batch_size(run.phi0.grid) == 4
+    _run_batch(run, range(4))
+    tracemalloc.start()
+    try:
+        rows = _run_batch(run, range(4, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.sample_index, r.n) for r in rows] == [(i, n) for i in range(4, 8) for n in (0, 1)]
+    assert all(r.finite for r in rows)
+    assert peak < 2_700_000
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 64, 200, 511])

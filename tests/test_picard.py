@@ -695,6 +695,76 @@ def test_blowup_error_names_the_first_failing_level(monkeypatch):
     assert picard_chain(1, data, tg)[1].norms["linf_l2_dudt"] < picard.BLOWUP_GUARD
 
 
+# ---------------------------------------------------------------------------
+# Batched marches: the samples of a stack advance together, each with the
+# bits of its own one-sample march.
+# ---------------------------------------------------------------------------
+
+def _signed_stack(phi0, samples, seed=21):
+    """phi0_rand of sample indices 0..samples-1 of ``phi0``, stacked."""
+    blocks = active_blocks(phi0)
+    return np.stack([randomize(phi0, None, draw_rademacher(seed, blocks, sample_index=i))
+                     .phi0_rand.values for i in range(samples)])
+
+
+@pytest.mark.parametrize("family", ["band", "gaussian"])
+@pytest.mark.parametrize("d_choice", ["x1", "x2", "t"])
+def test_a_batched_march_gives_each_sample_its_one_sample_bits(grid64, family, d_choice):
+    """B = 1, 2, 3 and 16 samples marched together (2-node chunks from B = 2
+    on) give every sample the per-node norms of its own one-sample march
+    (3-node chunks), on the box path and on the gap path, and the kept
+    series of a batch are each sample's own."""
+    phi0 = band_limited_field(grid64, band=3.0, seed=8) if family == "band" else \
+        gaussian_bump(grid64, sigma=2.0)
+    stack = _signed_stack(phi0, 16)
+    assert picard._inside_box(stack, grid64) == (family == "band")
+    tg = TimeGrid(t_final=0.3, n_steps=8)
+    alone = [picard._march(2, stack[b:b + 1], grid64, tg, d_choice, (1,)) for b in range(16)]
+    for batch in (1, 2, 3, 16):
+        per_node, kept = picard._march(2, stack[:batch], grid64, tg, d_choice,
+                                       (1,) if batch == 3 else ())
+        assert len(per_node) == batch
+        for b, (rows, ((expect,), one_kept)) in enumerate(zip(per_node, alone)):
+            assert rows.shape == (3, 3, tg.n_nodes) and np.array_equal(rows, expect)
+            for part, own in zip(kept.get(1, ()), one_kept[1]):
+                assert np.array_equal(part[:, b], own[:, 0])
+
+
+def _drained(levels):
+    """The norms an iterator of :func:`picard._batch_levels` yields, and its
+    BlowUpError's (n, norm name, value), or None."""
+    norms = []
+    try:
+        for n, level, _ in levels:
+            norms.append(level)
+    except BlowUpError as exc:
+        return norms, (exc.n, exc.norm_name, exc.value)
+    return norms, None
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sample_that_blows_up_mid_batch_ends_its_rows_alone():
+    """The middle sample of a batch of three, scaled by 1e6, fails the guard
+    at level 2: its rows end there and its iterator raises the error of its
+    one-sample march, while its batch-mates march on to level 3 with the
+    bits of their own marches, and no overflow warning escapes."""
+    grid = make_grid(32, 16.0 * math.pi)
+    tg = TimeGrid(t_final=0.2, n_steps=16)
+    stack = _signed_stack(band_limited_field(grid, band=1.0, seed=7), 3, seed=91)
+    stack[1] *= 1e6
+    per_node, _ = picard._march(3, stack, grid, tg, "x1", ())
+    levels = [_drained(it) for it in picard._batch_levels(3, stack, grid, tg, "x1")]
+    for b, (rows, got) in enumerate(zip(per_node, levels)):
+        (expect,), _ = picard._march(3, stack[b:b + 1], grid, tg, "x1", ())
+        assert np.array_equal(rows, expect, equal_nan=True)
+        assert got == _drained(picard._batch_levels(3, stack[b:b + 1], grid, tg, "x1")[0])
+    assert [len(rows) for rows in per_node] == [4, 3, 4]
+    assert [len(norms) for norms, _ in levels] == [4, 2, 4]
+    assert levels[0][1] is None and levels[2][1] is None
+    n, name, value = levels[1][1]
+    assert n == 2 and name == "linf_l2_dudt" and value > picard.BLOWUP_GUARD
+
+
 def test_records_wrap_engine_arrays_read_only(grid64):
     data = _random_data(grid64)
     tg = TimeGrid(t_final=0.4, n_steps=8)

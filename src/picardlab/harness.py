@@ -1,11 +1,14 @@
 """Monte Carlo experiment runner for randomized Picard iterates.
 
-Pipeline per sample: derive the sign draw from (base_seed, sample_index),
-randomize the datum, march levels 0..n_max and keep their three tracked norms.
-A run is resolved once into one :class:`PreparedRun` that every sample,
-worker, report and field dump uses.  Samples are independent and merged by
+Pipeline per batch of consecutive samples: derive each sample's sign draw
+from (base_seed, sample_index), sign and sum the run's block projections of
+phi0 into its datum, march the batch's levels 0..n_max together and keep
+their three tracked norms.  A run is resolved once into one
+:class:`PreparedRun` that every batch, worker, report and field dump uses.
+Each sample keeps the bits of its march alone and the rows are merged by
 sample index, so the report is a pure function of (config, base_seed, data
-bytes) regardless of worker count (PICARDLAB_WORKERS, default serial).
+bytes) regardless of batch size and worker count (PICARDLAB_WORKERS,
+default serial; a pool maps the batches).
 
 The moment verdicts compare the empirical L^p_omega norm of
 ||du^(n)||_{L^2_t L^4_x} (plug-in estimator, bootstrap upper confidence bound

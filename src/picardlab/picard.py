@@ -58,7 +58,7 @@ set of chunk tables (broadcast over them) and one workspace, and each keeps
 the bits of its march alone, since every transform, product and sum acts on
 one sample's lines.  A batch is as many samples as one step of
 ``_STEP_BYTES`` holds at 2 nodes each on the lattice (:func:`_batch_size`):
-4 at 64^2, and one from 128^2 on, where a single sample's chunk already
+3 at 64^2, and one from 128^2 on, where a single sample's chunk already
 fills the cache.  A single datum marches alone in chunks of ``_CHUNK`` = 3
 nodes.
 
@@ -196,8 +196,9 @@ class BlowUpError(RuntimeError):
 # Time nodes per step of a one-sample march: a chunk's arrays stay well
 # inside a 2 MB L2 (0.8 MB each at 128^2).
 _CHUNK = 3
-# Lattice bytes of one step of a batched march, B samples x 2 nodes.
-_STEP_BYTES = 1 << 19
+# Lattice bytes of one step of a batched march, B samples x 2 nodes: six
+# complex nodes at 64^2, where B = 3 is as fast as B = 4 and holds less.
+_STEP_BYTES = 6 * 16 * 64**2
 
 
 def _batch_size(grid: Grid) -> int:

@@ -174,12 +174,12 @@ def test_rows_are_deterministic_and_worker_free(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("family, d_choice", [("band_limited", "x1"), ("gaussian", "t")])
 def test_rows_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, family, d_choice):
-    """7 samples at 64^2 march in batches of four and three; with the step
+    """7 samples at 64^2 march in batches of three, three and one; with the step
     bytes cut to one sample each marches alone, and rows.csv and
     summary.json keep their bytes."""
     config = replace(SMALL, n_points=64, samples=7, family=family, d_choice=d_choice)
     grid = make_grid(64, config.box_length)
-    assert picard._batch_size(grid) == 4
+    assert picard._batch_size(grid) == 3
     emit_report(run_experiment(config), tmp_path / "batched")
     monkeypatch.setattr(picard, "_STEP_BYTES", 1)
     assert picard._batch_size(grid) == 1
@@ -203,13 +203,13 @@ def test_batched_data_are_the_bits_of_randomize(monkeypatch, family):
                         lambda n_max, phi0, *args: stacks.append(phi0.copy())
                         or batch_levels(n_max, phi0, *args))
     harness._sample_rows(run)
-    assert [len(stack) for stack in stacks] == [4, 4, 1]
+    assert [len(stack) for stack in stacks] == [3, 3, 3]
     for idx, phi0 in enumerate(np.concatenate(stacks)):
         assert phi0.tobytes() == harness._sample_data(run, idx).phi0_rand.values.tobytes()
 
 
 def test_the_pool_is_capped_at_the_number_of_batches(monkeypatch):
-    """8 samples at 64^2 form two batches of four, so a pool of eight asked
+    """6 samples at 64^2 form two batches of three, so a pool of eight asked
     for starts two workers; 6 samples at 32^2 form one batch and start no
     pool.  The rows are the serial run's."""
     import concurrent.futures
@@ -231,7 +231,7 @@ def test_the_pool_is_capped_at_the_number_of_batches(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-    config = replace(SMALL, n_points=64, samples=8)
+    config = replace(SMALL, n_points=64, samples=6)
     serial = run_experiment(config).rows, run_experiment(SMALL).rows
     monkeypatch.setenv(WORKERS_ENV, "8")
     assert (run_experiment(config).rows, run_experiment(SMALL).rows) == serial
@@ -370,29 +370,30 @@ def test_a_warm_reference_march_works_in_box_sized_buffers():
     assert peak < 6 * chunk * 128 * 128 * 16
 
 
-# the criteria 10/11 config, whose samples march four at a time
+# the criteria 10/11 config, whose samples march three at a time
 ENS64 = ExperimentConfig(n_points=64, box_length=16.0 * math.pi, t_final=0.2,
                          n_steps=32, n_max=1, samples=16, band=2.0)
 
 
-def test_a_warm_batch_of_four_64_samples_holds_its_step_workspace():
-    """One warm batch of four 64^2, 33-node, n <= 1 samples in 2-node
-    chunks: the physical du (0.52 MB), the four Duhamel buffers (0.95 MB),
-    the level's running sums (0.35 MB) and the four data on the lattice and
-    the box (0.38 MB) keep its traced peak below 2.7 MB (2.48 MB measured),
-    where four samples marched one at a time peaked at 1.26 MB."""
+def test_a_warm_batch_of_three_64_samples_holds_its_step_workspace():
+    """One warm batch of three 64^2, 33-node, n <= 1 samples in 2-node
+    chunks: the physical du (0.39 MB), the four Duhamel buffers (0.71 MB),
+    the level's running sums (0.27 MB) and the three data on the lattice
+    and the box (0.29 MB) keep its traced peak below 2.1 MB (1.92 MB
+    measured), where three samples marched one at a time peaked at
+    1.26 MB."""
     run = _prepare(ENS64)
-    assert picard._batch_size(run.phi0.grid) == 4
-    _run_batch(run, range(4))
+    assert picard._batch_size(run.phi0.grid) == 3
+    _run_batch(run, range(3))
     tracemalloc.start()
     try:
-        rows = _run_batch(run, range(4, 8))
+        rows = _run_batch(run, range(3, 6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [(r.sample_index, r.n) for r in rows] == [(i, n) for i in range(4, 8) for n in (0, 1)]
+    assert [(r.sample_index, r.n) for r in rows] == [(i, n) for i in range(3, 6) for n in (0, 1)]
     assert all(r.finite for r in rows)
-    assert peak < 2_700_000
+    assert peak < 2_100_000
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 64, 200, 511])

@@ -745,6 +745,8 @@ def _batch_levels(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_
 
 
 def _sample_levels(per_node: np.ndarray, tg: TimeGrid, kept: dict) -> Iterator[tuple]:
+    """One sample's iterator of :func:`_batch_levels`, from its per-node
+    norms and its ``kept`` series by level."""
     for n, (h1_u, l2_dudt, l4_du) in enumerate(per_node):
         norms = {
             "linf_h1_u": float(h1_u.max()),

@@ -7,8 +7,8 @@ their three tracked norms.  A run is resolved once into one
 :class:`PreparedRun` that every batch, worker, report and field dump uses.
 Each sample keeps the bits of its march alone and the rows are merged by
 sample index, so the report is a pure function of (config, base_seed, data
-bytes) regardless of batch size and worker count (PICARDLAB_WORKERS,
-default serial; a pool maps the batches).
+bytes) regardless of batch size and worker count (PICARDLAB_WORKERS;
+by default one forked worker per CPU, up to one per batch, on Linux).
 
 The moment verdicts compare the empirical L^p_omega norm of
 ||du^(n)||_{L^2_t L^4_x} (plug-in estimator, bootstrap upper confidence bound
@@ -34,9 +34,11 @@ import json
 import math
 import numbers
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -345,18 +347,36 @@ def _run_batch(run: PreparedRun, indices: range) -> list[SampleRow]:
     return rows
 
 
-def _worker_count(tasks: int) -> int:
-    """PICARDLAB_WORKERS (an integer >= 1, unset means 1) capped at the
-    number of ``tasks`` (the run's batches) and at the CPUs this process may
-    run on (its affinity set under taskset or a cpuset, where the platform
-    reports one): a fork pool starts all its workers on the first task."""
-    raw = os.environ.get(WORKERS_ENV, "1")
+def _fork_is_quiet() -> bool:
+    """Whether this process forks without Python's DeprecationWarning, which
+    Python 3.12 and later raise when a process with more than one OS thread
+    forks (numpy's OpenBLAS starts some unless OPENBLAS_NUM_THREADS=1)."""
+    if sys.version_info < (3, 12):
+        return True
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _worker_count(tasks: int) -> int:
+    """The processes that share a run's ``tasks`` batches: PICARDLAB_WORKERS
+    (an integer >= 1) capped at ``tasks`` and at the CPUs this process may
+    run on (its affinity set under taskset or a cpuset, where the platform
+    reports one).  Unset, it is that cap where a fork is quiet, else 1.
+    Workers are forked, so only Linux runs more than one."""
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is not None:
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    if not (sys.platform.startswith("linux") and hasattr(os, "fork")):
+        return 1
+    if raw is None:
+        workers = tasks if _fork_is_quiet() else 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -364,22 +384,93 @@ def _worker_count(tasks: int) -> int:
     return min(workers, tasks, cpus)
 
 
+def _march_share(run: PreparedRun, share: range) -> list[SampleRow]:
+    """Rows of the samples ``share``, marched in batches of
+    :func:`.picard._batch_size` consecutive samples."""
+    size = _batch_size(run.phi0.grid)
+    return [row for at in range(0, len(share), size)
+            for row in _run_batch(run, share[at:at + size])]
+
+
+def _reply_and_exit(run: PreparedRun, share: range, write_fd: int) -> NoReturn:
+    """A forked worker's whole life: march ``share`` and write its rows, or
+    the exception that stopped it, pickled to ``write_fd``.  It ends with
+    ``os._exit``, so no exit handler or buffered output of the parent runs
+    twice, and with status 0 only once its reply is written."""
+    status = 1
+    try:
+        try:
+            reply = True, _march_share(run, share)
+        except BaseException as exc:
+            reply = False, exc
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _describe_wait_status(status: int) -> str:
+    """How a worker whose wait status is ``status`` ended."""
+    import signal  # loaded only when a run fails
+
+    code = os.waitstatus_to_exitcode(status)
+    return f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+
+
+def _map_shares(run: PreparedRun, shares: list[range]) -> list[SampleRow]:
+    """The rows of ``shares`` (runs of sample indices), in order.  One worker
+    is forked per share but the last, which this process marches; then it
+    reads each worker's pipe to EOF and reaps every worker, in a
+    ``finally``, before a worker's exception is re-raised here."""
+    pids, pipes = [], []
+    try:
+        for share in shares[:-1]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _reply_and_exit(run, share, write_fd)
+            os.close(write_fd)
+            pids.append(pid)
+        own = _march_share(run, shares[-1])
+        replies = [pipe.read() for pipe in pipes]
+    except BaseException:
+        import signal  # loaded only when a run fails
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    rows: list[SampleRow] = []
+    for reply, status in zip(replies, statuses):
+        if status:
+            raise RuntimeError(f"a sample worker ended without sending its rows "
+                               f"(wait status {status}: {_describe_wait_status(status)})")
+        marched, value = pickle.loads(reply)
+        if not marched:
+            raise value
+        rows.extend(value)
+    return rows + own
+
+
 def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
     """All per-sample rows, sorted by (sample_index, n); schedule-independent.
-    Consecutive samples are marched in batches of
-    :func:`.picard._batch_size`, serially or one batch per pool task."""
-    size, indices = _batch_size(run.phi0.grid), range(run.config.samples)
-    batches = [indices[start:start + size] for start in indices[::size]]
-    workers = _worker_count(len(batches))
-    if workers > 1:
-        # the pool loads multiprocessing and socket; a serial run never needs them
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_batch = list(pool.map(_run_batch, repeat(run), batches))
-    else:
-        per_batch = list(map(_run_batch, repeat(run), batches))
-    return tuple(row for rows in per_batch for row in rows)
+    :func:`_worker_count` processes, at most one per batch of
+    :func:`.picard._batch_size` samples, march equal runs of consecutive
+    samples (to one sample); a zero datum marches nothing and forks no
+    worker."""
+    samples = run.config.samples
+    workers = _worker_count(-(-samples // _batch_size(run.phi0.grid))) if run.blocks else 1
+    return tuple(_map_shares(run, [range(k * samples // workers, (k + 1) * samples // workers)
+                                   for k in range(workers)]))
 
 
 # ---------------------------------------------------------------------------

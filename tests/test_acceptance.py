@@ -295,7 +295,9 @@ def test_criterion_11_tail_domination(capsys):
 def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
     config = replace(REFERENCE, n_points=64, n_steps=32, n_max=2, samples=8)
     blobs = {}
-    for tag, workers in (("serial_a", None), ("serial_b", None), ("pool", "2")):
+    # a serial run twice, two workers and the default count
+    for tag, workers in (("serial_a", "1"), ("serial_b", "1"), ("pool", "2"),
+                         ("default", None)):
         if workers is None:
             monkeypatch.delenv("PICARDLAB_WORKERS", raising=False)
         else:
@@ -303,7 +305,7 @@ def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
         emit_report(run_experiment(config), tmp_path / tag)
         blobs[tag] = (tmp_path / tag / "rows.csv").read_bytes()
     monkeypatch.delenv("PICARDLAB_WORKERS", raising=False)
-    ok = blobs["serial_a"] == blobs["serial_b"] == blobs["pool"]
+    ok = blobs["serial_a"] == blobs["serial_b"] == blobs["pool"] == blobs["default"]
     _verdict(capsys, ok,
              f"criterion 12: rows.csv byte-identical across repeated runs and "
              f"worker counts ({len(blobs['serial_a'])} bytes)")

@@ -6,8 +6,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -157,35 +159,43 @@ def test_run_experiment_bootstraps_each_level_and_p_once(monkeypatch):
 
 
 def test_rows_are_deterministic_and_worker_free(tmp_path, monkeypatch):
-    report_a = run_experiment(SMALL)
-    emit_report(report_a, tmp_path / "a")
-    monkeypatch.setenv("PICARDLAB_WORKERS", "3")
-    report_b = run_experiment(SMALL)
-    emit_report(report_b, tmp_path / "b")
-    monkeypatch.delenv("PICARDLAB_WORKERS")
+    """A serial run, a run of three workers and a default run write the
+    same bytes (SMALL is one batch, so only a serial run marches it)."""
+    for tag, workers in (("a", "1"), ("b", "3"), ("c", None)):
+        _set_workers(monkeypatch, workers)
+        emit_report(run_experiment(SMALL), tmp_path / tag)
     rows_a = (tmp_path / "a" / "rows.csv").read_bytes()
-    rows_b = (tmp_path / "b" / "rows.csv").read_bytes()
-    assert rows_a == rows_b
-    assert (tmp_path / "a" / "summary.json").read_bytes() == \
-        (tmp_path / "b" / "summary.json").read_bytes()
+    for tag in ("b", "c"):
+        assert (tmp_path / tag / "rows.csv").read_bytes() == rows_a
+        assert (tmp_path / tag / "summary.json").read_bytes() == \
+            (tmp_path / "a" / "summary.json").read_bytes()
     assert rows_a.decode().splitlines()[0] == (
         f"# picardlab rows v1 config={SMALL.config_hash} seed={SMALL.base_seed}")
 
 
 @pytest.mark.parametrize("family, d_choice", [("band_limited", "x1"), ("gaussian", "t")])
 def test_rows_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, family, d_choice):
-    """7 samples at 64^2 march in batches of three, three and one; with the step
-    bytes cut to one sample each marches alone, and rows.csv and
-    summary.json keep their bytes."""
+    """7 samples at 64^2 march serially in batches of three, three and one;
+    with the step bytes cut to one sample each marches alone.  Either way,
+    on 1, 2 or 3 workers or the default count (16 CPUs), each marching its
+    own run of samples, rows.csv and summary.json keep the bytes of the
+    serial run of lone samples."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     config = replace(SMALL, n_points=64, samples=7, family=family, d_choice=d_choice)
     grid = make_grid(64, config.box_length)
     assert picard._batch_size(grid) == 3
-    emit_report(run_experiment(config), tmp_path / "batched")
-    monkeypatch.setattr(picard, "_STEP_BYTES", 1)
-    assert picard._batch_size(grid) == 1
-    emit_report(run_experiment(config), tmp_path / "alone")
+    runs = []
+    for step_bytes in (picard._STEP_BYTES, 1):
+        monkeypatch.setattr(picard, "_STEP_BYTES", step_bytes)
+        for workers in ("1", "2", "3", None):
+            _set_workers(monkeypatch, workers)
+            runs.append(tmp_path / f"{picard._batch_size(grid)}-{workers}")
+            emit_report(run_experiment(config), runs[-1])
+    assert runs[-1].name == "1-None"
+    _assert_no_child_left()
     for name in ("rows.csv", "summary.json"):
-        assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        for out in runs:
+            assert (out / name).read_bytes() == (tmp_path / "1-1" / name).read_bytes()
 
 
 @pytest.mark.parametrize("family", ["band_limited", "gaussian"])
@@ -193,7 +203,9 @@ def test_batched_data_are_the_bits_of_randomize(monkeypatch, family):
     """The run forms each block's projection once, on its window of at most
     11 x 11 modes;
     every datum the batches march, signed and summed from them, is
-    randomize's phi0_rand of that sample index bit for bit."""
+    randomize's phi0_rand of that sample index bit for bit.  The run is
+    serial, so that this process sees every batch."""
+    monkeypatch.setenv(WORKERS_ENV, "1")
     run = _prepare(replace(SMALL, n_points=64, samples=9, family=family))
     assert len(run.projections) == len(run.blocks)
     assert max(max(proj.shape) for _, proj in run.projections) == 11
@@ -208,34 +220,146 @@ def test_batched_data_are_the_bits_of_randomize(monkeypatch, family):
         assert phi0.tobytes() == harness._sample_data(run, idx).phi0_rand.values.tobytes()
 
 
+def _set_workers(monkeypatch, workers):
+    """PICARDLAB_WORKERS set to ``workers``, or unset for None."""
+    if workers is None:
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(WORKERS_ENV, workers)
+
+
+def _count_forks(monkeypatch) -> list:
+    """os.fork wrapped to record each call in this process; the list."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
 def test_the_pool_is_capped_at_the_number_of_batches(monkeypatch):
-    """6 samples at 64^2 form two batches of three, so a pool of eight asked
-    for starts two workers; 6 samples at 32^2 form one batch and start no
-    pool.  The rows are the serial run's."""
-    import concurrent.futures
+    """6 samples at 64^2 form two batches of three, so eight workers asked
+    for become two: this process and one forked worker; 6 samples at 32^2
+    form one batch, and a zero datum marches nothing: neither forks.  The
+    rows are the serial run's."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    configs = (replace(SMALL, n_points=64, samples=6), SMALL,
+               replace(SMALL, n_points=64, samples=6, family="zero"))
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    serial = [run_experiment(config).rows for config in configs]
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setenv(WORKERS_ENV, "8")
+    assert run_experiment(configs[0]).rows == serial[0]
+    assert len(forks) == 1
+    assert [run_experiment(config).rows for config in configs[1:]] == serial[1:]
+    assert len(forks) == 1
+    _assert_no_child_left()
 
-    started = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+class WorkerFailure(Exception):
+    """Raised by a patched batch."""
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def _run_failing(monkeypatch, in_worker=None, here=None):
+    """A two-worker run of 6 samples at 64^2 (two batches: the first marched
+    by a forked worker, the second by this process), with ``in_worker(batch)``
+    and ``here(batch)``, where given, called before the batch is marched.  A
+    run still going after 60 s raises TimeoutError here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    parent, run_batch = os.getpid(), harness._run_batch
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    def patched(run, batch):
+        failure = here if os.getpid() == parent else in_worker
+        if failure is not None:
+            failure(batch)
+        return run_batch(run, batch)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def expire(signum, frame):
+        raise TimeoutError("the run is still going after 60 s")
+
+    monkeypatch.setattr(harness, "_run_batch", patched)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        return run_experiment(replace(SMALL, n_points=64, samples=6))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fail(batch):
+    raise WorkerFailure(f"batch from sample {batch.start} failed")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_exception_reaches_the_caller_with_its_type_and_message(monkeypatch):
+    """An exception in the forked worker's batch (sample 0 on) is raised
+    again here, with its type and message."""
+    with pytest.raises(WorkerFailure, match="^batch from sample 0 failed$") as caught:
+        _run_failing(monkeypatch, in_worker=_fail)
+    assert caught.type is WorkerFailure
+    _assert_no_child_left()
+
+
+def test_an_exception_here_kills_the_workers_at_once(monkeypatch):
+    """An exception in this process's own batch (sample 3 on) leaves the
+    run once its worker, still marching (here: asleep for 30 s), is killed
+    and reaped; the run does not wait for it."""
+    start = time.monotonic()
+    with pytest.raises(WorkerFailure, match="^batch from sample 3 failed$"):
+        _run_failing(monkeypatch, in_worker=lambda batch: time.sleep(30), here=_fail)
+    assert time.monotonic() - start < 20
+    _assert_no_child_left()
+
+
+def test_a_killed_worker_ends_the_run_with_an_error(monkeypatch):
+    """A worker that dies without sending its rows ends the run with an
+    error naming its wait status: no hang and no partial rows."""
+    def die(batch):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match="without sending its rows .*killed by SIGKILL"):
+        _run_failing(monkeypatch, in_worker=die)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("platform, has_fork", [("linux", False), ("darwin", True),
+                                                 ("win32", True)])
+def test_without_fork_or_off_linux_the_run_is_serial(monkeypatch, platform, has_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     config = replace(SMALL, n_points=64, samples=6)
-    serial = run_experiment(config).rows, run_experiment(SMALL).rows
-    monkeypatch.setenv(WORKERS_ENV, "8")
-    assert (run_experiment(config).rows, run_experiment(SMALL).rows) == serial
-    assert started == [2]
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    serial = run_experiment(config).rows
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(sys, "platform", platform)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork")
+    for workers in ("2", None):
+        _set_workers(monkeypatch, workers)
+        assert _worker_count(2) == 1
+        assert run_experiment(config).rows == serial
+    assert not forks
+
+
+def test_the_default_forks_only_where_python_stays_quiet(monkeypatch):
+    """Python 3.12 and later warn when a process with more than one OS
+    thread forks; there the default count forks only from a single-threaded
+    process.  An explicit count is kept."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(sys, "version_info", (3, 11, 7))
+    assert _worker_count(6) == 6
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    monkeypatch.setattr(os, "listdir", lambda path: ["101", "102"])
+    assert _worker_count(6) == 1
+    monkeypatch.setenv(WORKERS_ENV, "4")
+    assert _worker_count(6) == 4
+    monkeypatch.delenv(WORKERS_ENV)
+    monkeypatch.setattr(os, "listdir", lambda path: ["101"])
+    assert _worker_count(6) == 6
 
 
 def test_zero_family_runs_and_passes():
@@ -423,17 +547,19 @@ def test_a_run_and_its_report_do_not_import_numpy_ma(tmp_path):
 
 
 def test_a_serial_run_does_not_import_the_process_pool(tmp_path):
-    """The process pool (with multiprocessing and socket) is imported only by
-    a run with more than one worker."""
-    config = replace(SMALL, samples=2)
+    """Neither a serial run (one batch) nor a default run of two batches,
+    which forks, imports multiprocessing or the stdlib process pool, and
+    neither warns (every warning is an error here)."""
+    configs = replace(SMALL, samples=2), replace(SMALL, n_points=64, samples=6)
     out = run_python(
-        "import sys\n"
-        "import picardlab\n"
+        "import sys, warnings\n"
+        "warnings.simplefilter('error')\n"
         "from picardlab import ExperimentConfig, emit_report, run_experiment\n"
-        f"emit_report(run_experiment({config!r}), {str(tmp_path)!r})\n"
-        "print('concurrent.futures.process' in sys.modules)\n")
-    assert out.strip() == "False"
-    assert (tmp_path / "summary.json").is_file()
+        f"for k, config in enumerate({configs!r}):\n"
+        f"    emit_report(run_experiment(config), {str(tmp_path)!r} + f'/{{k}}')\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
+    assert out.strip() == "[]"
+    assert (tmp_path / "1" / "summary.json").is_file()
 
 
 def test_a_sample_datum_builds_no_block_projections():
@@ -719,7 +845,12 @@ def test_worker_pool_capped_at_samples_and_cpus(monkeypatch):
     monkeypatch.setenv("PICARDLAB_WORKERS", "3")
     assert _worker_count(2) == 2
     assert _worker_count(64) == 3
+    # unset, the count is the cap where a fork is quiet, else 1
     monkeypatch.delenv("PICARDLAB_WORKERS")
+    monkeypatch.setattr(harness, "_fork_is_quiet", lambda: True)
+    assert _worker_count(2) == 2
+    assert _worker_count(64) == 16
+    monkeypatch.setattr(harness, "_fork_is_quiet", lambda: False)
     assert _worker_count(64) == 1
 
 

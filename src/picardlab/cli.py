@@ -21,9 +21,11 @@ import numpy as np
 
 from .harness import (
     SLOPE_RANGE,
+    WORKERS_ENV,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    WorkerLostError,
     emit_report,
     emit_scaling,
     emit_tail,
@@ -315,6 +317,10 @@ def main(argv=None) -> int:
         # a grid or step count too large for this machine is a config error
         detail = f": {exc}" if str(exc) else ""
         print(f"[ERROR] the run does not fit in memory{detail}", file=sys.stderr)
+        return 2
+    except WorkerLostError as exc:  # most often the out-of-memory killer's SIGKILL
+        print(f"[ERROR] {exc}; {WORKERS_ENV}=1 runs every sample in this process",
+              file=sys.stderr)
         return 2
 
 

@@ -7,8 +7,10 @@ their three tracked norms.  A run is resolved once into one
 :class:`PreparedRun` that every batch, worker, report and field dump uses.
 Each sample keeps the bits of its march alone and the rows are merged by
 sample index, so the report is a pure function of (config, base_seed, data
-bytes) regardless of batch size and worker count (PICARDLAB_WORKERS;
-by default one forked worker per CPU, up to one per batch, on Linux).
+bytes) regardless of batch size and process count (PICARDLAB_WORKERS; by
+default one per CPU, on Linux): up to one process per batch marches a share
+of them, and a spare CPU per share splits each batch's levels with a forked
+helper (:func:`_sample_rows`).
 
 The moment verdicts compare the empirical L^p_omega norm of
 ||du^(n)||_{L^2_t L^4_x} (plug-in estimator, bootstrap upper confidence bound
@@ -37,15 +39,17 @@ import os
 import pickle
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
 from .grid import Field, Grid, _check_integer, as_spectral, make_grid, parse_field, sobolev_norm
 from .moments import MomentBound, tail_from_moments
 from .multipliers import D_CHOICES
-from .picard import BlowUpError, TimeGrid, _batch_levels, _batch_size
+from .picard import (BlowUpError, TimeGrid, _batch_levels, _batch_size, _chunk_length, _march,
+                     _region)
 from .randomization import (
     RandomizedData,
     _block_projections,
@@ -60,6 +64,7 @@ from .randomization import (
 
 __all__ = [
     "ConfigError",
+    "WorkerLostError",
     "ExperimentConfig",
     "SampleRow",
     "MomentVerdict",
@@ -324,10 +329,10 @@ def _sample_data(run: PreparedRun, idx: int) -> RandomizedData:
     return randomize(run.phi0, None, draw)
 
 
-def _run_batch(run: PreparedRun, indices: range) -> list[SampleRow]:
-    """Rows (levels 0..n_max) of the samples ``indices``, marched together;
-    a sample's datum is its sign draw applied to the run's projections, the
-    bits of :func:`_sample_data`."""
+def _run_batch(run: PreparedRun, indices: range, split: bool = False) -> list[SampleRow]:
+    """Rows (levels 0..n_max) of the samples ``indices``, marched together
+    (``split``: :func:`_split_march`); a sample's datum is its sign draw
+    applied to the run's projections, the bits of :func:`_sample_data`."""
     n_max, grid = run.config.n_max, run.phi0.grid
     if not run.blocks:
         return [SampleRow(idx, n, True, 0.0, 0.0, 0.0) for idx in indices for n in range(n_max + 1)]
@@ -336,8 +341,8 @@ def _run_batch(run: PreparedRun, indices: range) -> list[SampleRow]:
         draw = draw_rademacher(run.config.base_seed, run.blocks, sample_index=idx)
         _signed_sum(run.projections, map(draw.eps, run.blocks), total)
     rows: list[SampleRow] = []
-    for idx, levels in zip(indices, _batch_levels(n_max, phi0, grid, run.tg,
-                                                  run.config.d_choice)):
+    for idx, levels in zip(indices, _batch_levels(n_max, phi0, grid, run.tg, run.config.d_choice,
+                                                  march=_split_march if split else _march)):
         try:
             for n, norms, _ in levels:
                 rows.append(SampleRow(idx, n, True, **norms))
@@ -360,11 +365,11 @@ def _fork_is_quiet() -> bool:
 
 
 def _worker_count(tasks: int) -> int:
-    """The processes that share a run's ``tasks`` batches: PICARDLAB_WORKERS
-    (an integer >= 1) capped at ``tasks`` and at the CPUs this process may
-    run on (its affinity set under taskset or a cpuset, where the platform
+    """The processes a run may use for ``tasks``: PICARDLAB_WORKERS (an
+    integer >= 1) capped at ``tasks`` and at the CPUs this process may run
+    on (its affinity set under taskset or a cpuset, where the platform
     reports one).  Unset, it is that cap where a fork is quiet, else 1.
-    Workers are forked, so only Linux runs more than one."""
+    Processes are forked, so only Linux runs more than one."""
     raw = os.environ.get(WORKERS_ENV)
     if raw is not None:
         try:
@@ -384,25 +389,94 @@ def _worker_count(tasks: int) -> int:
     return min(workers, tasks, cpus)
 
 
-def _march_share(run: PreparedRun, share: range) -> list[SampleRow]:
-    """Rows of the samples ``share``, marched in batches of
-    :func:`.picard._batch_size` consecutive samples."""
-    size = _batch_size(run.phi0.grid)
-    return [row for at in range(0, len(share), size)
-            for row in _run_batch(run, share[at:at + size])]
+class WorkerLostError(RuntimeError):
+    """A forked worker or helper of a run ended without sending its reply."""
 
 
-def _reply_and_exit(run: PreparedRun, share: range, write_fd: int) -> NoReturn:
-    """A forked worker's whole life: march ``share`` and write its rows, or
-    the exception that stopped it, pickled to ``write_fd``.  It ends with
+class _Ring:
+    """A forked helper's hand-off of one level's source to its parent, a chunk
+    at a time: two chunk-sized slots of ``shape`` in a map shared before the
+    fork, and two pipes, ``files``, that carry each filled slot's tops (the
+    helper's blow-up cut) and a token per slot read.  Each side sees the
+    other gone as the end of the pipe it reads; the parent keeps both ends
+    of the token pipe, so a token the helper no longer reads breaks nothing."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        import mmap
+
+        self.slots = np.frombuffer(mmap.mmap(-1, 32 * math.prod(shape)),
+                                   dtype=complex).reshape((2,) + shape)
+        self.count = 0
+        self.files = [open(fd, mode, buffering=0)
+                      for fd, mode in zip(os.pipe() + os.pipe(), ("rb", "wb") * 2)]
+
+    def close(self, *ends: int) -> _Ring:
+        """Close the ``files`` at ``ends``, or all of them."""
+        for end in ends or range(4):
+            self.files[end].close()
+        return self
+
+    def put(self, src: np.ndarray, tops: np.ndarray) -> None:
+        """Fill the next slot with ``src``, once it has been read, and send ``tops``."""
+        if self.count >= 2 and not self.files[2].read(1):
+            raise EOFError("the run ended before reading its helper's sources")
+        self.slots[self.count % 2, :len(src)] = src
+        self.files[1].write(tops.tobytes())
+        self.count += 1
+
+    def get(self, out: np.ndarray, tops: np.ndarray) -> None:
+        """Copy the next filled slot into ``out``, lower ``tops`` to its tops, free it."""
+        raw = self.files[0].read(tops.nbytes)
+        if len(raw) < tops.nbytes:
+            raise EOFError("a helper ended before handing over its sources")
+        np.minimum(tops, np.frombuffer(raw, dtype=tops.dtype), out=tops)
+        out[...] = self.slots[self.count % 2, :len(out)]
+        self.files[3].write(b"\0")
+        self.count += 1
+
+
+def _split_march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
+                 keep) -> tuple[list[np.ndarray], dict]:
+    """:func:`.picard._march` of a batch on two cores, the same bits: a
+    forked helper marches levels 0..s-1, s = ceil(n_max / 2), hands this
+    process each chunk's source of level s through a :class:`_Ring`, and
+    sends its rows when it ends; this process marches levels s..n_max."""
+    s, box = -(-n_max // 2), _region(grid, True).size
+    march = partial(_march, n_max, phi0_hat, grid, tg, d_choice, keep)
+    ring = _Ring((_chunk_length(tg, len(phi0_hat)), len(phi0_hat), box, box))
+
+    def helper() -> list[np.ndarray]:
+        try:
+            return [rows[:s] for rows in march(range(s), ring.close(3))[0]]
+        finally:
+            ring.close()  # before the reply, which may fill its pipe
+
+    try:
+        (per_node, kept), (below,) = _fork_map(
+            [helper], lambda: march(range(s, n_max + 1), ring.close(1)))
+    finally:
+        ring.close()
+    for rows, low in zip(per_node, below):
+        rows[:len(low)] = low[:len(rows)]
+    return per_node, kept
+
+
+def _reply_and_exit(job: Callable[[], object], write_fd: int) -> NoReturn:
+    """A forked child's whole life: run ``job`` and write its result, or the
+    exception that stopped it, pickled to ``write_fd``; an exception that
+    cannot cross the pipe goes as its type name and message.  It ends with
     ``os._exit``, so no exit handler or buffered output of the parent runs
     twice, and with status 0 only once its reply is written."""
     status = 1
     try:
         try:
-            reply = True, _march_share(run, share)
+            reply = True, job()
         except BaseException as exc:
             reply = False, exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # pickling fails in many ways, by the object
+                reply = False, f"{type(exc).__name__}: {exc}"
         with open(write_fd, "wb") as pipe:
             pipe.write(pickle.dumps(reply))
         status = 0
@@ -410,22 +484,15 @@ def _reply_and_exit(run: PreparedRun, share: range, write_fd: int) -> NoReturn:
         os._exit(status)
 
 
-def _describe_wait_status(status: int) -> str:
-    """How a worker whose wait status is ``status`` ended."""
-    import signal  # loaded only when a run fails
-
-    code = os.waitstatus_to_exitcode(status)
-    return f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-
-
-def _map_shares(run: PreparedRun, shares: list[range]) -> list[SampleRow]:
-    """The rows of ``shares`` (runs of sample indices), in order.  One worker
-    is forked per share but the last, which this process marches; then it
-    reads each worker's pipe to EOF and reaps every worker, in a
-    ``finally``, before a worker's exception is re-raised here."""
+def _fork_map(jobs: list[Callable[[], object]], own: Callable[[], object]) -> tuple[object, list]:
+    """``own()``, run here while each of ``jobs`` runs in a child forked for
+    it, and the jobs' results in order: the one place a run forks.  This
+    process reads each child's pipe to EOF and reaps every child, in a
+    ``finally``, before a child's exception (or the ``EOFError`` of a
+    hand-off it broke) is raised here; failing itself, it kills them first."""
     pids, pipes = [], []
     try:
-        for share in shares[:-1]:
+        for job in jobs:
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
             try:
@@ -434,10 +501,13 @@ def _map_shares(run: PreparedRun, shares: list[range]) -> list[SampleRow]:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _reply_and_exit(run, share, write_fd)
+                _reply_and_exit(job, write_fd)
             os.close(write_fd)
             pids.append(pid)
-        own = _march_share(run, shares[-1])
+        try:
+            mine = own()
+        except EOFError as exc:
+            mine = exc
         replies = [pipe.read() for pipe in pipes]
     except BaseException:
         import signal  # loaded only when a run fails
@@ -449,28 +519,45 @@ def _map_shares(run: PreparedRun, shares: list[range]) -> list[SampleRow]:
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    rows: list[SampleRow] = []
+    results = []
     for reply, status in zip(replies, statuses):
         if status:
-            raise RuntimeError(f"a sample worker ended without sending its rows "
-                               f"(wait status {status}: {_describe_wait_status(status)})")
-        marched, value = pickle.loads(reply)
-        if not marched:
-            raise value
-        rows.extend(value)
-    return rows + own
+            import signal  # loaded only when a run fails
+
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+            raise WorkerLostError(f"a sample worker ended without sending its rows "
+                                  f"(wait status {status}: {how})")
+        done, value = pickle.loads(reply)
+        if not done:
+            raise value if isinstance(value, BaseException) else RuntimeError(
+                f"a sample worker raised {value}")
+        results.append(value)
+    if isinstance(mine, EOFError):
+        raise mine
+    return mine, results
 
 
 def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
     """All per-sample rows, sorted by (sample_index, n); schedule-independent.
-    :func:`_worker_count` processes, at most one per batch of
-    :func:`.picard._batch_size` samples, march equal runs of consecutive
-    samples (to one sample); a zero datum marches nothing and forks no
-    worker."""
-    samples = run.config.samples
-    workers = _worker_count(-(-samples // _batch_size(run.phi0.grid))) if run.blocks else 1
-    return tuple(_map_shares(run, [range(k * samples // workers, (k + 1) * samples // workers)
-                                   for k in range(workers)]))
+    Of :func:`_worker_count` processes, at most one per batch of
+    :func:`.picard._batch_size` samples marches an equal run of consecutive
+    samples (to one sample), here or forked; with two per run, a quiet fork
+    and n_max >= 1, each batch is split (:func:`_split_march`)."""
+    samples, size = run.config.samples, _batch_size(run.phi0.grid)
+    batches = -(-samples // size)
+    budget = _worker_count(2 * batches) if run.blocks else 1
+    workers = min(budget, batches)
+    split = budget >= 2 * workers and run.config.n_max >= 1 and _fork_is_quiet()
+
+    def march(share: range) -> list[SampleRow]:
+        return [row for at in range(0, len(share), size)
+                for row in _run_batch(run, share[at:at + size], split)]
+
+    shares = [range(k * samples // workers, (k + 1) * samples // workers) for k in range(workers)]
+    own, rows = _fork_map([partial(march, share) for share in shares[:-1]],
+                          partial(march, shares[-1]))
+    return tuple(row for share in rows + [own] for row in share)
 
 
 # ---------------------------------------------------------------------------

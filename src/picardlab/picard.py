@@ -42,7 +42,10 @@ carry over from chunk to chunk in the same operation order, so any chunk
 length gives the same bits.  Every chunked loop, the tree sum's too, walks
 :func:`_chunk_tables`, which forms each chunk's propagator rows on the
 distinct |xi| of the modes it serves; no table over the whole series is
-kept.  The levels of a chunk run one after another, so one workspace of
+kept.  A march may run only the lower levels, handing each chunk's source
+of the next on, or the upper ones from that source
+(:func:`.harness._split_march`): the same calls in the same order, so the
+same bits.  The levels of a chunk run one after another, so one workspace of
 chunk-sized buffers, allocated when the march starts, serves all of them and
 the march maps no fresh memory per chunk.  The one lattice-sized stage is a
 level's physical du, which gives its L^4 norm and is squared for the next
@@ -619,7 +622,8 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
 
 
 def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
-           keep: Collection[int]) -> tuple[list[np.ndarray], dict]:
+           keep: Collection[int], levels: range | None = None, ring=None
+           ) -> tuple[list[np.ndarray], dict]:
     """Per-node norms of iterates 0..n_max from each signed datum (zero
     velocity) of the stack ``phi0_hat`` (samples x lattice), and the
     (u, dt u) series of the levels in ``keep`` on the lattice (nodes x
@@ -634,6 +638,11 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     compact box; the free part is formed again at each level from the
     chunk's tables.  The workspace (laid out below) does not outlive the
     call; kept series are copied out of it.
+
+    Given ``levels`` and a ``ring``, only those levels march (other rows
+    stay zero), each chunk starting with ``ring.get(out, tops)``, the first
+    one's source and the cut below it, or ending with ``ring.put(src,
+    tops)``, the next one's source (stale past ``tops``) and the cut.
     """
     box = _region(grid, True)
     batch = len(phi0_hat)
@@ -659,22 +668,29 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     else:
         gaps = _gap_chunks(phi0_hat, grid, tg, d_choice, planes)
         total_buf = np.empty(chunk, dtype=complex)
+    first, stop = (levels.start, levels.stop) if levels else (0, n_max + 1)
     tops = np.full(batch, n_max)
     for (nodes, tables), (gap_pair, gap_h1, gap_l2, gap_phys) in zip(
             _chunk_tables(tg, box, batch=batch), gaps):
         k = nodes.stop - nodes.start
         phys, real, real_box = phys_buf[:k], planes[:, :k], box_planes[:, :k]
+        src = work[0][:k]
         tables = tuple(table[:, None] for table in tables)  # to the samples
         speed = np.negative(np.multiply(box.abs_xi, tables[1], out=speeds[:k]), out=speeds[:k])
-        for n in range(tops.max() + 1):
+        if first:
+            ring.get(src, tops)
+        for n in range(first, min(tops.max(), stop) + 1):
             if n == 0:
                 u = np.multiply(tables[0], phi0_box, out=work[3][:k])
                 dudt = np.multiply(speed, phi0_box, out=work[1][:k])
             else:
                 # the Duhamel integral of (du^(n-1))^2, the self-square of
                 # product_dealias taken in place, plus the free part
-                phys *= phys
-                src = _box_fft2(phys, box, out=work[0][:k])
+                if n > first:
+                    phys *= phys
+                    _box_fft2(phys, box, out=src)
+                if n == stop:  # the source to hand on
+                    break
                 u, dudt = sums[n - 1].advance(src, work, tables)
                 u += np.multiply(tables[0], phi0_box, out=src)
                 dudt += np.multiply(speed, phi0_box, out=src)
@@ -693,6 +709,8 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
             np.minimum(tops, n, out=tops, where=~ok)
             if tops.max() <= n:
                 break
+        if stop <= n_max:
+            ring.put(src, tops)
     return [rows[:top + 1] for rows, top in zip(per_node, tops)], kept
 
 
@@ -728,18 +746,19 @@ def _gap_chunks(phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
 
 
 def _batch_levels(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
-                  keep: Collection[int] = ()) -> list[Iterator[tuple]]:
+                  keep: Collection[int] = (), march=_march) -> list[Iterator[tuple]]:
     """Per signed datum of the stack ``phi0_hat``, an iterator of (n, norms,
     kept series or None) of iterates 0..n_max in order, from one march:
     the single path through the recursion for the chain, one iterate and
     the harness.  A sample's first level whose norm fails the guard raises
     :class:`BlowUpError` from its iterator, norms checked in key order; the
     guard is the check for a blow-up, so the march's overflows raise no
-    numpy warning."""
+    numpy warning.  ``march`` is :func:`_march` or a stand-in that returns
+    its bits (the harness's split of a batch's levels over two processes)."""
     _check_d_choice(d_choice)
     _check_level(n_max, "n_max")
     with np.errstate(over="ignore", invalid="ignore"):
-        per_node, kept = _march(n_max, phi0_hat, grid, tg, d_choice, keep)
+        per_node, kept = march(n_max, phi0_hat, grid, tg, d_choice, keep)
     return [_sample_levels(rows, tg, {n: (u[:, b], dt_u[:, b]) for n, (u, dt_u) in kept.items()})
             for b, rows in enumerate(per_node)]
 

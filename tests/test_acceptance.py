@@ -294,18 +294,25 @@ def test_criterion_11_tail_domination(capsys):
 
 def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
     config = replace(REFERENCE, n_points=64, n_steps=32, n_max=2, samples=8)
+    one_batch = replace(config, samples=3)
     blobs = {}
-    # a serial run twice, two workers and the default count
-    for tag, workers in (("serial_a", "1"), ("serial_b", "1"), ("pool", "2"),
-                         ("default", None)):
+    # a serial run twice, two workers and the default count; and one batch,
+    # serial and at the default count, which on two CPUs or more splits its
+    # levels with a forked helper
+    for tag, run_config, workers in (("serial_a", config, "1"), ("serial_b", config, "1"),
+                                     ("pool", config, "2"), ("default", config, None),
+                                     ("one_serial", one_batch, "1"),
+                                     ("one_default", one_batch, None)):
         if workers is None:
             monkeypatch.delenv("PICARDLAB_WORKERS", raising=False)
         else:
             monkeypatch.setenv("PICARDLAB_WORKERS", workers)
-        emit_report(run_experiment(config), tmp_path / tag)
+        emit_report(run_experiment(run_config), tmp_path / tag)
         blobs[tag] = (tmp_path / tag / "rows.csv").read_bytes()
     monkeypatch.delenv("PICARDLAB_WORKERS", raising=False)
-    ok = blobs["serial_a"] == blobs["serial_b"] == blobs["pool"] == blobs["default"]
+    ok = (blobs["serial_a"] == blobs["serial_b"] == blobs["pool"] == blobs["default"]
+          and blobs["one_serial"] == blobs["one_default"])
     _verdict(capsys, ok,
              f"criterion 12: rows.csv byte-identical across repeated runs and "
-             f"worker counts ({len(blobs['serial_a'])} bytes)")
+             f"worker counts ({len(blobs['serial_a'])} bytes; one batch "
+             f"{len(blobs['one_serial'])} bytes)")

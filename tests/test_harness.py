@@ -36,6 +36,7 @@ import picardlab.cli as cli
 import picardlab.harness as harness
 import picardlab.picard as picard
 from picardlab.cli import main
+from picardlab.grid import as_spectral
 from picardlab.harness import (
     WORKERS_ENV,
     ConfigError,
@@ -173,15 +174,20 @@ def test_rows_are_deterministic_and_worker_free(tmp_path, monkeypatch):
         f"# picardlab rows v1 config={SMALL.config_hash} seed={SMALL.base_seed}")
 
 
-@pytest.mark.parametrize("family, d_choice", [("band_limited", "x1"), ("gaussian", "t")])
-def test_rows_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, family, d_choice):
-    """7 samples at 64^2 march serially in batches of three, three and one;
-    with the step bytes cut to one sample each marches alone.  Either way,
-    on 1, 2 or 3 workers or the default count (16 CPUs), each marching its
-    own run of samples, rows.csv and summary.json keep the bytes of the
-    serial run of lone samples."""
+@pytest.mark.parametrize("family, d_choice, samples", [("band_limited", "x1", 7),
+                                                       ("gaussian", "t", 7),
+                                                       ("band_limited", "x1", 3)],
+                         ids=["band_limited-x1", "gaussian-t", "band_limited-x1-one-batch"])
+def test_rows_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, family, d_choice, samples):
+    """7 samples at 64^2 march serially in batches of three, three and one,
+    and 3 samples in one batch; with the step bytes cut to one sample each
+    marches alone.  Either way, on 1, 2 or 3 processes or the default count
+    (16 CPUs), each share of processes marching its own run of samples and,
+    where the count holds two per share, splitting each batch's levels with
+    a forked helper, rows.csv and summary.json keep the bytes of the serial
+    run of lone samples."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-    config = replace(SMALL, n_points=64, samples=7, family=family, d_choice=d_choice)
+    config = replace(SMALL, n_points=64, samples=samples, family=family, d_choice=d_choice)
     grid = make_grid(64, config.box_length)
     assert picard._batch_size(grid) == 3
     runs = []
@@ -212,8 +218,8 @@ def test_batched_data_are_the_bits_of_randomize(monkeypatch, family):
     stacks = []
     batch_levels = harness._batch_levels
     monkeypatch.setattr(harness, "_batch_levels",
-                        lambda n_max, phi0, *args: stacks.append(phi0.copy())
-                        or batch_levels(n_max, phi0, *args))
+                        lambda n_max, phi0, *args, **kwargs: stacks.append(phi0.copy())
+                        or batch_levels(n_max, phi0, *args, **kwargs))
     harness._sample_rows(run)
     assert [len(stack) for stack in stacks] == [3, 3, 3]
     for idx, phi0 in enumerate(np.concatenate(stacks)):
@@ -236,10 +242,13 @@ def _count_forks(monkeypatch) -> list:
 
 
 def test_the_pool_is_capped_at_the_number_of_batches(monkeypatch):
-    """6 samples at 64^2 form two batches of three, so eight workers asked
-    for become two: this process and one forked worker; 6 samples at 32^2
-    form one batch, and a zero datum marches nothing: neither forks.  The
-    rows are the serial run's."""
+    """6 samples at 64^2 form two batches of three, so eight processes asked
+    for become two shares, this process and one forked worker; the budget
+    holds two processes per share, so each batch also forks a helper for
+    its lower levels: two forks here.  6 samples at 32^2 form one batch,
+    one share that forks its batch's helper, and a zero datum marches
+    nothing and forks nothing.  Three processes for two shares split no
+    batch.  The rows are the serial run's."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     configs = (replace(SMALL, n_points=64, samples=6), SMALL,
                replace(SMALL, n_points=64, samples=6, family="zero"))
@@ -247,10 +256,12 @@ def test_the_pool_is_capped_at_the_number_of_batches(monkeypatch):
     serial = [run_experiment(config).rows for config in configs]
     forks = _count_forks(monkeypatch)
     monkeypatch.setenv(WORKERS_ENV, "8")
+    for config, rows, total in zip(configs, serial, (2, 3, 3)):
+        assert run_experiment(config).rows == rows
+        assert len(forks) == total
+    monkeypatch.setenv(WORKERS_ENV, "3")
     assert run_experiment(configs[0]).rows == serial[0]
-    assert len(forks) == 1
-    assert [run_experiment(config).rows for config in configs[1:]] == serial[1:]
-    assert len(forks) == 1
+    assert len(forks) == 4
     _assert_no_child_left()
 
 
@@ -267,11 +278,11 @@ def _run_failing(monkeypatch, in_worker=None, here=None):
     monkeypatch.setenv(WORKERS_ENV, "2")
     parent, run_batch = os.getpid(), harness._run_batch
 
-    def patched(run, batch):
+    def patched(run, batch, split):
         failure = here if os.getpid() == parent else in_worker
         if failure is not None:
             failure(batch)
-        return run_batch(run, batch)
+        return run_batch(run, batch, split)
 
     def expire(signum, frame):
         raise TimeoutError("the run is still going after 60 s")
@@ -323,6 +334,194 @@ def test_a_killed_worker_ends_the_run_with_an_error(monkeypatch):
 
     with pytest.raises(RuntimeError, match="without sending its rows .*killed by SIGKILL"):
         _run_failing(monkeypatch, in_worker=die)
+    _assert_no_child_left()
+
+
+class TwoPartFailure(Exception):
+    """Pickled with its message as its one argument, so it cannot be
+    unpickled: its constructor takes two."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("kind", ["local class", "two-part constructor"])
+def test_an_exception_that_cannot_cross_the_pipe_comes_back_as_text(monkeypatch, kind):
+    """A worker's exception that cannot be pickled, or unpickled, reaches
+    the caller as a RuntimeError holding its type name and message."""
+    class LocalFailure(Exception):
+        pass
+
+    def fail(batch):
+        if kind == "local class":
+            raise LocalFailure(f"batch from sample {batch.start} failed")
+        raise TwoPartFailure("batch failed", f"sample {batch.start}")
+
+    name = "LocalFailure: batch from sample 0 failed" if kind == "local class" else \
+        "TwoPartFailure: batch failed at sample 0"
+    with pytest.raises(RuntimeError, match=f"^a sample worker raised {name}$") as caught:
+        _run_failing(monkeypatch, in_worker=fail)
+    assert caught.type is RuntimeError
+    _assert_no_child_left()
+
+
+def test_cli_a_killed_worker_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """SIGKILL, which the kernel's out-of-memory killer sends, ends a
+    forked worker without its rows: simulate exits 2 with one line naming
+    the wait status and the serial setting, and leaves no child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    parent, run_batch = os.getpid(), harness._run_batch
+
+    def patched(run, batch, split):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_batch(run, batch, split)
+
+    monkeypatch.setattr(harness, "_run_batch", patched)
+    code = main(["simulate", "--grid", "64", "--samples", "6", "--steps", "8", "--n-max", "1",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("[ERROR] a sample worker ended without sending its rows (wait status 9: "
+                   "killed by SIGKILL); PICARDLAB_WORKERS=1 runs every sample in this "
+                   "process\n")
+    _assert_no_child_left()
+
+
+# one batch of each config below (at most 3 samples at 64^2, 12 at 32^2)
+SPLIT_CONFIGS = {
+    "band-x1-n1": replace(SMALL, n_points=64, samples=3),
+    "band-x1-n2": replace(SMALL, n_points=64, samples=3, n_max=2),
+    "band-x1-n3": replace(SMALL, n_points=64, samples=3, n_max=3),
+    "band-t-n3": replace(SMALL, n_points=64, samples=2, n_max=3, d_choice="t"),
+    "band-x2-n2": replace(SMALL, n_points=64, samples=3, n_max=2, d_choice="x2"),
+    "gaussian-gap-n3": replace(SMALL, n_points=64, samples=1, n_max=3, family="gaussian",
+                               sigma=1.0, amplitude=0.5),
+    # n <= 4 splits at s = 2: the helper marches levels 0 and 1, this
+    # process 2 to 4; each blows up from the first level named
+    "blowup-helper": replace(SMALL, samples=6, n_max=4, h1_norm=3.2e7,
+                             require_small_regime=False),
+    "blowup-both": replace(SMALL, samples=6, n_max=4, h1_norm=2.27e7,
+                           require_small_regime=False),
+    "blowup-run": replace(SMALL, samples=6, n_max=4, h1_norm=5.62e5,
+                          require_small_regime=False),
+}
+FIRST_FAILING = {"blowup-helper": {1}, "blowup-both": {1, 2}, "blowup-run": {2, 3}}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CONFIGS))
+def test_a_batch_split_by_level_gives_the_serial_bytes(tmp_path, monkeypatch, name):
+    """A run of one batch on two CPUs or more forks one helper, which
+    marches levels below ceil(n_max / 2) and hands this process the next
+    level's source: rows.csv and summary.json keep the bytes of
+    PICARDLAB_WORKERS=1, with the gap part of a Gaussian datum and with
+    blow-ups whose first failing level is the helper's, this process's or
+    both, in one batch."""
+    config = SPLIT_CONFIGS[name]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    serial = run_experiment(config)
+    emit_report(serial, tmp_path / "serial")
+    firsts = {min(r.n for r in serial.rows if r.sample_index == i and not r.finite)
+              for i in range(config.samples)} if name in FIRST_FAILING else None
+    assert firsts == FIRST_FAILING.get(name)
+    if config.family == "gaussian":
+        phi0 = _prepare(config).phi0
+        assert not picard._inside_box(as_spectral(phi0).values, phi0.grid)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.delenv(WORKERS_ENV)
+    emit_report(run_experiment(config), tmp_path / "split")
+    assert len(forks) == 1
+    _assert_no_child_left()
+    for file in ("rows.csv", "summary.json"):
+        assert (tmp_path / "split" / file).read_bytes() == \
+            (tmp_path / "serial" / file).read_bytes()
+
+
+def test_no_helper_is_forked_where_a_batch_is_not_split(monkeypatch, grid64):
+    """One iterate, a zero datum, PICARDLAB_WORKERS=1, n_max = 0 and a fork
+    that would not be quiet (with two processes asked for) fork nothing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    config = SPLIT_CONFIGS["band-x1-n3"]
+    forks = _count_forks(monkeypatch)
+    picard_iterate(3, harness._sample_data(_prepare(config), 0), TimeGrid(0.2, 16))
+    run_experiment(replace(config, family="zero"))
+    run_experiment(replace(config, n_max=0))
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    run_experiment(config)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    monkeypatch.setattr(harness, "_fork_is_quiet", lambda: False)
+    run_experiment(config)
+    assert not forks
+    _assert_no_child_left()
+
+
+def _run_split(monkeypatch, put=None, get=None):
+    """A one-batch run at 32^2, n <= 3 (9 chunks of two nodes), split by
+    level, with ``put(ring)`` called in the helper before it fills a slot
+    and ``get(ring)`` here before a slot is read.  A run still going after
+    60 s raises TimeoutError here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    for method, hook in (("put", put), ("get", get)):
+        if hook is not None:
+            original = getattr(harness._Ring, method)
+            monkeypatch.setattr(harness._Ring, method, lambda ring, *args, hook=hook,
+                                original=original: hook(ring) or original(ring, *args))
+
+    def expire(signum, frame):
+        raise TimeoutError("the run is still going after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        return run_experiment(replace(SMALL, n_max=3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fail_at(count):
+    def hook(ring):
+        if ring.count == count:
+            raise WorkerFailure(f"slot {count} failed")
+    return hook
+
+
+def _die_at(count):
+    def hook(ring):
+        if ring.count == count:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return hook
+
+
+@pytest.mark.parametrize("count", [0, 4])
+def test_a_helper_exception_reaches_the_caller(monkeypatch, count):
+    """An exception in the helper, before its first slot or mid-way, is
+    raised here with its type and message, once the helper is reaped."""
+    with pytest.raises(WorkerFailure, match=f"^slot {count} failed$"):
+        _run_split(monkeypatch, put=_fail_at(count))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [0, 4])
+def test_a_killed_helper_ends_the_run_with_an_error(monkeypatch, count):
+    """A helper killed before its first slot or mid-way ends the run with
+    the error that names its wait status, and no hang."""
+    with pytest.raises(harness.WorkerLostError, match="killed by SIGKILL"):
+        _run_split(monkeypatch, put=_die_at(count))
+    _assert_no_child_left()
+
+
+def test_an_exception_here_kills_the_helper(monkeypatch):
+    """An exception in this process's levels, the helper waiting for a free
+    slot, leaves the run once the helper is killed and reaped."""
+    start = time.monotonic()
+    with pytest.raises(WorkerFailure, match="^slot 3 failed$"):
+        _run_split(monkeypatch, get=_fail_at(3))
+    assert time.monotonic() - start < 20
     _assert_no_child_left()
 
 

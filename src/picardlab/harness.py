@@ -9,8 +9,8 @@ Each sample keeps the bits of its march alone and the rows are merged by
 sample index, so the report is a pure function of (config, base_seed, data
 bytes) regardless of batch size and process count (PICARDLAB_WORKERS; by
 default one per CPU, on Linux): up to one process per batch marches a share
-of them, and a spare CPU per share splits each batch's levels with a forked
-helper (:func:`_sample_rows`).
+of them, and a spare CPU per share splits the levels of each batch worth a
+fork with a forked helper (:func:`_sample_rows`).
 
 The moment verdicts compare the empirical L^p_omega norm of
 ||du^(n)||_{L^2_t L^4_x} (plug-in estimator, bootstrap upper confidence bound
@@ -394,12 +394,10 @@ class WorkerLostError(RuntimeError):
 
 
 class _Ring:
-    """A forked helper's hand-off of one level's source to its parent, a chunk
-    at a time: two chunk-sized slots of ``shape`` in a map shared before the
-    fork, and two pipes, ``files``, that carry each filled slot's tops (the
-    helper's blow-up cut) and a token per slot read.  Each side sees the
-    other gone as the end of the pipe it reads; the parent keeps both ends
-    of the token pipe, so a token the helper no longer reads breaks nothing."""
+    """A helper's hand-off of one level's source, a chunk at a time: two
+    slots of ``shape`` shared before the fork, and pipes (``files``) for each
+    filled slot's tops (blow-up cut) and a token per slot read.  The parent
+    keeps both ends of the token pipe, so no token write fails."""
 
     def __init__(self, shape: tuple[int, ...]):
         import mmap
@@ -410,16 +408,10 @@ class _Ring:
         self.files = [open(fd, mode, buffering=0)
                       for fd, mode in zip(os.pipe() + os.pipe(), ("rb", "wb") * 2)]
 
-    def close(self, *ends: int) -> _Ring:
-        """Close the ``files`` at ``ends``, or all of them."""
-        for end in ends or range(4):
-            self.files[end].close()
-        return self
-
     def put(self, src: np.ndarray, tops: np.ndarray) -> None:
         """Fill the next slot with ``src``, once it has been read, and send ``tops``."""
         if self.count >= 2 and not self.files[2].read(1):
-            raise EOFError("the run ended before reading its helper's sources")
+            raise WorkerLostError("the run ended before reading its helper's sources")
         self.slots[self.count % 2, :len(src)] = src
         self.files[1].write(tops.tobytes())
         self.count += 1
@@ -428,7 +420,7 @@ class _Ring:
         """Copy the next filled slot into ``out``, lower ``tops`` to its tops, free it."""
         raw = self.files[0].read(tops.nbytes)
         if len(raw) < tops.nbytes:
-            raise EOFError("a helper ended before handing over its sources")
+            raise WorkerLostError("a helper ended before handing over its sources")
         np.minimum(tops, np.frombuffer(raw, dtype=tops.dtype), out=tops)
         out[...] = self.slots[self.count % 2, :len(out)]
         self.files[3].write(b"\0")
@@ -438,45 +430,50 @@ class _Ring:
 def _split_march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
                  keep) -> tuple[list[np.ndarray], dict]:
     """:func:`.picard._march` of a batch on two cores, the same bits: a
-    forked helper marches levels 0..s-1, s = ceil(n_max / 2), hands this
-    process each chunk's source of level s through a :class:`_Ring`, and
-    sends its rows when it ends; this process marches levels s..n_max."""
+    forked helper marches levels 0..s-1, s = ceil(n_max / 2), and hands each
+    chunk's source of level s to this process, which marches s..n_max."""
     s, box = -(-n_max // 2), _region(grid, True).size
-    march = partial(_march, n_max, phi0_hat, grid, tg, d_choice, keep)
     ring = _Ring((_chunk_length(tg, len(phi0_hat)), len(phi0_hat), box, box))
 
-    def helper() -> list[np.ndarray]:
+    def side(levels: range, unused: int) -> object:
+        ring.levels = levels
+        ring.files[unused].close()
         try:
-            return [rows[:s] for rows in march(range(s), ring.close(3))[0]]
+            return _march(n_max, phi0_hat, grid, tg, d_choice, keep, ring)
+        except WorkerLostError as exc:  # the ring's: raised once the other side's cause is
+            return exc
         finally:
-            ring.close()  # before the reply, which may fill its pipe
+            for file in ring.files:  # before a reply, which may fill its pipe
+                file.close()
 
-    try:
-        (per_node, kept), (below,) = _fork_map(
-            [helper], lambda: march(range(s, n_max + 1), ring.close(1)))
-    finally:
-        ring.close()
-    for rows, low in zip(per_node, below):
-        rows[:len(low)] = low[:len(rows)]
-    return per_node, kept
+    mine, [below] = _fork_map([partial(side, range(s), 3)], partial(side, range(s, n_max + 1), 1))
+    if isinstance(mine, WorkerLostError):
+        raise mine
+    for rows, low in zip(mine[0], below[0]):
+        rows[:s] = low[:min(s, len(rows))]
+    return mine
 
 
-def _reply_and_exit(job: Callable[[], object], write_fd: int) -> NoReturn:
-    """A forked child's whole life: run ``job`` and write its result, or the
-    exception that stopped it, pickled to ``write_fd``; an exception that
-    cannot cross the pipe goes as its type name and message.  It ends with
+def _reply_and_exit(job: Callable[[], object], write_fd: int, parent: int) -> NoReturn:
+    """A forked child's whole life, killed if its ``parent`` ends: run ``job``
+    and write its result, or the exception that stopped it (as a RuntimeError
+    naming it if it cannot cross), pickled to ``write_fd``.  It ends with
     ``os._exit``, so no exit handler or buffered output of the parent runs
     twice, and with status 0 only once its reply is written."""
     status = 1
     try:
+        import ctypes  # loaded by the parent before the fork
+
+        ctypes.CDLL(None).prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+        if os.getppid() != parent:  # it ended before that call
+            return
         try:
             reply = True, job()
         except BaseException as exc:
-            reply = False, exc
             try:
-                pickle.loads(pickle.dumps(exc))
+                reply = False, pickle.loads(pickle.dumps(exc))
             except Exception:  # pickling fails in many ways, by the object
-                reply = False, f"{type(exc).__name__}: {exc}"
+                reply = False, RuntimeError(f"a sample worker raised {type(exc).__name__}: {exc}")
         with open(write_fd, "wb") as pipe:
             pipe.write(pickle.dumps(reply))
         status = 0
@@ -488,11 +485,13 @@ def _fork_map(jobs: list[Callable[[], object]], own: Callable[[], object]) -> tu
     """``own()``, run here while each of ``jobs`` runs in a child forked for
     it, and the jobs' results in order: the one place a run forks.  This
     process reads each child's pipe to EOF and reaps every child, in a
-    ``finally``, before a child's exception (or the ``EOFError`` of a
-    hand-off it broke) is raised here; failing itself, it kills them first."""
-    pids, pipes = [], []
+    ``finally``, before a child's exception is raised here; failing itself,
+    it kills them first."""
+    pids, pipes, parent = [], [], os.getpid()
     try:
         for job in jobs:
+            import ctypes  # noqa: F401  the children's (_reply_and_exit)
+
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
             try:
@@ -501,13 +500,10 @@ def _fork_map(jobs: list[Callable[[], object]], own: Callable[[], object]) -> tu
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _reply_and_exit(job, write_fd)
+                _reply_and_exit(job, write_fd, parent)
             os.close(write_fd)
             pids.append(pid)
-        try:
-            mine = own()
-        except EOFError as exc:
-            mine = exc
+        mine = own()
         replies = [pipe.read() for pipe in pipes]
     except BaseException:
         import signal  # loaded only when a run fails
@@ -530,12 +526,14 @@ def _fork_map(jobs: list[Callable[[], object]], own: Callable[[], object]) -> tu
                                   f"(wait status {status}: {how})")
         done, value = pickle.loads(reply)
         if not done:
-            raise value if isinstance(value, BaseException) else RuntimeError(
-                f"a sample worker raised {value}")
+            raise value
         results.append(value)
-    if isinstance(mine, EOFError):
-        raise mine
     return mine, results
+
+
+# The least samples x nodes x box modes x n_max of a batch split by level:
+# a smaller one marches in about what the fork and hand-off save.
+_SPLIT_POINTS = 2**18
 
 
 def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
@@ -543,12 +541,14 @@ def _sample_rows(run: PreparedRun) -> tuple[SampleRow, ...]:
     Of :func:`_worker_count` processes, at most one per batch of
     :func:`.picard._batch_size` samples marches an equal run of consecutive
     samples (to one sample), here or forked; with two per run, a quiet fork
-    and n_max >= 1, each batch is split (:func:`_split_march`)."""
-    samples, size = run.config.samples, _batch_size(run.phi0.grid)
+    and a batch of ``_SPLIT_POINTS``, each batch is split (:func:`_split_march`)."""
+    samples, grid = run.config.samples, run.phi0.grid
+    size = _batch_size(grid)
     batches = -(-samples // size)
     budget = _worker_count(2 * batches) if run.blocks else 1
     workers = min(budget, batches)
-    split = budget >= 2 * workers and run.config.n_max >= 1 and _fork_is_quiet()
+    points = min(size, samples) * run.tg.n_nodes * _region(grid, True).size ** 2 * run.config.n_max
+    split = budget >= 2 * workers and points >= _SPLIT_POINTS and _fork_is_quiet()
 
     def march(share: range) -> list[SampleRow]:
         return [row for at in range(0, len(share), size)

@@ -622,8 +622,7 @@ def _time_norm(space: np.ndarray, q: float, dt: float) -> float:
 
 
 def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice: str,
-           keep: Collection[int], levels: range | None = None, ring=None
-           ) -> tuple[list[np.ndarray], dict]:
+           keep: Collection[int], ring=None) -> tuple[list[np.ndarray], dict]:
     """Per-node norms of iterates 0..n_max from each signed datum (zero
     velocity) of the stack ``phi0_hat`` (samples x lattice), and the
     (u, dt u) series of the levels in ``keep`` on the lattice (nodes x
@@ -639,10 +638,9 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     chunk's tables.  The workspace (laid out below) does not outlive the
     call; kept series are copied out of it.
 
-    Given ``levels`` and a ``ring``, only those levels march (other rows
-    stay zero), each chunk starting with ``ring.get(out, tops)``, the first
-    one's source and the cut below it, or ending with ``ring.put(src,
-    tops)``, the next one's source (stale past ``tops``) and the cut.
+    Given a ``ring``, only its ``levels`` march (other rows stay zero), each
+    chunk starting with ``ring.get(src, tops)``, the first one's source and
+    the cut so far, or ending with ``ring.put(src, tops)``, the next one's.
     """
     box = _region(grid, True)
     batch = len(phi0_hat)
@@ -668,7 +666,7 @@ def _march(n_max: int, phi0_hat: np.ndarray, grid: Grid, tg: TimeGrid, d_choice:
     else:
         gaps = _gap_chunks(phi0_hat, grid, tg, d_choice, planes)
         total_buf = np.empty(chunk, dtype=complex)
-    first, stop = (levels.start, levels.stop) if levels else (0, n_max + 1)
+    first, stop = (ring.levels.start, ring.levels.stop) if ring else (0, n_max + 1)
     tops = np.full(batch, n_max)
     for (nodes, tables), (gap_pair, gap_h1, gap_l2, gap_phys) in zip(
             _chunk_tables(tg, box, batch=batch), gaps):

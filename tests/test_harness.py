@@ -184,9 +184,10 @@ def test_rows_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, family, d_c
     marches alone.  Either way, on 1, 2 or 3 processes or the default count
     (16 CPUs), each share of processes marching its own run of samples and,
     where the count holds two per share, splitting each batch's levels with
-    a forked helper, rows.csv and summary.json keep the bytes of the serial
-    run of lone samples."""
+    a forked helper (every batch counted worth it), rows.csv and
+    summary.json keep the bytes of the serial run of lone samples."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(harness, "_SPLIT_POINTS", 1)
     config = replace(SMALL, n_points=64, samples=samples, family=family, d_choice=d_choice)
     grid = make_grid(64, config.box_length)
     assert picard._batch_size(grid) == 3
@@ -242,14 +243,33 @@ def _count_forks(monkeypatch) -> list:
 
 
 def test_the_pool_is_capped_at_the_number_of_batches(monkeypatch):
-    """6 samples at 64^2 form two batches of three, so eight processes asked
-    for become two shares, this process and one forked worker; the budget
-    holds two processes per share, so each batch also forks a helper for
-    its lower levels: two forks here.  6 samples at 32^2 form one batch,
-    one share that forks its batch's helper, and a zero datum marches
-    nothing and forks nothing.  Three processes for two shares split no
-    batch.  The rows are the serial run's."""
+    """6 samples at 64^2 form two batches of three, so eight workers asked
+    for become two: this process and one forked worker; 6 samples at 32^2
+    form one batch, and a zero datum marches nothing: neither forks.  The
+    rows are the serial run's."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    configs = (replace(SMALL, n_points=64, samples=6), SMALL,
+               replace(SMALL, n_points=64, samples=6, family="zero"))
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    serial = [run_experiment(config).rows for config in configs]
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setenv(WORKERS_ENV, "8")
+    assert run_experiment(configs[0]).rows == serial[0]
+    assert len(forks) == 1
+    assert [run_experiment(config).rows for config in configs[1:]] == serial[1:]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_budget_of_two_processes_per_share_splits_each_batch(monkeypatch):
+    """With every batch counted worth a split, eight processes for the two
+    batches of 6 samples at 64^2 make two shares, this process and one
+    forked worker, and each share forks a helper for its batch's lower
+    levels: two forks.  The one batch of 6 samples at 32^2 forks its
+    helper, a zero datum nothing, and three processes for two shares split
+    no batch.  The rows are the serial run's."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(harness, "_SPLIT_POINTS", 1)
     configs = (replace(SMALL, n_points=64, samples=6), SMALL,
                replace(SMALL, n_points=64, samples=6, family="zero"))
     monkeypatch.setenv(WORKERS_ENV, "1")
@@ -412,14 +432,15 @@ FIRST_FAILING = {"blowup-helper": {1}, "blowup-both": {1, 2}, "blowup-run": {2, 
 
 @pytest.mark.parametrize("name", list(SPLIT_CONFIGS))
 def test_a_batch_split_by_level_gives_the_serial_bytes(tmp_path, monkeypatch, name):
-    """A run of one batch on two CPUs or more forks one helper, which
-    marches levels below ceil(n_max / 2) and hands this process the next
-    level's source: rows.csv and summary.json keep the bytes of
-    PICARDLAB_WORKERS=1, with the gap part of a Gaussian datum and with
-    blow-ups whose first failing level is the helper's, this process's or
-    both, in one batch."""
+    """A run of one batch on two CPUs or more, counted worth a split, forks
+    one helper, which marches levels below ceil(n_max / 2) and hands this
+    process the next level's source: rows.csv and summary.json keep the
+    bytes of PICARDLAB_WORKERS=1, with the gap part of a Gaussian datum and
+    with blow-ups whose first failing level is the helper's, this process's
+    or both, in one batch."""
     config = SPLIT_CONFIGS[name]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(harness, "_SPLIT_POINTS", 1)
     monkeypatch.setenv(WORKERS_ENV, "1")
     serial = run_experiment(config)
     emit_report(serial, tmp_path / "serial")
@@ -439,11 +460,36 @@ def test_a_batch_split_by_level_gives_the_serial_bytes(tmp_path, monkeypatch, na
             (tmp_path / "serial" / file).read_bytes()
 
 
+def test_only_a_batch_of_split_points_is_split(tmp_path, monkeypatch):
+    """A batch's levels are split from _SPLIT_POINTS = 2^18 samples x nodes
+    x box modes x n_max on: 3 samples of 17 nodes at 64^2 (43^2 box modes)
+    hold 282897 at n_max = 3 and fork a helper, with the serial bytes; at
+    n_max = 2 (188598), and 6 samples at 32^2 at n_max = 1 (44982), they
+    march in about what a split saves, and fork nothing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    config = SPLIT_CONFIGS["band-x1-n3"]
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    emit_report(run_experiment(config), tmp_path / "serial")
+    forks = _count_forks(monkeypatch)
+    monkeypatch.delenv(WORKERS_ENV)
+    emit_report(run_experiment(config), tmp_path / "split")
+    assert len(forks) == 1
+    run_experiment(replace(config, n_max=2))
+    run_experiment(SMALL)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    for file in ("rows.csv", "summary.json"):
+        assert (tmp_path / "split" / file).read_bytes() == \
+            (tmp_path / "serial" / file).read_bytes()
+
+
 def test_no_helper_is_forked_where_a_batch_is_not_split(monkeypatch, grid64):
     """One iterate, a zero datum, PICARDLAB_WORKERS=1, n_max = 0 and a fork
-    that would not be quiet (with two processes asked for) fork nothing."""
+    that would not be quiet (with two processes asked for) fork nothing,
+    though the batch holds _SPLIT_POINTS."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(harness, "_SPLIT_POINTS", 1)
     config = SPLIT_CONFIGS["band-x1-n3"]
     forks = _count_forks(monkeypatch)
     picard_iterate(3, harness._sample_data(_prepare(config), 0), TimeGrid(0.2, 16))
@@ -458,12 +504,13 @@ def test_no_helper_is_forked_where_a_batch_is_not_split(monkeypatch, grid64):
     _assert_no_child_left()
 
 
-def _run_split(monkeypatch, put=None, get=None):
-    """A one-batch run at 32^2, n <= 3 (9 chunks of two nodes), split by
-    level, with ``put(ring)`` called in the helper before it fills a slot
-    and ``get(ring)`` here before a slot is read.  A run still going after
-    60 s raises TimeoutError here."""
+def _run_split(monkeypatch, put=None, get=None, samples=6):
+    """A run of ``samples`` at 32^2, n <= 3 (9 chunks of two nodes), each
+    batch split by level, with ``put(ring)`` called in a helper before it
+    fills a slot and ``get(ring)`` before a slot is read.  A run still going
+    after 60 s raises TimeoutError here."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(harness, "_SPLIT_POINTS", 1)
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     for method, hook in (("put", put), ("get", get)):
         if hook is not None:
@@ -477,7 +524,7 @@ def _run_split(monkeypatch, put=None, get=None):
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
     try:
-        return run_experiment(replace(SMALL, n_max=3))
+        return run_experiment(replace(SMALL, n_max=3, samples=samples))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -515,14 +562,54 @@ def test_a_killed_helper_ends_the_run_with_an_error(monkeypatch, count):
     _assert_no_child_left()
 
 
-def test_an_exception_here_kills_the_helper(monkeypatch):
-    """An exception in this process's levels, the helper waiting for a free
-    slot, leaves the run once the helper is killed and reaped."""
+@pytest.mark.parametrize("error", [WorkerFailure, EOFError])
+def test_an_exception_here_kills_the_helper(monkeypatch, error):
+    """An exception in this process's levels, an EOFError too, the helper
+    waiting for a free slot, leaves the run once the helper is killed and
+    reaped."""
+    def fail(ring):
+        if ring.count == 3:
+            raise error("slot 3 failed")
+
     start = time.monotonic()
-    with pytest.raises(WorkerFailure, match="^slot 3 failed$"):
-        _run_split(monkeypatch, get=_fail_at(3))
+    with pytest.raises(error, match="^slot 3 failed$"):
+        _run_split(monkeypatch, get=fail)
     assert time.monotonic() - start < 20
     _assert_no_child_left()
+
+
+def test_a_killed_worker_takes_its_helper_along(tmp_path, monkeypatch):
+    """13 samples at 32^2 (two batches) on 16 CPUs get four processes, two
+    shares, this process and a forked worker, each splitting its batch: the
+    worker's helper is this process's grandchild.  Killed while that helper
+    sleeps, the worker takes it along (its parent-death signal): the run
+    ends at once with the error naming the worker's wait status, and no
+    process of the run is left."""
+    parent, helper_pid = os.getpid(), tmp_path / "helper.pid"
+
+    def sleep(ring):  # in the worker's helper, before its first slot
+        if os.getppid() != parent:
+            helper_pid.write_text(str(os.getpid()))
+            time.sleep(50)
+
+    def die(ring):  # in the worker, once its helper is sleeping
+        if os.getpid() != parent:
+            while not helper_pid.exists():
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    start = time.monotonic()
+    with pytest.raises(harness.WorkerLostError, match="killed by SIGKILL"):
+        _run_split(monkeypatch, put=sleep, get=die, samples=13)
+    assert time.monotonic() - start < 20
+    _assert_no_child_left()
+    stat = Path(f"/proc/{helper_pid.read_text()}/stat")
+    for _ in range(500):  # a killed orphan is gone, or a zombie of its new parent
+        if not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] in "ZX":
+            break
+        time.sleep(0.01)
+    else:
+        raise AssertionError("the worker's helper outlived it")
 
 
 @pytest.mark.parametrize("platform, has_fork", [("linux", False), ("darwin", True),
